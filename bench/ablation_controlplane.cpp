@@ -7,8 +7,8 @@
 // landing in the client's published table. Loss pushes the tail out
 // through timeout/backoff cycles; the table quantifies it.
 //
-// Part 2 — swap overhead (real threads): a WorkerPool verifies a
-// cookie workload while a control thread republishes the descriptor
+// Part 2 — swap overhead (real threads): a Dataplane's workers verify
+// a cookie workload while a control thread republishes the descriptor
 // table as fast as it can (a swap rate far beyond any real control
 // plane). Acceptance gate: per-core throughput during constant
 // swapping within 5% of steady state — the reader side of the epoch
@@ -28,8 +28,7 @@
 #include "controlplane/sync_server.h"
 #include "controlplane/table_mirror.h"
 #include "dataplane/service_registry.h"
-#include "runtime/dispatcher.h"
-#include "runtime/worker_pool.h"
+#include "runtime/dataplane.h"
 #include "sim/event_loop.h"
 #include "sim/link.h"
 #include "util/clock.h"
@@ -160,26 +159,24 @@ SwapResult run_swap(bool swapping, size_t workers, size_t flows,
   nnn::cookies::CookieVerifier staging(clock);
   nnn::workload::PacketGenerator generator(wl, clock, staging, 12345);
 
-  nnn::runtime::WorkerPool::Config config;
-  config.workers = workers;
-  config.ring_capacity = 4096;
-  config.batch_size = 32;
-  nnn::runtime::WorkerPool pool(clock, registry, config);
+  nnn::runtime::Dataplane::Config config;  // descriptor affinity
+  config.pool.workers = workers;
+  config.pool.ring_capacity = 4096;
+  config.pool.batch_size = 32;
+  nnn::runtime::Dataplane plane(clock, registry, config);
 
   // Descriptor state arrives through the control plane: a mirror
   // builds the immutable table, the publisher swaps it in.
   nnn::controlplane::TablePublisher tables;
-  pool.bind_table_publisher(tables);
+  plane.bind_table_publisher(tables);
   nnn::controlplane::TableMirror mirror;
   const auto table_descriptors = generator.descriptors();
   mirror.reset(1, table_descriptors, {});
   tables.publish(mirror.build());
 
-  nnn::runtime::Dispatcher dispatcher(
-      pool, {.policy = nnn::dataplane::DispatchPolicy::kDescriptorAffinity});
   auto batch = generator.make_batch(flows);
 
-  pool.start();
+  plane.start();
   std::atomic<bool> stop_swapping{false};
   std::thread swapper;
   if (swapping) {
@@ -204,17 +201,20 @@ SwapResult run_swap(bool swapping, size_t workers, size_t flows,
   }
 
   for (auto& packet : batch) {
-    dispatcher.dispatch_blocking(std::move(packet));
+    nnn::runtime::PacketHandle h = plane.make_packet();
+    while (!h) h = plane.make_packet();  // workers are draining slots
+    *h = std::move(packet);
+    plane.ingest_blocking(std::move(h));
   }
-  dispatcher.drain();
+  plane.drain();
   if (swapping) {
     stop_swapping.store(true, std::memory_order_release);
     swapper.join();
   }
-  pool.stop();
+  plane.stop();
   tables.try_reclaim();  // workers parked: everything must free
 
-  const auto snap = pool.snapshot();
+  const auto snap = plane.snapshot();
   SwapResult r;
   const double critical_us = static_cast<double>(snap.max_busy_micros());
   r.percore_mpps =
@@ -222,7 +222,7 @@ SwapResult run_swap(bool swapping, size_t workers, size_t flows,
           ? static_cast<double>(snap.totals().packets) / critical_us
           : 0;
   r.swaps = tables.epoch();
-  r.verified = pool.total_verified();
+  r.verified = plane.total_verified();
   return r;
 }
 

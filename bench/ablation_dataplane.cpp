@@ -14,9 +14,9 @@
 #include "cookies/transport.h"
 #include "dataplane/hw_filter.h"
 #include "dataplane/middlebox.h"
-#include "dataplane/sharding.h"
 #include "net/http.h"
 #include "net/tls.h"
+#include "runtime/dataplane.h"
 #include "runtime/mpsc_ring.h"
 #include "runtime/spsc_ring.h"
 #include "util/clock.h"
@@ -211,49 +211,42 @@ BENCHMARK(BM_ExtractPerTransport)
     ->Arg(static_cast<int>(Transport::kTcpOption))
     ->Arg(static_cast<int>(Transport::kQuicTransportParam));
 
-/// Scale-out dispatch (§4.6): per-packet cost of the sharded dataplane
-/// under the two load-balancing policies. Descriptor affinity pays an
-/// extra cookie peek on cookie-bearing packets; that is the price of a
-/// sound distributed use-once check.
-void BM_ShardedDispatch(benchmark::State& state) {
-  const auto policy =
-      static_cast<nnn::dataplane::DispatchPolicy>(state.range(0));
-  const size_t shards = static_cast<size_t>(state.range(1));
+/// Scale-out steering (§4.6): per-packet cost of the balancer's
+/// worker pick, Dataplane::route, under the two load-balancing
+/// policies. Descriptor affinity pays an extra cookie peek on
+/// cookie-bearing packets; that is the price of a sound distributed
+/// use-once check. route() is a pure query, so the plane never starts.
+void BM_DataplaneRoute(benchmark::State& state) {
   nnn::util::ManualClock clock(1000 * nnn::util::kSecond);
   nnn::dataplane::ServiceRegistry registry;
-  registry.bind("Boost", nnn::dataplane::PriorityAction{0});
-  nnn::dataplane::ShardedDataplane plane(clock, registry, shards, policy);
+  nnn::runtime::Dataplane::Config config;
+  config.policy = static_cast<nnn::dataplane::DispatchPolicy>(state.range(0));
+  config.pool.workers = static_cast<size_t>(state.range(1));
+  nnn::runtime::Dataplane plane(clock, registry, config);
   nnn::cookies::CookieDescriptor descriptor;
   descriptor.cookie_id = 1;
   descriptor.key.assign(32, 0x42);
-  descriptor.service_data = "Boost";
-  plane.add_descriptor(descriptor);
   nnn::cookies::CookieGenerator gen(descriptor, clock, 1);
 
-  uint32_t flow_id = 1;
+  constexpr size_t kBatch = 512;
   std::vector<nnn::net::Packet> batch;
+  for (uint32_t i = 0; i < kBatch; ++i) {
+    nnn::net::Packet p = plain_packet(i + 1);
+    p.tuple.proto = nnn::net::L4Proto::kUdp;
+    if (i % 10 == 0) {  // every 10th packet opens a cookie flow
+      nnn::cookies::attach(p, gen.generate(),
+                           nnn::cookies::Transport::kUdpHeader);
+    }
+    batch.push_back(std::move(p));
+  }
   size_t next = 0;
   for (auto _ : state) {
-    if (next >= batch.size()) {
-      state.PauseTiming();
-      batch.clear();
-      for (int i = 0; i < 512; ++i) {
-        nnn::net::Packet p = plain_packet(flow_id++);
-        p.tuple.proto = nnn::net::L4Proto::kUdp;
-        if (i % 10 == 0) {  // every 10th packet opens a cookie flow
-          nnn::cookies::attach(p, gen.generate(),
-                               nnn::cookies::Transport::kUdpHeader);
-        }
-        batch.push_back(std::move(p));
-      }
-      next = 0;
-      state.ResumeTiming();
-    }
-    benchmark::DoNotOptimize(plane.process(batch[next++]));
+    benchmark::DoNotOptimize(plane.route(batch[next]));
+    next = (next + 1) % kBatch;
   }
 }
-BENCHMARK(BM_ShardedDispatch)
-    ->ArgNames({"policy", "shards"})
+BENCHMARK(BM_DataplaneRoute)
+    ->ArgNames({"policy", "workers"})
     ->Args({0, 1})
     ->Args({0, 4})
     ->Args({0, 16})
@@ -389,11 +382,12 @@ void BM_FlowTableTouch(benchmark::State& state) {
   const size_t flows = static_cast<size_t>(state.range(0));
   for (size_t i = 0; i < flows; ++i) {
     nnn::net::Packet p = plain_packet(static_cast<uint32_t>(i));
-    table.touch(p.tuple, 512, 0);
+    table.bind(nnn::net::FlowKey::from_tuple(p.tuple), 512, 0);
   }
   nnn::net::Packet probe = plain_packet(static_cast<uint32_t>(flows / 2));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(table.touch(probe.tuple, 512, 1));
+    benchmark::DoNotOptimize(
+        table.bind(nnn::net::FlowKey::from_tuple(probe.tuple), 512, 1));
   }
 }
 BENCHMARK(BM_FlowTableTouch)

@@ -29,8 +29,7 @@
 #include "dataplane/service_registry.h"
 #include "fault/injector.h"
 #include "fault/plan.h"
-#include "runtime/dispatcher.h"
-#include "runtime/worker_pool.h"
+#include "runtime/dataplane.h"
 #include "util/clock.h"
 #include "workload/packet_gen.h"
 
@@ -71,14 +70,14 @@ FaultRunResult run_pool(Mode mode, size_t workers, size_t flows,
   nnn::cookies::CookieVerifier staging(clock);
   nnn::workload::PacketGenerator generator(wl, clock, staging, 12345);
 
-  nnn::runtime::WorkerPool::Config config;
-  config.workers = workers;
-  config.ring_capacity = 4096;
-  config.batch_size = 32;
-  nnn::runtime::WorkerPool pool(clock, registry, config);
+  nnn::runtime::Dataplane::Config config;  // descriptor affinity
+  config.pool.workers = workers;
+  config.pool.ring_capacity = 4096;
+  config.pool.batch_size = 32;
+  nnn::runtime::Dataplane plane(clock, registry, config);
 
   nnn::controlplane::TablePublisher tables;
-  pool.bind_table_publisher(tables);
+  plane.bind_table_publisher(tables);
   nnn::controlplane::TableMirror mirror;
   mirror.reset(1, generator.descriptors(), {});
   tables.publish(mirror.build());
@@ -99,28 +98,29 @@ FaultRunResult run_pool(Mode mode, size_t workers, size_t flows,
       }
       injector.arm(plan, 7);
     }
-    pool.set_fault_injector(&injector);
+    plane.set_fault_injector(&injector);
   }
 
-  nnn::runtime::Dispatcher dispatcher(
-      pool, {.policy = nnn::dataplane::DispatchPolicy::kDescriptorAffinity});
   auto batch = generator.make_batch(flows);
 
-  pool.start();
+  plane.start();
   for (auto& packet : batch) {
-    dispatcher.dispatch_blocking(std::move(packet));
+    nnn::runtime::PacketHandle h = plane.make_packet();
+    while (!h) h = plane.make_packet();  // workers are draining slots
+    *h = std::move(packet);
+    plane.ingest_blocking(std::move(h));
   }
-  dispatcher.drain();
-  pool.stop();
+  plane.drain();
+  plane.stop();
 
-  const auto snap = pool.snapshot();
+  const auto snap = plane.snapshot();
   FaultRunResult r;
   const double critical_us = static_cast<double>(snap.max_busy_micros());
   r.percore_mpps =
       critical_us > 0
           ? static_cast<double>(snap.totals().packets) / critical_us
           : 0;
-  r.verified = pool.total_verified();
+  r.verified = plane.total_verified();
   r.injected = injector.total_injected();
   return r;
 }

@@ -292,7 +292,7 @@ class Herd {
       if (!probe) return false;  // poisoned stream
       if (!*probe || pending.size() < **probe) break;
       const auto message =
-          nnn::controlplane::decode(pending.first(**probe));
+          nnn::controlplane::decode_message(pending.first(**probe));
       c.consumed += **probe;
       if (message) apply(c, *message);
     }

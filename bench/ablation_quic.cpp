@@ -14,10 +14,10 @@
 //   dpi_cleartext         and the TCP+TLS control trace with a readable
 //                       SNI. The collapse is the delta between the two
 //                       accuracies; CI gates encrypted <= 0.01.
-//   quic_steering       — ShardedDataplane under descriptor affinity
-//                       vs naive flow hash: fraction of connections
-//                       whose packets all landed on ONE shard while
-//                       rotating and migrating.
+//   quic_steering       — the threaded Dataplane under descriptor
+//                       affinity vs naive flow hash: fraction of
+//                       connections whose packets all landed on ONE
+//                       worker while rotating and migrating.
 //   quic_runtime_ingest — the trace through the threaded zero-copy
 //                       Dataplane facade; pps, the shed ledger, and the
 //                       arena leak gate (exit 1 on a leaked slot).
@@ -33,7 +33,6 @@
 #include "cookies/verifier.h"
 #include "dataplane/middlebox.h"
 #include "dataplane/service_registry.h"
-#include "dataplane/sharding.h"
 #include "fault/injector.h"
 #include "fault/plan.h"
 #include "quic/workload.h"
@@ -164,32 +163,44 @@ DpiResult run_dpi(uint64_t seed, bool cleartext) {
 }
 
 /// Steering stability: fraction of connections all of whose packets
-/// landed on one shard, while rotating and migrating.
+/// landed on one worker, while rotating and migrating.
 double run_steering(uint64_t seed, dataplane::DispatchPolicy policy) {
-  constexpr size_t kShards = 8;
-  util::ManualClock clock;
+  util::ManualClock plane_clock;  // frozen while workers run
   dataplane::ServiceRegistry registry;
   registry.bind("Boost", dataplane::PriorityAction{0});
-  dataplane::ShardedDataplane plane(clock, registry, kShards, policy);
+  runtime::Dataplane::Config plane_config;
+  plane_config.policy = policy;
+  plane_config.pool.workers = 8;
+  plane_config.pool.verdict_capacity = 1 << 14;
+  runtime::Dataplane plane(plane_clock, registry, plane_config);
 
   const auto config = trace_config(false);
-  cookies::CookieVerifier staging(clock);
-  quic::QuicTraceGenerator gen(config, clock, &staging, seed);
+  util::ManualClock trace_clock;
+  cookies::CookieVerifier staging(trace_clock);
+  quic::QuicTraceGenerator gen(config, trace_clock, &staging, seed);
   for (const auto& d : gen.descriptors()) plane.add_descriptor(d);
   fault::Injector injector;
   injector.arm(migration_plan(), seed);
   gen.set_fault_injector(&injector);
 
-  std::vector<std::set<size_t>> shards(config.connections);
-  net::Packet packet;
+  plane.start();
   const size_t total = gen.total_packets();
   for (size_t i = 0; i < total; ++i) {
-    packet = net::Packet{};
-    const uint32_t conn = gen.fill_next(packet);
-    plane.process(packet);
-    shards[conn].insert(plane.shard_for(packet));
-    clock.advance(50);
+    runtime::PacketHandle h = plane.make_packet();
+    while (!h) h = plane.make_packet();
+    gen.fill_next(*h);
+    trace_clock.advance(50);
+    plane.ingest_blocking(std::move(h));
   }
+  plane.drain();
+  plane.stop();
+
+  // The generator stamps the connection index into seq; each verdict
+  // names the worker that processed the packet.
+  std::vector<runtime::VerdictRecord> verdicts;
+  plane.drain_verdicts(verdicts);
+  std::vector<std::set<size_t>> shards(config.connections);
+  for (const auto& v : verdicts) shards[v.seq].insert(v.worker);
   size_t stable = 0;
   for (const auto& s : shards) {
     if (s.size() == 1) ++stable;

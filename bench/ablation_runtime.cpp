@@ -5,8 +5,9 @@
 //
 // The paper: "we can use multiple cores instead of one … along with a
 // load-balancer that shares the traffic among servers." Here the
-// load-balancer is a real thread pushing packets through SPSC rings to
-// worker threads that each own a full middlebox shard.
+// load-balancer is runtime::Dataplane::ingest on the producer thread,
+// pushing 4-byte arena handles through SPSC rings to worker threads
+// that each own a full middlebox shard.
 //
 // Two throughput readings per run:
 //   - wall:     packets / elapsed time on THIS machine. Only
@@ -26,10 +27,7 @@
 
 #include "bench_json.h"
 #include "dataplane/service_registry.h"
-#include "dataplane/sharding.h"
 #include "runtime/dataplane.h"
-#include "runtime/dispatcher.h"
-#include "runtime/worker_pool.h"
 #include "util/clock.h"
 #include "workload/packet_gen.h"
 
@@ -43,80 +41,19 @@ struct RunResult {
   double percore_mpps = 0;
   double gbps_percore = 0;
   uint64_t verified = 0;
-  uint64_t bypassed = 0;
+  uint64_t shed = 0;
   double avg_batch = 0;
   uint64_t arena_outstanding = 0;  // leak gate: must be 0 after stop
   uint64_t arena_alloc_failures = 0;
 };
 
-RunResult run_one(DispatchPolicy policy, size_t workers, size_t flows,
-                  size_t descriptors) {
-  nnn::util::SystemClock clock;
-  nnn::dataplane::ServiceRegistry registry;
-  registry.bind("Boost", nnn::dataplane::PriorityAction{0});
-
-  // Fig. 4 campus operating point.
-  nnn::workload::PacketGenerator::Config wl;
-  wl.packet_size = 512;
-  wl.packets_per_flow = 50;
-  wl.descriptors = descriptors;
-
-  // The generator installs descriptors into this staging verifier; the
-  // pool replicates them into every worker's own verifier.
-  nnn::cookies::CookieVerifier staging(clock);
-  nnn::workload::PacketGenerator generator(wl, clock, staging, 12345);
-
-  nnn::runtime::WorkerPool::Config config;
-  config.workers = workers;
-  config.ring_capacity = 4096;
-  config.batch_size = 32;
-  nnn::runtime::WorkerPool pool(clock, registry, config);
-  for (const auto& d : generator.descriptors()) pool.add_descriptor(d);
-
-  nnn::runtime::Dispatcher dispatcher(pool, {.policy = policy});
-
-  // Pre-build all packets outside the timed region.
-  auto batch = generator.make_batch(flows);
-
-  pool.start();
-  const nnn::util::Timestamp t0 = clock.now();
-  for (auto& packet : batch) {
-    // Closed loop: wait for ring space rather than fail-open, so every
-    // packet is actually processed and the measurement is loss-free.
-    dispatcher.dispatch_blocking(std::move(packet));
-  }
-  dispatcher.drain();
-  const nnn::util::Timestamp t1 = clock.now();
-  pool.stop();
-
-  const auto snap = pool.snapshot();
-  const auto totals = snap.totals();
-  RunResult r;
-  r.workers = workers;
-  const double wall_us = static_cast<double>(t1 - t0);
-  const double critical_us = static_cast<double>(snap.max_busy_micros());
-  r.wall_mpps = wall_us > 0 ? static_cast<double>(totals.packets) / wall_us
-                            : 0;
-  r.percore_mpps =
-      critical_us > 0 ? static_cast<double>(totals.packets) / critical_us : 0;
-  r.gbps_percore = critical_us > 0
-                       ? static_cast<double>(totals.bytes) * 8 /
-                             (critical_us * 1e3)
-                       : 0;
-  r.verified = pool.total_verified();
-  r.bypassed = dispatcher.stats().ring_full_bypass;
-  r.avg_batch = totals.avg_batch();
-  return r;
-}
-
 /// The zero-copy path (PR 8): packets are built in arena slots and
 /// only 4-byte handles cross the rings via Dataplane::ingest. The
-/// workload is pre-generated outside the timed region (same as the
-/// copy path); the timed loop moves each prebuilt packet into a
-/// recycled slot — one struct move at the edge, zero payload copies
-/// between ingest and emit.
-RunResult run_one_arena(DispatchPolicy policy, size_t workers, size_t flows,
-                        size_t descriptors) {
+/// workload is pre-generated outside the timed region; the timed loop
+/// moves each prebuilt packet into a recycled slot — one struct move
+/// at the edge, zero payload copies between ingest and emit.
+RunResult run_one(DispatchPolicy policy, size_t workers, size_t flows,
+                  size_t descriptors) {
   nnn::util::SystemClock clock;
   nnn::dataplane::ServiceRegistry registry;
   registry.bind("Boost", nnn::dataplane::PriorityAction{0});
@@ -166,6 +103,7 @@ RunResult run_one_arena(DispatchPolicy policy, size_t workers, size_t flows,
                              (critical_us * 1e3)
                        : 0;
   r.verified = plane.total_verified();
+  r.shed = totals.shed;
   r.avg_batch = totals.avg_batch();
   r.arena_outstanding = plane.arena().outstanding();
   r.arena_alloc_failures = plane.arena().alloc_failures();
@@ -196,64 +134,61 @@ int main(int argc, char** argv) {
   const DispatchPolicy policies[] = {DispatchPolicy::kDescriptorAffinity,
                                      DispatchPolicy::kFlowHash};
   bool leak = false;
-  // Two ingest paths per policy: "copy" moves whole Packet structs
-  // through the rings (pre-PR 8 baseline, kept under its original
-  // record names so history diffs line up); "arena" is the zero-copy
-  // handle path through Dataplane::ingest.
+  // Untimed warm-up: the first runs in a process pay one-time costs
+  // (fresh heap pages for every worker's tables) inside worker CPU
+  // time, which would depress whichever sweep runs first.
+  (void)run_one(DispatchPolicy::kDescriptorAffinity, 8, flows, descriptors);
+  // One ingest path: the zero-copy handle path through
+  // Dataplane::ingest. Records keep the "arena" path segment so
+  // history diffs line up.
   for (const auto policy : policies) {
     const std::string policy_name(nnn::dataplane::to_string(policy));
-    for (const bool arena : {false, true}) {
-      std::printf("--- policy: %s, path: %s ---\n", policy_name.c_str(),
-                  arena ? "arena (zero-copy handles)" : "copy (struct moves)");
-      std::printf("%-8s %14s %14s %12s %10s %10s %10s\n", "workers",
-                  "per-core Mpps", "per-core Gb/s", "wall Mpps", "speedup",
-                  "verified", "bypassed");
-      double base_percore = 0;
-      for (const size_t workers : {1u, 2u, 4u, 8u}) {
-        const RunResult r =
-            arena ? run_one_arena(policy, workers, flows, descriptors)
-                  : run_one(policy, workers, flows, descriptors);
-        if (workers == 1) base_percore = r.percore_mpps;
-        const double speedup =
-            base_percore > 0 ? r.percore_mpps / base_percore : 0;
-        std::printf("%-8zu %14.3f %14.2f %12.3f %9.2fx %10llu %10llu\n",
-                    r.workers, r.percore_mpps, r.gbps_percore, r.wall_mpps,
-                    speedup,
-                    static_cast<unsigned long long>(r.verified),
-                    static_cast<unsigned long long>(r.bypassed));
-        if (arena && r.arena_outstanding != 0) {
-          std::fprintf(stderr,
-                       "LEAK: %llu arena slots outstanding after stop "
-                       "(policy=%s workers=%zu)\n",
-                       static_cast<unsigned long long>(r.arena_outstanding),
-                       policy_name.c_str(), workers);
-          leak = true;
-        }
-        nnn::bench::BenchRecord rec;
-        rec.name = (arena ? "runtime/arena/" : "runtime/") + policy_name +
-                   "/workers=" + std::to_string(workers);
-        rec.config["workers"] = static_cast<int64_t>(workers);
-        rec.config["policy"] = policy_name;
-        rec.config["path"] = arena ? "arena" : "copy";
-        rec.config["packet_size"] = 512;
-        rec.config["flows"] = static_cast<int64_t>(flows);
-        rec.config["descriptors"] = static_cast<int64_t>(descriptors);
-        rec.config["batch"] = 32;
-        rec.config["ring"] = 4096;
-        rec.config["wall_mpps"] = r.wall_mpps;
-        if (arena) {
-          rec.config["arena_outstanding"] =
-              static_cast<int64_t>(r.arena_outstanding);
-          rec.config["arena_alloc_failures"] =
-              static_cast<int64_t>(r.arena_alloc_failures);
-        }
-        // per-core packet service time: Mpps -> ns per packet.
-        rec.ns_per_op = r.percore_mpps > 0 ? 1e3 / r.percore_mpps : 0;
-        rec.ops_per_sec = r.percore_mpps * 1e6;
-        records.push_back(std::move(rec));
+    std::printf("--- policy: %s, path: arena (zero-copy handles) ---\n",
+                policy_name.c_str());
+    std::printf("%-8s %14s %14s %12s %10s %10s %10s\n", "workers",
+                "per-core Mpps", "per-core Gb/s", "wall Mpps", "speedup",
+                "verified", "shed");
+    double base_percore = 0;
+    for (const size_t workers : {1u, 2u, 4u, 8u}) {
+      const RunResult r = run_one(policy, workers, flows, descriptors);
+      if (workers == 1) base_percore = r.percore_mpps;
+      const double speedup =
+          base_percore > 0 ? r.percore_mpps / base_percore : 0;
+      std::printf("%-8zu %14.3f %14.2f %12.3f %9.2fx %10llu %10llu\n",
+                  r.workers, r.percore_mpps, r.gbps_percore, r.wall_mpps,
+                  speedup,
+                  static_cast<unsigned long long>(r.verified),
+                  static_cast<unsigned long long>(r.shed));
+      if (r.arena_outstanding != 0) {
+        std::fprintf(stderr,
+                     "LEAK: %llu arena slots outstanding after stop "
+                     "(policy=%s workers=%zu)\n",
+                     static_cast<unsigned long long>(r.arena_outstanding),
+                     policy_name.c_str(), workers);
+        leak = true;
       }
-      std::printf("\n");
+      nnn::bench::BenchRecord rec;
+      rec.name = "runtime/arena/" + policy_name +
+                 "/workers=" + std::to_string(workers);
+      rec.config["workers"] = static_cast<int64_t>(workers);
+      rec.config["policy"] = policy_name;
+      rec.config["path"] = "arena";
+      rec.config["packet_size"] = 512;
+      rec.config["flows"] = static_cast<int64_t>(flows);
+      rec.config["descriptors"] = static_cast<int64_t>(descriptors);
+      rec.config["batch"] = 32;
+      rec.config["ring"] = 4096;
+      rec.config["wall_mpps"] = r.wall_mpps;
+      rec.config["arena_outstanding"] =
+          static_cast<int64_t>(r.arena_outstanding);
+      rec.config["arena_alloc_failures"] =
+          static_cast<int64_t>(r.arena_alloc_failures);
+      // per-core packet service time: Mpps -> ns per packet.
+      rec.ns_per_op = r.percore_mpps > 0 ? 1e3 / r.percore_mpps : 0;
+      rec.ops_per_sec = r.percore_mpps * 1e6;
+      records.push_back(std::move(rec));
     }
+    std::printf("\n");
   }
   std::printf("note: avg ring burst and backpressure accounting are in "
               "tests/test_runtime.cpp;\nring enqueue/dequeue "

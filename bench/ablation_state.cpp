@@ -237,7 +237,7 @@ int main(int argc, char** argv) {
   // --- Phase 3b: the deployment shape — flow bursts via verify_batch
   // Single-verify over a DRAM-resident working set pays the hot-entry
   // cache misses on every packet. Real traffic arrives as flow bursts
-  // and the dispatcher keys workers by descriptor, so verify_batch
+  // and the dataplane keys workers by descriptor, so verify_batch
   // touches each hot entry once per run of cookies. This row is what
   // a middlebox actually sees.
   {

@@ -35,8 +35,7 @@
 #include "cookies/cookie.h"
 #include "cookies/verifier.h"
 #include "dataplane/service_registry.h"
-#include "runtime/dispatcher.h"
-#include "runtime/worker_pool.h"
+#include "runtime/dataplane.h"
 #include "telemetry/metrics.h"
 #include "util/clock.h"
 #include "workload/packet_gen.h"
@@ -97,24 +96,25 @@ double pool_round(size_t workers, size_t flows, size_t descriptors) {
   nnn::cookies::CookieVerifier staging(clock);
   nnn::workload::PacketGenerator generator(wl, clock, staging, 12345);
 
-  nnn::runtime::WorkerPool::Config config;
-  config.workers = workers;
-  config.ring_capacity = 4096;
-  config.batch_size = 32;
-  nnn::runtime::WorkerPool pool(clock, registry, config);
-  for (const auto& d : generator.descriptors()) pool.add_descriptor(d);
-
-  nnn::runtime::Dispatcher dispatcher(pool, {});
+  nnn::runtime::Dataplane::Config config;  // descriptor affinity
+  config.pool.workers = workers;
+  config.pool.ring_capacity = 4096;
+  config.pool.batch_size = 32;
+  nnn::runtime::Dataplane plane(clock, registry, config);
+  for (const auto& d : generator.descriptors()) plane.add_descriptor(d);
 
   auto batch = generator.make_batch(flows);
-  pool.start();
+  plane.start();
   for (auto& packet : batch) {
-    dispatcher.dispatch_blocking(std::move(packet));
+    nnn::runtime::PacketHandle h = plane.make_packet();
+    while (!h) h = plane.make_packet();  // workers are draining slots
+    *h = std::move(packet);
+    plane.ingest_blocking(std::move(h));
   }
-  dispatcher.drain();
-  pool.stop();
+  plane.drain();
+  plane.stop();
 
-  const auto totals = pool.snapshot().totals();
+  const auto totals = plane.snapshot().totals();
   return totals.packets > 0
              ? static_cast<double>(totals.busy_micros) * 1e3 /
                    static_cast<double>(totals.packets)

@@ -321,12 +321,4 @@ Expected<Message> decode_message(BytesView datagram) {
   return decode_message(r);
 }
 
-std::optional<Message> decode(ByteReader& r) {
-  return decode_message(r).to_optional();
-}
-
-std::optional<Message> decode(BytesView datagram) {
-  return decode_message(datagram).to_optional();
-}
-
 }  // namespace nnn::controlplane

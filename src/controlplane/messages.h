@@ -16,13 +16,10 @@
 // older middleboxes. Decoding is defensive in the repo's wire idiom:
 // truncation or a malformed known payload yields a typed Error
 // (domain kMessages for payload problems, kWire for envelope
-// problems), never UB. decode_message is the primary entry point
-// (PR 5 API redesign); the std::optional decode() spellings survive
-// as thin views.
+// problems), never UB. decode_message is the entry point.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <variant>
 #include <vector>
 
@@ -101,10 +98,6 @@ Expected<Message> decode_message(util::ByteReader& r);
 
 /// Convenience for single-message datagrams.
 Expected<Message> decode_message(util::BytesView datagram);
-
-/// Legacy views over decode_message: drop the error detail.
-std::optional<Message> decode(util::ByteReader& r);
-std::optional<Message> decode(util::BytesView datagram);
 
 /// Descriptor binary codec, exposed for tests. Field order: id, key,
 /// service_data, attributes (granularity, flag bits, transports,

@@ -26,7 +26,7 @@
 //     would turn a control-plane blip into a dataplane outage;
 //   - past stale_grace without a successful exchange the client flags
 //     itself stale (nnn_controlplane_stale gauge). It STILL keeps the
-//     last table — fail-open stays the dispatcher's policy — but
+//     last table — fail-open stays the dataplane's policy — but
 //     monitoring (regulator_audit) can now see that this middlebox may
 //     be enforcing revoked descriptors;
 //   - a restarting middlebox can restore() the last exported table

@@ -247,7 +247,7 @@ void CookieVerifier::verify_batch(std::span<const Cookie> cookies,
   if (external_mode_) hot_.begin_burst();
   // Batch-level timing: two clock reads per burst, never per cookie.
   // A 32-cookie burst is >=10 us of MAC work, so the ~86 ns timer pair
-  // stays under 1% there; smaller bursts (a trickling dispatcher can
+  // stays under 1% there; smaller bursts (a trickling producer can
   // hand down a single cookie) are sampled 1-in-32 so the reads can
   // never dominate.
   const telemetry::ScopedTimer timer(batch_nanos_,

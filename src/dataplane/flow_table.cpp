@@ -1,7 +1,5 @@
 #include "dataplane/flow_table.h"
 
-#include <cassert>
-
 namespace nnn::dataplane {
 
 namespace {
@@ -168,27 +166,6 @@ Expected<uint64_t> FlowTable::add_alias(uint64_t fresh_cid,
   const Expected<uint64_t> linked = aliases_.alias(fresh_cid, canon);
   if (linked) stats_.cell<&FlowTableStats::aliases_added>().inc();
   return linked;
-}
-
-FlowEntry& FlowTable::touch(const net::FiveTuple& tuple, uint32_t bytes,
-                            util::Timestamp now) {
-  Expected<Binding> bound = bind(net::FlowKey::from_tuple(tuple), bytes, now);
-  assert(bound.has_value() && "touch() requires an unbounded FlowTable");
-  return *bound.value().entry;
-}
-
-void FlowTable::map_flow(const net::FiveTuple& tuple,
-                         const std::string& service_data,
-                         util::Timestamp now, bool include_reverse,
-                         util::Timestamp mapping_expires) {
-  map_flow(net::FlowKey::from_tuple(tuple), service_data, now,
-           include_reverse, mapping_expires);
-}
-
-const FlowEntry* FlowTable::find(const net::FiveTuple& tuple) const {
-  const Expected<const FlowEntry*> found =
-      lookup(net::FlowKey::from_tuple(tuple));
-  return found ? found.value() : nullptr;
 }
 
 size_t FlowTable::expire_idle(util::Timestamp now) {

@@ -30,14 +30,11 @@
 //
 // ## API (PR 10 redesign)
 //
-// The primary interface speaks Expected<...> in the PR 5 error
-// taxonomy (domain kFlow): bind() is the touch-or-create entry point
-// (kOverload once `max_flows` is hit), lookup() replaces the
-// nullptr-returning find (kUnknownId), add_alias() reports an
-// unlinkable rotation (kUnknownId). The 5-tuple touch()/find()/
-// map_flow() signatures remain as thin adapters over the FlowKey
-// entry points; tests/test_quic.cpp holds a differential harness
-// asserting adapter and primary agree move for move.
+// The interface speaks Expected<...> in the PR 5 error taxonomy
+// (domain kFlow): bind() is the touch-or-create entry point (kOverload
+// once `max_flows` is hit), lookup() reports an absent flow
+// (kUnknownId), add_alias() reports an unlinkable rotation
+// (kUnknownId). A 5-tuple caller keys through FlowKey::from_tuple().
 #pragma once
 
 #include <cstdint>
@@ -119,8 +116,7 @@ class FlowTable {
   static constexpr util::Timestamp kDefaultIdleTimeout =
       60 * util::kSecond;
 
-  /// `max_flows` == 0 means unbounded (the legacy contract; the
-  /// reference-returning adapters below require it).
+  /// `max_flows` == 0 means unbounded.
   explicit FlowTable(uint32_t sniff_window = kDefaultSniffWindow,
                      util::Timestamp idle_timeout = kDefaultIdleTimeout,
                      size_t max_flows = 0);
@@ -134,8 +130,6 @@ class FlowTable {
     FlowEntry* entry = nullptr;
     bool created = false;
   };
-
-  // --- primary interface (FlowKey + Expected) ---
 
   /// Touch-or-create the flow `key` names: bump packet/byte counters,
   /// advance kSniffing -> kBestEffort when the window is exhausted,
@@ -168,19 +162,6 @@ class FlowTable {
   /// Canonical CID for `cid` (itself when unaliased).
   uint64_t resolve_cid(uint64_t cid) const { return aliases_.resolve(cid); }
 
-  // --- legacy 5-tuple adapters (thin; unbounded tables only) ---
-
-  /// bind() adapter. Asserts success — only an unbounded table may
-  /// use the reference-returning form.
-  FlowEntry& touch(const net::FiveTuple& tuple, uint32_t bytes,
-                   util::Timestamp now);
-  /// map_flow() adapter.
-  void map_flow(const net::FiveTuple& tuple, const std::string& service_data,
-                util::Timestamp now, bool include_reverse,
-                util::Timestamp mapping_expires = 0);
-  /// lookup() adapter; nullptr when the flow is unknown.
-  const FlowEntry* find(const net::FiveTuple& tuple) const;
-
   /// Drop entries idle since before now - idle_timeout — and, for
   /// CID-keyed entries, their whole alias set. Returns how many flows
   /// were evicted. bind() amortizes this; exposed for tests.
@@ -200,7 +181,7 @@ class FlowTable {
   /// Flows live in a stable pool (deque + free list) behind a flat
   /// open-addressing index of slot handles — same state-layer shape as
   /// the descriptor store. Handle indirection is what preserves the
-  /// contract the middlebox relies on: FlowEntry& returned by touch()
+  /// contract the middlebox relies on: the FlowEntry* bind() returns
   /// stays valid across later inserts in the same burst (the index
   /// rehashes; the pool never moves an entry).
   struct Slot {

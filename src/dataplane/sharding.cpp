@@ -1,42 +1,12 @@
 #include "dataplane/sharding.h"
 
-#include <string>
-
 #include "cookies/cookie.h"
 #include "util/hash.h"
 
 namespace nnn::dataplane {
 
-ShardedDataplane::ShardedDataplane(const util::Clock& clock,
-                                   ServiceRegistry& registry,
-                                   size_t shards, DispatchPolicy policy,
-                                   Middlebox::Config config)
-    : policy_(policy) {
-  shards_.reserve(shards);
-  for (size_t i = 0; i < shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>(clock, registry, config));
-    auto& view = stats_.emplace_back();
-    view.register_with(
-        telemetry::Registry::global(),
-        telemetry::LabelSet{{"shard", std::to_string(i)}});
-  }
-}
-
-void ShardedDataplane::add_descriptor(
-    const cookies::CookieDescriptor& descriptor) {
-  for (auto& shard : shards_) {
-    shard->verifier.add_descriptor(descriptor);
-  }
-}
-
-void ShardedDataplane::revoke(cookies::CookieId id) {
-  for (auto& shard : shards_) {
-    shard->verifier.revoke(id);
-  }
-}
-
 size_t pick_shard(const net::Packet& packet, DispatchPolicy policy,
-                  size_t shard_count, const quic::CidAliasTable* aliases) {
+                  size_t shard_count, const quic::CidAliasTable& aliases) {
   if (policy == DispatchPolicy::kDescriptorAffinity) {
     // Peek: no HMAC, no stack decode, no allocation — just the carrier
     // search and eight bytes of id. This mirrors the paper's hardware
@@ -54,53 +24,14 @@ size_t pick_shard(const net::Packet& packet, DispatchPolicy policy,
     // alias table (fed by learn_steering on this same path) recovers
     // the steering key fixed at handshake time — the cookie id again —
     // so rotation and migration keep the descriptor pinned.
-    if (aliases != nullptr) {
-      return util::steer_shard(quic::steer_key_for(*aliases, packet),
-                               shard_count);
-    }
+    return util::steer_shard(quic::steer_key_for(aliases, packet),
+                             shard_count);
   }
   // kFlowHash stays deliberately naive — a tuple hash, exactly what a
   // CID-blind balancer does — but platform-stable, unlike the old
   // std::hash<FiveTuple> fallback. A NAT rebind changes this value;
   // that breakage is the ablation's control arm.
   return util::steer_shard(packet.flow_key().steer_key(), shard_count);
-}
-
-size_t ShardedDataplane::flow_shard(const net::Packet& packet) const {
-  return util::steer_shard(packet.flow_key().steer_key(), shards_.size());
-}
-
-size_t ShardedDataplane::shard_for(const net::Packet& packet) const {
-  return pick_shard(packet, policy_, shards_.size(), &aliases_);
-}
-
-Verdict ShardedDataplane::process(net::Packet& packet) {
-  if (policy_ == DispatchPolicy::kDescriptorAffinity) {
-    quic::learn_steering(aliases_, packet);
-  }
-  const size_t index = shard_for(packet);
-  auto& s = stats_[index];
-  s.cell<&ShardStats::packets>().inc();
-  if (packet.cookie_bytes()) {
-    s.cell<&ShardStats::cookie_packets>().inc();
-  }
-  return shards_[index]->middlebox.process(packet);
-}
-
-uint64_t ShardedDataplane::total_replays_detected() const {
-  uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    total += shard->verifier.stats().replayed;
-  }
-  return total;
-}
-
-uint64_t ShardedDataplane::total_verified() const {
-  uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    total += shard->verifier.stats().verified;
-  }
-  return total;
 }
 
 }  // namespace nnn::dataplane

@@ -11,7 +11,8 @@
 // a specific descriptor always go through the same middle-box where
 // uniqueness can be locally verified."
 //
-// This module implements both halves of that paragraph:
+// This module holds the balancer's policy, both halves of that
+// paragraph:
 //  - DispatchPolicy::kFlowHash — the naive load balancer. Cookies from
 //    one descriptor can land on different shards, whose replay caches
 //    are independent: a copied cookie can be "spent" once per shard.
@@ -21,24 +22,17 @@
 //    Cookie-less packets still spread by flow hash (they need no
 //    uniqueness check), so load balance is preserved where it matters.
 //
-// ShardedDataplane runs the shards on the calling thread — useful for
-// deterministic tests and policy experiments. The actually-parallel
-// version (worker threads fed through lock-free rings by a
-// load-balancer thread, same pick_shard policies) is
-// runtime::WorkerPool + runtime::Dispatcher.
+// The balancer itself — the one owner of the CID steering state that
+// pick_shard() reads — is runtime::Dataplane, which steers every
+// ingested packet onto a WorkerPool shard.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <memory>
-#include <vector>
 
-#include "cookies/verifier.h"
-#include "dataplane/middlebox.h"
-#include "dataplane/service_registry.h"
+#include "net/packet.h"
 #include "quic/alias_table.h"
 #include "telemetry/labels.h"
-#include "util/clock.h"
 
 namespace nnn::dataplane {
 
@@ -50,102 +44,14 @@ enum class DispatchPolicy : uint8_t {
 // to_string(DispatchPolicy) lives in telemetry/labels.h (included
 // above).
 
-/// Shard selection under `policy`, shared by the single-threaded model
-/// below and the threaded runtime::Dispatcher. Under descriptor
-/// affinity a cookie-bearing packet is pinned by its cookie id (the
-/// cheap no-HMAC peek); a QUIC short-header packet whose connection
-/// `aliases` knows is pinned by the steering key learned at handshake
-/// (the cookie id again — so rotation and migration keep hitting the
-/// shard owning the descriptor); everything else spreads by the
-/// packet's FlowKey steer key through util::steer_shard — platform-
-/// stable end to end, where the old fallback hashed the 5-tuple with
-/// std::hash and could disagree across standard libraries.
+/// Shard selection under `policy`. Under descriptor affinity a
+/// cookie-bearing packet is pinned by its cookie id (the cheap no-HMAC
+/// peek); a QUIC short-header packet whose connection `aliases` knows
+/// is pinned by the steering key learned at handshake (the cookie id
+/// again — so rotation and migration keep hitting the shard owning the
+/// descriptor); everything else spreads by the packet's FlowKey steer
+/// key through util::steer_shard, which is platform-stable end to end.
 size_t pick_shard(const net::Packet& packet, DispatchPolicy policy,
-                  size_t shard_count,
-                  const quic::CidAliasTable* aliases = nullptr);
-
-struct ShardStats {
-  uint64_t packets = 0;
-  uint64_t cookie_packets = 0;
-
-  friend bool operator==(const ShardStats&, const ShardStats&) = default;
-};
-
-}  // namespace nnn::dataplane
-
-namespace nnn::telemetry {
-
-template <>
-struct ViewTraits<dataplane::ShardStats> {
-  using S = dataplane::ShardStats;
-  static constexpr std::array fields{
-      ViewField<S>{&S::packets, MetricType::kCounter,
-                   "nnn_shard_packets_total",
-                   "Packets dispatched to a shard", "", ""},
-      ViewField<S>{&S::cookie_packets, MetricType::kCounter,
-                   "nnn_shard_cookie_packets_total",
-                   "Cookie-bearing packets dispatched to a shard", "", ""},
-  };
-};
-
-}  // namespace nnn::telemetry
-
-namespace nnn::dataplane {
-
-class ShardedDataplane {
- public:
-  /// Builds `shards` independent middleboxes, each with its own
-  /// verifier and replay cache (the realistic deployment: separate
-  /// machines). Descriptors are installed into every shard — key
-  /// distribution is cheap control-plane state; replay caches are the
-  /// part that cannot be shared cheaply.
-  ShardedDataplane(const util::Clock& clock, ServiceRegistry& registry,
-                   size_t shards, DispatchPolicy policy,
-                   Middlebox::Config config = Middlebox::Config{});
-
-  void add_descriptor(const cookies::CookieDescriptor& descriptor);
-  void revoke(cookies::CookieId id);
-
-  /// Dispatch one packet to a shard and process it there.
-  Verdict process(net::Packet& packet);
-
-  /// Which shard `process` would pick for this packet.
-  size_t shard_for(const net::Packet& packet) const;
-
-  size_t shard_count() const { return shards_.size(); }
-  DispatchPolicy policy() const { return policy_; }
-  /// Materialized from the shard's telemetry cells (by value).
-  ShardStats stats(size_t shard) const { return stats_[shard].snapshot(); }
-  const Middlebox& shard(size_t i) const { return shards_[i]->middlebox; }
-
-  /// Aggregate replay rejections across shards — the double-spend
-  /// detector. Under kFlowHash a replayed cookie may *not* show up
-  /// here (it verified "fresh" on another shard); under affinity it
-  /// always does.
-  uint64_t total_replays_detected() const;
-  uint64_t total_verified() const;
-
- private:
-  struct Shard {
-    // Order matters: the verifier must outlive the middlebox.
-    cookies::CookieVerifier verifier;
-    Middlebox middlebox;
-
-    Shard(const util::Clock& clock, ServiceRegistry& registry,
-          Middlebox::Config config)
-        : verifier(clock), middlebox(clock, verifier, registry, config) {}
-  };
-
-  size_t flow_shard(const net::Packet& packet) const;
-
-  DispatchPolicy policy_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  /// Balancer-side CID steering state (descriptor affinity only):
-  /// learned from handshakes and rotation markers as packets pass, so
-  /// a connection's whole CID history steers to one shard.
-  quic::CidAliasTable aliases_;
-  /// deque: views are pinned (collectors hold their address).
-  std::deque<telemetry::View<ShardStats>> stats_;
-};
+                  size_t shard_count, const quic::CidAliasTable& aliases);
 
 }  // namespace nnn::dataplane

@@ -203,10 +203,6 @@ Expected<SyncFrame> read_sync_frame(ByteReader& r) {
   return SyncFrame{*type, *payload};
 }
 
-std::optional<SyncFrame> parse_sync_frame(ByteReader& r) {
-  return read_sync_frame(r).to_optional();
-}
-
 Expected<std::optional<size_t>> peek_sync_frame(BytesView stream) {
   if (stream.size() < kSyncFrameHeader) return std::optional<size_t>{};
   const uint16_t magic =
@@ -538,10 +534,6 @@ Expected<Packet> parse_packet(util::BytesView wire) {
   auto parsed = parse_packet_into(wire, p);
   if (!parsed) return unexpected(parsed.error());
   return p;
-}
-
-std::optional<Packet> parse(util::BytesView wire) {
-  return parse_packet(wire).to_optional();
 }
 
 }  // namespace nnn::net

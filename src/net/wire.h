@@ -14,9 +14,7 @@
 //    layer only knows bytes, so net/ never depends on cookies/.
 // Parsing is defensive: any truncation or checksum mismatch yields a
 // typed wire-domain Error, never UB. parse_packet/read_sync_frame are
-// the primary entry points (PR 5 API redesign); the std::optional
-// spellings survive as thin views for call sites that only care
-// whether the bytes parsed.
+// the entry points.
 #pragma once
 
 #include <optional>
@@ -48,9 +46,6 @@ Expected<Packet> parse_packet(util::BytesView wire);
 /// is partially written and must be treated as scrap (callers recycle
 /// the slot, which the arena's reset does anyway).
 Expected<void> parse_packet_into(util::BytesView wire, Packet& out);
-
-/// Legacy view over parse_packet: drops the error detail.
-std::optional<Packet> parse(util::BytesView wire);
 
 /// Internet checksum (RFC 1071) over `data` with an optional seed.
 uint16_t internet_checksum(util::BytesView data, uint32_t seed = 0);
@@ -91,9 +86,6 @@ void append_sync_frame(util::Bytes& out, uint8_t type,
 /// the buffer); the returned payload view aliases the reader's
 /// underlying buffer.
 Expected<SyncFrame> read_sync_frame(util::ByteReader& r);
-
-/// Legacy view over read_sync_frame.
-std::optional<SyncFrame> parse_sync_frame(util::ByteReader& r);
 
 /// Stream-reassembly probe: given the bytes buffered so far on a TCP
 /// connection, how much more is needed?

@@ -14,16 +14,20 @@ PacketHandle Dataplane::make_packet() {
   return handle;
 }
 
+size_t Dataplane::steer(const net::Packet& packet) {
+  if (config_.policy == dataplane::DispatchPolicy::kDescriptorAffinity) {
+    quic::learn_steering(aliases_, packet);
+  }
+  return route(packet);
+}
+
 bool Dataplane::ingest(PacketHandle&& handle) {
   if (!handle) {
     // Arena exhausted at make_packet(): record the shed on worker 0 so
     // the ledger keeps one home for every ingest attempt.
     return pool_.submit_handle(0, std::move(handle));
   }
-  if (config_.policy == dataplane::DispatchPolicy::kDescriptorAffinity) {
-    quic::learn_steering(aliases_, *handle);
-  }
-  const size_t worker = route(*handle);
+  const size_t worker = steer(*handle);
   return pool_.submit_handle(worker, std::move(handle));
 }
 
@@ -32,10 +36,7 @@ void Dataplane::ingest_blocking(PacketHandle&& handle) {
     pool_.submit_handle(0, std::move(handle));
     return;
   }
-  if (config_.policy == dataplane::DispatchPolicy::kDescriptorAffinity) {
-    quic::learn_steering(aliases_, *handle);
-  }
-  const size_t worker = route(*handle);
+  const size_t worker = steer(*handle);
   pool_.submit_handle_blocking(worker, std::move(handle));
 }
 

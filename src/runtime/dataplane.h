@@ -30,10 +30,13 @@
 // returns false and the wire path never blocks. The pool's ledger
 // (attempts == processed + shed) covers every handle passed in.
 //
+// This facade is the only §4.6 balancer in the tree: it alone owns the
+// CID steering state and calls pick_shard(), so the double-spend
+// argument lives in one place.
+//
 // Threading: make_packet()/ingest()/ingest_blocking() are single
-// -producer (one ingest thread — put a Dispatcher or MPSC ring in
-// front to fan in); control-plane calls follow WorkerPool's quiescence
-// contract; snapshots are safe any time.
+// -producer (one ingest thread); control-plane calls follow
+// WorkerPool's quiescence contract; snapshots are safe any time.
 #pragma once
 
 #include <cstdint>
@@ -82,7 +85,7 @@ class Dataplane {
   /// (ingest() does the learning), so repeated calls agree.
   size_t route(const net::Packet& packet) const {
     return dataplane::pick_shard(packet, config_.policy,
-                                 pool_.worker_count(), &aliases_);
+                                 pool_.worker_count(), aliases_);
   }
 
   // ---- lifecycle (see WorkerPool for the contracts) ----
@@ -122,12 +125,13 @@ class Dataplane {
   size_t worker_count() const { return pool_.worker_count(); }
   PacketArena& arena() { return pool_.arena(); }
   const PacketArena& arena() const { return pool_.arena(); }
-  /// Direct pool access for lifecycle control (start/stop/drain) and
-  /// counters; packet entry goes through ingest(), not the pool.
-  WorkerPool& pool() { return pool_; }
-  const WorkerPool& pool() const { return pool_; }
 
  private:
+  /// The balancer step ingest() and ingest_blocking() share: learn the
+  /// packet's CID steering state (descriptor affinity only), then pick
+  /// its worker.
+  size_t steer(const net::Packet& packet);
+
   Config config_;
   WorkerPool pool_;
   /// Producer-side alloc stash (single producer thread).

@@ -2,8 +2,7 @@
 //
 // Companion to spsc_ring.h for the paths where many threads write and
 // one reads: worker threads publishing verdict records to whoever
-// drains them, and application threads offering packets to the
-// dispatcher's ingress queue.
+// drains them.
 //
 // This is the classic Vyukov bounded queue: every slot carries a
 // sequence number that encodes whose turn it is. A producer claims a

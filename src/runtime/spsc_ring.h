@@ -50,8 +50,9 @@ class SpscRing {
   SpscRing& operator=(const SpscRing&) = delete;
 
   /// Producer side. Returns false when the ring is full (the caller
-  /// decides what backpressure means — the dispatcher counts the
-  /// packet and forwards it best-effort, it never blocks the wire).
+  /// decides what backpressure means — the ingest path counts the
+  /// packet as shed and forwards it best-effort, it never blocks the
+  /// wire).
   bool try_push(T&& value) {
     const size_t tail = tail_.load(std::memory_order_relaxed);
     if (tail - head_cache_ >= capacity_) {

@@ -2,12 +2,12 @@
 // real this time) — zero-copy edition.
 //
 // "We can use multiple cores instead of one, and similarly add more
-// than one middle-boxes to scale-out the deployment." Where
-// dataplane::ShardedDataplane *models* that paragraph on one thread,
-// this pool *executes* it: N worker threads, each owning a complete
-// shard (its own CookieVerifier — descriptor table + replay caches —
-// and its own Middlebox with flow table), fed through one SPSC ring
-// per worker in the run-to-completion style of DPDK pipelines.
+// than one middle-boxes to scale-out the deployment." This pool is the
+// thread and ring layer under runtime::Dataplane (the balancer): N
+// worker threads, each owning a complete shard (its own CookieVerifier
+// — descriptor table + replay caches — and its own Middlebox with flow
+// table), fed through one SPSC ring per worker in the
+// run-to-completion style of DPDK pipelines.
 // Because a worker's verifier and replay cache are touched by exactly
 // one thread, the §4.2 use-once check needs no locks; cross-worker
 // soundness is the steering's job (descriptor affinity, §4.6).
@@ -23,7 +23,7 @@
 // Threading contract (v2 — the Dataplane facade is the intended front
 // end; see runtime/dataplane.h):
 //   - submit_handle(worker, handle) — ONE producer thread only (the
-//     facade's ingest thread or the dispatcher);
+//     facade's ingest thread);
 //   - arena().try_alloc() / PacketHandle release — any thread (the
 //     freelist is lock-free MPMC); but building a packet in a slot and
 //     submitting it must happen on the producer thread;

@@ -124,7 +124,7 @@ class Gauge {
 
 /// Counter any thread may bump: per-thread-hashed, cache-line-padded
 /// cells so concurrent writers (log calls from every worker plus the
-/// dispatcher) almost never share a line, with fetch_add for the rare
+/// ingest thread) almost never share a line, with fetch_add for the rare
 /// collision. value() sums the cells.
 class ShardedCounter {
  public:
@@ -278,7 +278,7 @@ bool timers_enabled();
 void set_timers_enabled(bool on);
 
 /// 1-in-N burst sampler for paths whose batches can degenerate to a
-/// single packet (a closed-loop dispatcher trickles packets, so a
+/// single packet (a closed-loop producer trickles packets, so a
 /// worker's ring burst is often size 1 and a per-burst timer would cost
 /// two clock reads per *packet*). Owners time every full burst — the
 /// reads amortize over the batch — and ask the stride whether to also
@@ -301,11 +301,11 @@ class SampleStride {
 /// RAII batch timer: records elapsed nanoseconds into a histogram at
 /// scope exit. Construction checks timers_enabled() once (a relaxed
 /// load); a disabled timer never reads the clock. Placed around
-/// *batches* (verify_batch, a worker's ring burst, a dispatcher pump
-/// burst), not individual packets, so the two clock reads amortize to
-/// ~1 ns per packet at batch 32. Pass `sampled = false` to skip this
-/// burst (see SampleStride) — the histogram then holds a sample of
-/// bursts, not a census, which is all a latency distribution needs.
+/// *batches* (verify_batch, a worker's ring burst), not individual
+/// packets, so the two clock reads amortize to ~1 ns per packet at
+/// batch 32. Pass `sampled = false` to skip this burst (see
+/// SampleStride) — the histogram then holds a sample of bursts, not a
+/// census, which is all a latency distribution needs.
 class ScopedTimer {
  public:
   explicit ScopedTimer(Histogram& hist, bool sampled = true)

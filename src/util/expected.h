@@ -9,8 +9,6 @@
 //   * Failure is constructed via unexpected(Error{...}) — the
 //     Unexpected wrapper disambiguates the error alternative when T
 //     and E could both be constructed from the argument.
-//   * to_optional() bridges to the legacy std::optional views that
-//     PR 5 keeps as thin adapters over the Expected entry points.
 //
 // No exceptions: value()/error() assert in debug builds and are
 // undefined on the wrong alternative in release, matching the
@@ -100,17 +98,6 @@ class Expected {
   T value_or(U&& fallback) && {
     return has_value() ? std::get<0>(std::move(state_))
                        : static_cast<T>(std::forward<U>(fallback));
-  }
-
-  /// Legacy bridge: drop the error, keep the shape the pre-redesign
-  /// std::optional entry points promised.
-  std::optional<T> to_optional() const& {
-    if (has_value()) return std::get<0>(state_);
-    return std::nullopt;
-  }
-  std::optional<T> to_optional() && {
-    if (has_value()) return std::get<0>(std::move(state_));
-    return std::nullopt;
   }
 
  private:

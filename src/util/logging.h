@@ -4,14 +4,14 @@
 // so tests can silence or capture output. Default severity is kWarn to
 // keep benches quiet.
 //
-// Thread-safe: the runtime's worker and dispatcher threads log
+// Thread-safe: the runtime's worker threads and its ingest thread log
 // concurrently. The level is an atomic (hot-path check stays a single
 // relaxed load); sink swaps and sink invocations are serialized by a
 // mutex, so a sink installed by a test never races with a log call
 // from a worker.
 //
 // Counting: every log event is tallied per level — and per component
-// for tagged calls — BEFORE the level filter runs. A dispatcher that
+// for tagged calls — BEFORE the level filter runs. A component that
 // fails open under backpressure emits warns that the default kWarn
 // threshold may suppress in benches; the counts still move, and the
 // telemetry registry exports them as `nnn_log_total{level=...}` /

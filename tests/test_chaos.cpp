@@ -4,8 +4,8 @@
 // schedule:
 //
 //   1. fail-open — no cookie-bearing packet is ever dropped by the
-//      middlebox machinery: every packet offered to the dispatcher is
-//      forwarded (verified, or counted as a shed/bypass and forwarded
+//      middlebox machinery: every packet offered to the dataplane is
+//      forwarded (verified, or counted as a shed and forwarded
 //      unverified), and the published descriptor table never vanishes
 //      mid-outage;
 //   2. replay protection never weakens — a cookie is accepted (kOk) at
@@ -52,8 +52,6 @@
 #include "netio/transport.h"
 #include "quic/workload.h"
 #include "runtime/dataplane.h"
-#include "runtime/dispatcher.h"
-#include "runtime/worker_pool.h"
 #include "server/cookie_server.h"
 #include "sim/event_loop.h"
 #include "sim/link.h"
@@ -272,7 +270,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ChaosSync,
 // --- Worker pool under chaos ---------------------------------------
 //
 // Real threads on the system clock: a producer pushes every cookie
-// TWICE through a descriptor-affinity dispatcher while the plan
+// TWICE through a descriptor-affinity dataplane while the plan
 // injects queue-pressure bursts, worker pauses, and clock skew (the
 // pool runs on a SkewedClock). The books must balance exactly —
 // nothing silently dropped — and no cookie is ever accepted twice.
@@ -305,29 +303,40 @@ TEST_P(ChaosPool, ShedLedgerAndUseOnceHoldUnderFaults) {
 
   dataplane::ServiceRegistry registry;
   registry.bind("Boost", dataplane::PriorityAction{0});
-  runtime::WorkerPool::Config config;
-  config.workers = 2;
-  config.ring_capacity = 128;  // small on purpose: real ring-full sheds
-  runtime::WorkerPool pool(clock, registry, config);
-  pool.set_fault_injector(&injector);
-  pool.add_descriptor(make_descriptor(1));
-  pool.add_descriptor(make_descriptor(2));
-  runtime::Dispatcher dispatcher(pool, {});  // descriptor affinity
-  pool.start();
+  runtime::Dataplane::Config config;  // descriptor affinity
+  config.pool.workers = 2;
+  config.pool.ring_capacity = 128;  // small on purpose: real ring-full sheds
+  runtime::Dataplane plane(clock, registry, config);
+  plane.set_fault_injector(&injector);
+  plane.add_descriptor(make_descriptor(1));
+  plane.add_descriptor(make_descriptor(2));
+  plane.start();
 
   constexpr uint32_t kUnique = 1500;
   util::ManualClock mint_clock(wall.now());  // never advanced: one writer, no race
   cookies::CookieGenerator gen1(make_descriptor(1), mint_clock, seed);
   cookies::CookieGenerator gen2(make_descriptor(2), mint_clock, seed + 1);
+  // The producer's own books: ingest() says whether each offered
+  // packet was routed to a worker or shed.
+  constexpr uint64_t kOffered = 2ull * kUnique;
+  uint64_t routed = 0;
+  uint64_t refused = 0;
   std::thread producer([&] {
     for (uint32_t i = 0; i < kUnique; ++i) {
       cookies::CookieGenerator& gen = (i & 1) ? gen2 : gen1;
       const cookies::Cookie cookie = gen.generate();
       net::Packet p = flow_packet(i);
       cookies::attach(p, cookie, cookies::Transport::kUdpHeader);
-      net::Packet replay = p;  // same cookie: the §4.2 use-once probe
-      dispatcher.dispatch(std::move(p));
-      dispatcher.dispatch(std::move(replay));
+      // Twice, same cookie: the §4.2 use-once probe.
+      for (int copy = 0; copy < 2; ++copy) {
+        runtime::PacketHandle h = plane.make_packet();
+        if (h) *h = p;
+        if (plane.ingest(std::move(h))) {
+          ++routed;
+        } else {
+          ++refused;
+        }
+      }
       // Stretch the producer across the fault window.
       if ((i & 7) == 0) {
         std::this_thread::sleep_for(std::chrono::microseconds(100));
@@ -340,32 +349,28 @@ TEST_P(ChaosPool, ShedLedgerAndUseOnceHoldUnderFaults) {
   while (injector.any_active(wall.now())) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  pool.drain();
-  pool.stop();
+  plane.drain();
+  plane.stop();
 
   // Invariant 1: exact fail-open accounting. Every offered packet was
-  // forwarded — routed to a worker or counted as a bypass — and the
-  // pool's shed ledger reconciles against the dispatcher's books.
-  const auto disp = dispatcher.stats();
-  EXPECT_EQ(disp.offered, 2ull * kUnique);
-  EXPECT_EQ(disp.forwarded(), disp.offered)
+  // forwarded — processed by a worker or counted as a shed — and the
+  // pool's shed ledger reconciles against the producer's books.
+  const auto totals = plane.snapshot().totals();
+  EXPECT_EQ(totals.processed, routed);
+  EXPECT_EQ(totals.shed, refused);
+  EXPECT_EQ(totals.processed + totals.shed, kOffered)
       << "a cookie-bearing packet was dropped (fail-closed)";
-  EXPECT_EQ(disp.ingress_full_bypass, 0u);  // direct mode: no ingress ring
-  const auto totals = pool.snapshot().totals();
-  EXPECT_EQ(totals.processed, disp.routed);
-  EXPECT_EQ(totals.shed, disp.ring_full_bypass);
-  EXPECT_EQ(totals.processed + totals.shed, disp.offered);
 
   // Invariant 2: at most one accept per unique cookie. Affinity pins
   // both copies of a cookie to one worker, so its replay cache is
   // authoritative; skew or shedding may cost accepts, never add them.
   uint64_t accepted = 0;
   uint64_t replayed = 0;
-  for (size_t w = 0; w < config.workers; ++w) {
-    accepted += pool.verifier(w).stats().verified;
-    replayed += pool.verifier(w).stats().replayed;
+  for (size_t w = 0; w < plane.worker_count(); ++w) {
+    accepted += plane.verifier(w).stats().verified;
+    replayed += plane.verifier(w).stats().replayed;
   }
-  EXPECT_EQ(accepted, pool.total_verified());
+  EXPECT_EQ(accepted, plane.total_verified());
   EXPECT_LE(accepted, kUnique);
   EXPECT_LE(replayed, accepted);
 }

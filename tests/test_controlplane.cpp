@@ -234,8 +234,9 @@ template <typename T>
 const T* expect_response(const std::optional<util::Bytes>& bytes) {
   if (!bytes.has_value()) return nullptr;
   static std::optional<Message> decoded;
-  decoded = decode(util::BytesView(*bytes));
-  if (!decoded.has_value()) return nullptr;
+  auto message = decode_message(util::BytesView(*bytes));
+  if (!message.has_value()) return nullptr;
+  decoded = std::move(message).value();
   return std::get_if<T>(&*decoded);
 }
 
@@ -733,14 +734,23 @@ TEST(ControlPlaneRuntime, VerifyDuringSwapIsRaceFree) {
   tables.publish(build(1));
   pool.start();
 
+  // The overlap is certain, not likely: the swapper publishes at least
+  // twice before it honours stop, and the producer starts only after
+  // the first of those publishes.
   std::atomic<bool> stop_swapping{false};
+  std::atomic<int> publishes{0};
   std::thread swapper([&] {
     uint64_t version = 2;
-    while (!stop_swapping.load(std::memory_order_acquire)) {
+    while (publishes.load(std::memory_order_relaxed) < 2 ||
+           !stop_swapping.load(std::memory_order_acquire)) {
       tables.publish(build(version++));
       tables.try_reclaim();
+      publishes.fetch_add(1, std::memory_order_release);
     }
   });
+  while (publishes.load(std::memory_order_acquire) == 0) {
+    std::this_thread::yield();
+  }
 
   util::ManualClock mint_clock(clock.now());
   cookies::CookieGenerator gen(make_descriptor(1), mint_clock, 7);
@@ -794,11 +804,15 @@ TEST(ControlPlaneRuntime, VerifyDuringSwapAt100kDescriptors) {
   pool.start();
 
   // Swapper: keep publishing fresh 100k-record tables (each build()
-  // copies the store) while the workers verify.
+  // copies the store) while the workers verify. The overlap is
+  // certain, not likely: at least two publishes before stop is
+  // honoured, and the producer starts only after the first.
   std::atomic<bool> stop_swapping{false};
+  std::atomic<int> publishes{0};
   std::thread swapper([&] {
     uint64_t version = 1;
-    while (!stop_swapping.load(std::memory_order_acquire)) {
+    while (publishes.load(std::memory_order_relaxed) < 2 ||
+           !stop_swapping.load(std::memory_order_acquire)) {
       Update update;
       update.version = ++version;
       update.op = UpdateOp::kAdd;
@@ -807,11 +821,15 @@ TEST(ControlPlaneRuntime, VerifyDuringSwapAt100kDescriptors) {
       ASSERT_TRUE(mirror.apply(update));
       tables.publish(mirror.build());
       tables.try_reclaim();
+      publishes.fetch_add(1, std::memory_order_release);
       // Each build copies a 100k-record store; pace the swaps so the
       // test exercises dozens of epochs, not an allocation benchmark.
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   });
+  while (publishes.load(std::memory_order_acquire) == 0) {
+    std::this_thread::yield();
+  }
 
   util::ManualClock mint_clock(clock.now());
   // A handful of hot descriptors spread across the id space.

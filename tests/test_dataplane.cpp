@@ -92,11 +92,14 @@ TEST(FlowTable, SniffWindowProgression) {
   FlowTable table(3);
   net::FiveTuple t;
   t.src_port = 1;
+  const net::FlowKey key = net::FlowKey::from_tuple(t);
   for (int i = 1; i <= 3; ++i) {
-    EXPECT_EQ(table.touch(t, 100, clock.now()).state, FlowState::kSniffing)
+    EXPECT_EQ(table.bind(key, 100, clock.now()).value().entry->state,
+              FlowState::kSniffing)
         << "packet " << i;
   }
-  EXPECT_EQ(table.touch(t, 100, clock.now()).state, FlowState::kBestEffort);
+  EXPECT_EQ(table.bind(key, 100, clock.now()).value().entry->state,
+            FlowState::kBestEffort);
 }
 
 TEST(FlowTable, MapFlowCoversReverse) {
@@ -105,21 +108,30 @@ TEST(FlowTable, MapFlowCoversReverse) {
   net::FiveTuple t;
   t.src_port = 10;
   t.dst_port = 20;
-  table.map_flow(t, "Boost", 0, /*include_reverse=*/true);
-  ASSERT_NE(table.find(t), nullptr);
-  EXPECT_EQ(table.find(t)->state, FlowState::kMapped);
-  ASSERT_NE(table.find(t.reversed()), nullptr);
-  EXPECT_EQ(table.find(t.reversed())->service_data, "Boost");
+  ASSERT_TRUE(table
+                  .map_flow(net::FlowKey::from_tuple(t), "Boost", 0,
+                            /*include_reverse=*/true)
+                  .has_value());
+  const auto forward = table.lookup(net::FlowKey::from_tuple(t));
+  ASSERT_TRUE(forward.has_value());
+  EXPECT_EQ(forward.value()->state, FlowState::kMapped);
+  const auto reverse = table.lookup(net::FlowKey::from_tuple(t.reversed()));
+  ASSERT_TRUE(reverse.has_value());
+  EXPECT_EQ(reverse.value()->service_data, "Boost");
 }
 
 TEST(FlowTable, IdleExpiry) {
   FlowTable table(3, 10 * kSecond);
   net::FiveTuple t;
   t.src_port = 5;
-  table.touch(t, 100, 0);
+  const net::FlowKey key = net::FlowKey::from_tuple(t);
+  table.bind(key, 100, 0);
   EXPECT_EQ(table.expire_idle(5 * kSecond), 0u);
   EXPECT_EQ(table.expire_idle(11 * kSecond), 1u);
-  EXPECT_EQ(table.find(t), nullptr);
+  const auto gone = table.lookup(key);
+  ASSERT_FALSE(gone.has_value());
+  EXPECT_EQ(gone.error().domain, ErrorDomain::kFlow);
+  EXPECT_EQ(gone.error().code, ErrorCode::kUnknownId);
   EXPECT_EQ(table.stats().flows_expired, 1u);
 }
 

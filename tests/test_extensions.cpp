@@ -3,13 +3,18 @@
 // regulator compliance monitoring.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <thread>
+#include <vector>
+
 #include "cookies/ack_monitor.h"
 #include "cookies/generator.h"
 #include "cookies/transport.h"
 #include "dataplane/hw_filter.h"
 #include "dataplane/middlebox.h"
-#include "dataplane/sharding.h"
 #include "net/http.h"
+#include "runtime/dataplane.h"
 #include "server/compliance.h"
 #include "util/clock.h"
 
@@ -46,13 +51,51 @@ class ShardingTest : public ::testing::Test {
     registry_.bind("Boost", dataplane::PriorityAction{0});
   }
 
+  static runtime::Dataplane::Config plane_config(
+      size_t workers, dataplane::DispatchPolicy policy) {
+    runtime::Dataplane::Config config;
+    config.policy = policy;
+    config.pool.workers = workers;
+    config.pool.verdict_capacity = 1024;
+    return config;
+  }
+
+  /// Ingest `packets` (closed loop), run the plane to quiescence, stop
+  /// it, and return one verdict per packet. clock_ stays frozen while
+  /// the workers run, so the verdict multiset is deterministic.
+  static std::vector<runtime::VerdictRecord> run(
+      runtime::Dataplane& plane, std::vector<net::Packet> packets) {
+    plane.start();
+    for (net::Packet& packet : packets) {
+      runtime::PacketHandle h = plane.make_packet();
+      while (!h) {  // workers are draining slots
+        std::this_thread::yield();
+        h = plane.make_packet();
+      }
+      *h = std::move(packet);
+      plane.ingest_blocking(std::move(h));
+    }
+    plane.drain();
+    plane.stop();
+    std::vector<runtime::VerdictRecord> verdicts;
+    plane.drain_verdicts(verdicts);
+    EXPECT_EQ(verdicts.size(), packets.size());
+    return verdicts;
+  }
+
+  static uint64_t accepted(const std::vector<runtime::VerdictRecord>& v) {
+    return static_cast<uint64_t>(
+        std::count_if(v.begin(), v.end(),
+                      [](const auto& r) { return r.has_action; }));
+  }
+
   util::ManualClock clock_;
   dataplane::ServiceRegistry registry_;
 };
 
 TEST_F(ShardingTest, FlowHashAllowsDoubleSpend) {
-  dataplane::ShardedDataplane plane(clock_, registry_, 4,
-                                    dataplane::DispatchPolicy::kFlowHash);
+  runtime::Dataplane plane(
+      clock_, registry_, plane_config(4, dataplane::DispatchPolicy::kFlowHash));
   const auto descriptor = make_descriptor(1);
   plane.add_descriptor(descriptor);
   cookies::CookieGenerator generator(descriptor, clock_, 1);
@@ -60,80 +103,87 @@ TEST_F(ShardingTest, FlowHashAllowsDoubleSpend) {
 
   // An attacker copies one cookie onto many flows; flow hashing
   // spreads them over shards whose replay caches are independent.
-  uint64_t accepted = 0;
+  std::vector<net::Packet> packets;
   for (uint16_t port = 40000; port < 40032; ++port) {
-    net::Packet p = cookie_udp_packet(port, cookie);
-    if (plane.process(p).action) ++accepted;
+    packets.push_back(cookie_udp_packet(port, cookie));
   }
+  const uint64_t honored = accepted(run(plane, std::move(packets)));
   // The same cookie was honored more than once: double-spent.
-  EXPECT_GT(accepted, 1u);
-  EXPECT_LE(accepted, plane.shard_count());
+  EXPECT_GT(honored, 1u);
+  EXPECT_LE(honored, plane.worker_count());
 }
 
 TEST_F(ShardingTest, DescriptorAffinityPreventsDoubleSpend) {
-  dataplane::ShardedDataplane plane(
-      clock_, registry_, 4,
-      dataplane::DispatchPolicy::kDescriptorAffinity);
+  runtime::Dataplane plane(
+      clock_, registry_,
+      plane_config(4, dataplane::DispatchPolicy::kDescriptorAffinity));
   const auto descriptor = make_descriptor(2);
   plane.add_descriptor(descriptor);
   cookies::CookieGenerator generator(descriptor, clock_, 2);
   const cookies::Cookie cookie = generator.generate();
 
-  uint64_t accepted = 0;
+  std::vector<net::Packet> packets;
   for (uint16_t port = 41000; port < 41032; ++port) {
-    net::Packet p = cookie_udp_packet(port, cookie);
-    if (plane.process(p).action) ++accepted;
+    packets.push_back(cookie_udp_packet(port, cookie));
   }
-  EXPECT_EQ(accepted, 1u);  // use-once holds across the whole plane
+  // use-once holds across the whole plane
+  EXPECT_EQ(accepted(run(plane, std::move(packets))), 1u);
   EXPECT_EQ(plane.total_replays_detected(), 31u);
 }
 
 TEST_F(ShardingTest, AffinityStillBalancesCookielessTraffic) {
-  dataplane::ShardedDataplane plane(
-      clock_, registry_, 4,
-      dataplane::DispatchPolicy::kDescriptorAffinity);
+  runtime::Dataplane plane(
+      clock_, registry_,
+      plane_config(4, dataplane::DispatchPolicy::kDescriptorAffinity));
+  std::vector<net::Packet> packets;
   for (uint16_t port = 0; port < 256; ++port) {
     net::Packet p;
     p.tuple.src_port = port;
     p.tuple.dst_port = 80;
     p.wire_size = 500;
-    plane.process(p);
+    packets.push_back(std::move(p));
   }
+  run(plane, std::move(packets));
   // Every shard saw a meaningful share (flow hashing for plain
   // packets).
-  for (size_t i = 0; i < plane.shard_count(); ++i) {
-    EXPECT_GT(plane.stats(i).packets, 256u / 10) << "shard " << i;
+  const runtime::RuntimeSnapshot snap = plane.snapshot();
+  for (size_t i = 0; i < plane.worker_count(); ++i) {
+    EXPECT_GT(snap.workers[i].packets, 256u / 10) << "shard " << i;
   }
 }
 
 TEST_F(ShardingTest, DistinctDescriptorsSpreadOverShards) {
-  dataplane::ShardedDataplane plane(
-      clock_, registry_, 4,
-      dataplane::DispatchPolicy::kDescriptorAffinity);
-  std::set<size_t> used;
+  runtime::Dataplane plane(
+      clock_, registry_,
+      plane_config(4, dataplane::DispatchPolicy::kDescriptorAffinity));
+  std::vector<net::Packet> packets;
   for (cookies::CookieId id = 1; id <= 16; ++id) {
     const auto descriptor = make_descriptor(id);
     plane.add_descriptor(descriptor);
     cookies::CookieGenerator generator(descriptor, clock_, id);
-    net::Packet p = cookie_udp_packet(
-        static_cast<uint16_t>(42000 + id), generator.generate());
-    used.insert(plane.shard_for(p));
-    EXPECT_TRUE(plane.process(p).action.has_value());
+    packets.push_back(cookie_udp_packet(static_cast<uint16_t>(42000 + id),
+                                        generator.generate()));
+  }
+  std::set<size_t> used;
+  for (const auto& verdict : run(plane, std::move(packets))) {
+    used.insert(verdict.worker);
+    EXPECT_TRUE(verdict.has_action);
   }
   EXPECT_EQ(used.size(), 4u);  // ids 1..16 mod 4 cover all shards
 }
 
 TEST_F(ShardingTest, RevocationReachesAllShards) {
-  dataplane::ShardedDataplane plane(clock_, registry_, 3,
-                                    dataplane::DispatchPolicy::kFlowHash);
+  runtime::Dataplane plane(
+      clock_, registry_, plane_config(3, dataplane::DispatchPolicy::kFlowHash));
   const auto descriptor = make_descriptor(5);
   plane.add_descriptor(descriptor);
   plane.revoke(descriptor.cookie_id);
   cookies::CookieGenerator generator(descriptor, clock_, 5);
+  std::vector<net::Packet> packets;
   for (uint16_t port = 43000; port < 43008; ++port) {
-    net::Packet p = cookie_udp_packet(port, generator.generate());
-    EXPECT_FALSE(plane.process(p).action.has_value());
+    packets.push_back(cookie_udp_packet(port, generator.generate()));
   }
+  EXPECT_EQ(accepted(run(plane, std::move(packets))), 0u);
 }
 
 // --- delivery guarantees (§4.3) ---

@@ -20,7 +20,6 @@
 #include "dataplane/flow_table.h"
 #include "dataplane/middlebox.h"
 #include "dataplane/service_registry.h"
-#include "dataplane/sharding.h"
 #include "fault/injector.h"
 #include "fault/plan.h"
 #include "net/flow_key.h"
@@ -157,49 +156,6 @@ TEST(CidAliasTable, CapacityFifoSkipsReboundSlots) {
 }
 
 // --- FlowTable -----------------------------------------------------
-
-// Differential: the legacy 5-tuple adapters and the FlowKey/Expected
-// primaries must agree move for move on the same flow sequence.
-TEST(FlowTable, LegacyAdaptersMatchExpectedPrimaries) {
-  dataplane::FlowTable legacy;
-  dataplane::FlowTable primary;
-  const net::FiveTuple t = quic_tuple();
-  const net::FlowKey key = net::FlowKey::from_tuple(t);
-
-  for (uint32_t i = 0; i < 6; ++i) {
-    const util::Timestamp now = i * kMillisecond;
-    const dataplane::FlowEntry& via_legacy = legacy.touch(t, 100, now);
-    const auto bound = primary.bind(key, 100, now);
-    ASSERT_TRUE(bound.has_value());
-    const dataplane::FlowEntry& via_primary = *bound.value().entry;
-    EXPECT_EQ(bound.value().created, i == 0);
-    EXPECT_EQ(via_legacy.packets_seen, via_primary.packets_seen);
-    EXPECT_EQ(via_legacy.state, via_primary.state);
-    EXPECT_EQ(via_legacy.bytes, via_primary.bytes);
-  }
-
-  legacy.map_flow(t, "Boost", 6 * kMillisecond, /*include_reverse=*/true);
-  ASSERT_TRUE(primary
-                  .map_flow(key, "Boost", 6 * kMillisecond,
-                            /*include_reverse=*/true)
-                  .has_value());
-
-  for (const net::FiveTuple& probe : {t, t.reversed()}) {
-    const dataplane::FlowEntry* found = legacy.find(probe);
-    const auto looked =
-        primary.lookup(net::FlowKey::from_tuple(probe));
-    ASSERT_NE(found, nullptr);
-    ASSERT_TRUE(looked.has_value());
-    EXPECT_EQ(found->state, looked.value()->state);
-    EXPECT_EQ(found->service_data, looked.value()->service_data);
-  }
-
-  const auto missing =
-      primary.lookup(net::FlowKey::from_cid(0x5555));
-  ASSERT_FALSE(missing.has_value());
-  EXPECT_EQ(missing.error().domain, ErrorDomain::kFlow);
-  EXPECT_EQ(legacy.find(net::FiveTuple{}), nullptr);
-}
 
 TEST(FlowTable, BindOverloadsAtMaxFlowsAfterForcedSweep) {
   dataplane::FlowTable table(dataplane::FlowTable::kDefaultSniffWindow,
@@ -415,17 +371,24 @@ TEST(QuicDpi, CleartextControlStillClassifies) {
 TEST(QuicSharding, AffinitySurvivesMigrationFlowHashDoesNot) {
   constexpr size_t kShards = 8;
   auto run = [&](dataplane::DispatchPolicy policy) {
-    util::ManualClock clock;
+    // The plane's clock stays frozen while its workers run; the trace
+    // advances its own clock.
+    util::ManualClock plane_clock;
     dataplane::ServiceRegistry registry;
     registry.bind("Boost", dataplane::PriorityAction{0});
-    dataplane::ShardedDataplane plane(clock, registry, kShards, policy);
+    runtime::Dataplane::Config plane_config;
+    plane_config.policy = policy;
+    plane_config.pool.workers = kShards;
+    plane_config.pool.verdict_capacity = 1 << 12;
+    runtime::Dataplane plane(plane_clock, registry, plane_config);
 
     quic::QuicTraceGenerator::Config config;
     config.connections = 32;
     config.packets_per_connection = 60;
     config.rotate_every = 10;
-    cookies::CookieVerifier staging(clock);
-    quic::QuicTraceGenerator gen(config, clock, &staging, 11);
+    util::ManualClock trace_clock;
+    cookies::CookieVerifier staging(trace_clock);
+    quic::QuicTraceGenerator gen(config, trace_clock, &staging, 11);
     for (const auto& d : gen.descriptors()) plane.add_descriptor(d);
 
     fault::FaultPlan plan;
@@ -435,16 +398,27 @@ TEST(QuicSharding, AffinitySurvivesMigrationFlowHashDoesNot) {
     injector.arm(plan, 11);
     gen.set_fault_injector(&injector);
 
-    std::vector<std::set<size_t>> shards_touched(config.connections);
+    plane.start();
     for (size_t i = 0; i < gen.total_packets(); ++i) {
-      net::Packet packet;
-      const uint32_t conn = gen.fill_next(packet);
-      plane.process(packet);
-      // After process() the balancer has learned this packet's CIDs;
-      // shard_for is then exactly where process() sent it.
-      shards_touched[conn].insert(plane.shard_for(packet));
-      clock.advance(50);
+      runtime::PacketHandle h = plane.make_packet();
+      while (!h) {
+        std::this_thread::yield();
+        h = plane.make_packet();
+      }
+      gen.fill_next(*h);
+      plane.ingest_blocking(std::move(h));
+      trace_clock.advance(50);
     }
+    plane.drain();
+    plane.stop();
+
+    // Each verdict names the worker that processed the packet; the
+    // generator stamps the connection index into seq.
+    std::vector<runtime::VerdictRecord> verdicts;
+    plane.drain_verdicts(verdicts);
+    EXPECT_EQ(verdicts.size(), gen.total_packets());
+    std::vector<std::set<size_t>> shards_touched(config.connections);
+    for (const auto& v : verdicts) shards_touched[v.seq].insert(v.worker);
 
     size_t migrated = 0, stable = 0;
     for (size_t c = 0; c < config.connections; ++c) {
@@ -508,14 +482,23 @@ TEST(QuicRuntime, MigrationDuringEpochSwapKeepsLedgerAndMapping) {
   tables.publish(build(1));
   plane.start();
 
+  // The overlap is certain, not likely: the swapper publishes at least
+  // twice before it honours stop, and the producer starts only after
+  // the first of those publishes.
   std::atomic<bool> stop_swapping{false};
+  std::atomic<int> publishes{0};
   std::thread swapper([&] {
     uint64_t version = 2;
-    while (!stop_swapping.load(std::memory_order_acquire)) {
+    while (publishes.load(std::memory_order_relaxed) < 2 ||
+           !stop_swapping.load(std::memory_order_acquire)) {
       tables.publish(build(version++));
       tables.try_reclaim();
+      publishes.fetch_add(1, std::memory_order_release);
     }
   });
+  while (publishes.load(std::memory_order_acquire) == 0) {
+    std::this_thread::yield();
+  }
 
   const size_t total = gen.total_packets();
   for (size_t i = 0; i < total; ++i) {

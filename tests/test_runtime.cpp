@@ -4,10 +4,8 @@
 // This suite is the primary target of the TSan CI job.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <map>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "cookies/generator.h"
@@ -16,11 +14,9 @@
 #include "fault/injector.h"
 #include "fault/plan.h"
 #include "runtime/dataplane.h"
-#include "runtime/dispatcher.h"
 #include "runtime/mpsc_ring.h"
 #include "runtime/spsc_ring.h"
 #include "runtime/worker_pool.h"
-#include "workload/packet_gen.h"
 #include "telemetry/exposition.h"
 #include "telemetry/metrics.h"
 #include "util/clock.h"
@@ -187,33 +183,67 @@ struct PoolFixture {
   }
 };
 
+struct PlaneFixture {
+  util::SystemClock clock;  // safe for concurrent reads
+  dataplane::ServiceRegistry registry;
+  Dataplane plane;
+
+  explicit PlaneFixture(Dataplane::Config config)
+      : plane(clock, registry, config) {
+    registry.bind("Boost", dataplane::PriorityAction{0});
+  }
+
+  /// Build `packet` in an arena slot and ingest it; false = shed.
+  bool ingest(net::Packet packet) {
+    PacketHandle h = plane.make_packet();
+    if (h) *h = std::move(packet);
+    return plane.ingest(std::move(h));
+  }
+
+  /// Closed loop: waits for an arena slot and ring space, never sheds.
+  /// The plane must be running (workers free the slots).
+  void ingest_blocking(net::Packet packet) {
+    PacketHandle h = plane.make_packet();
+    while (!h) {
+      std::this_thread::yield();
+      h = plane.make_packet();
+    }
+    *h = std::move(packet);
+    plane.ingest_blocking(std::move(h));
+  }
+};
+
+Dataplane::Config plane_config(DispatchPolicy policy, size_t workers) {
+  Dataplane::Config config;
+  config.policy = policy;
+  config.pool.workers = workers;
+  return config;
+}
+
 // --- Per-flow ordering ---------------------------------------------
 
 /// All packets of one flow route to one worker (flow hash) and cross
 /// one SPSC ring, so the runtime preserves per-flow order even with
 /// many workers and interleaved flows.
 TEST(Runtime, PerFlowOrderingPreserved) {
-  WorkerPool::Config config;
-  config.workers = 4;
-  config.ring_capacity = 256;
-  config.verdict_capacity = 1 << 15;
-  PoolFixture fx(config);
-  Dispatcher dispatcher(fx.pool,
-                        {.policy = DispatchPolicy::kFlowHash});
-  fx.pool.start();
+  Dataplane::Config config = plane_config(DispatchPolicy::kFlowHash, 4);
+  config.pool.ring_capacity = 256;
+  config.pool.verdict_capacity = 1 << 15;
+  PlaneFixture fx(config);
+  fx.plane.start();
 
   constexpr uint32_t kFlows = 16;
   constexpr uint32_t kPacketsPerFlow = 500;
   for (uint32_t seq = 0; seq < kPacketsPerFlow; ++seq) {
     for (uint32_t flow = 0; flow < kFlows; ++flow) {
-      dispatcher.dispatch_blocking(flow_packet(flow, seq));
+      fx.ingest_blocking(flow_packet(flow, seq));
     }
   }
-  dispatcher.drain();
-  fx.pool.stop();
+  fx.plane.drain();
+  fx.plane.stop();
 
   std::vector<VerdictRecord> verdicts;
-  fx.pool.drain_verdicts(verdicts);
+  fx.plane.drain_verdicts(verdicts);
   ASSERT_EQ(verdicts.size(), size_t{kFlows} * kPacketsPerFlow);
 
   std::map<net::FiveTuple, uint32_t> next_seq;
@@ -232,54 +262,45 @@ TEST(Runtime, PerFlowOrderingPreserved) {
 
 // --- Concurrent double-spend (§4.6) --------------------------------
 
-/// Mint ONE cookie, replay it from concurrent producers with tuples
-/// spread across flows. Under descriptor affinity every copy routes to
-/// the same worker whose replay cache accepts exactly one.
+/// Mint ONE cookie and replay it on tuples spread across flows while
+/// four workers run concurrently. Under descriptor affinity every copy
+/// routes to the same worker whose replay cache accepts exactly one.
 TEST(Runtime, ConcurrentDoubleSpendRejectedUnderAffinity) {
-  WorkerPool::Config config;
-  config.workers = 4;
-  PoolFixture fx(config);
-  fx.pool.add_descriptor(make_descriptor(1));
-  Dispatcher dispatcher(
-      fx.pool, {.policy = DispatchPolicy::kDescriptorAffinity});
+  constexpr size_t kWorkers = 4;
+  PlaneFixture fx(
+      plane_config(DispatchPolicy::kDescriptorAffinity, kWorkers));
+  fx.plane.add_descriptor(make_descriptor(1));
 
   util::ManualClock mint_clock(fx.clock.now());  // same epoch as pool
   cookies::CookieGenerator gen(make_descriptor(1), mint_clock, 7);
   const cookies::Cookie cookie = gen.generate();
 
-  fx.pool.start();
-  dispatcher.start();
-  constexpr int kProducers = 4;
-  constexpr int kCopiesPerProducer = 8;
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      for (int i = 0; i < kCopiesPerProducer; ++i) {
-        // Distinct flows so kFlowHash would spread them; the SAME
-        // cookie (same uuid) on all of them.
-        net::Packet packet =
-            flow_packet(static_cast<uint32_t>(p * 100 + i), 0);
-        cookies::attach(packet, cookie, cookies::Transport::kUdpHeader);
-        while (!dispatcher.offer(std::move(packet))) {
-          std::this_thread::yield();
-        }
-      }
-    });
+  fx.plane.start();
+  constexpr int kFlowGroups = 4;
+  constexpr int kCopiesPerGroup = 8;
+  uint64_t routed = 0;
+  for (int g = 0; g < kFlowGroups; ++g) {
+    for (int i = 0; i < kCopiesPerGroup; ++i) {
+      // Distinct flows so kFlowHash would spread them; the SAME
+      // cookie (same uuid) on all of them.
+      net::Packet packet =
+          flow_packet(static_cast<uint32_t>(g * 100 + i), 0);
+      cookies::attach(packet, cookie, cookies::Transport::kUdpHeader);
+      if (fx.ingest(std::move(packet))) ++routed;
+    }
   }
-  for (auto& t : producers) t.join();
-  dispatcher.drain();
-  dispatcher.stop();
-  fx.pool.stop();
+  fx.plane.drain();
+  fx.plane.stop();
 
-  constexpr uint64_t kTotal = kProducers * kCopiesPerProducer;
-  EXPECT_EQ(dispatcher.stats().routed, kTotal);
+  constexpr uint64_t kTotal = kFlowGroups * kCopiesPerGroup;
+  EXPECT_EQ(routed, kTotal);
   // The paper's fix: exactly one acceptance, everything else replayed.
-  EXPECT_EQ(fx.pool.total_verified(), 1u);
-  EXPECT_EQ(fx.pool.total_replays_detected(), kTotal - 1);
+  EXPECT_EQ(fx.plane.total_verified(), 1u);
+  EXPECT_EQ(fx.plane.total_replays_detected(), kTotal - 1);
 
   // All copies landed on the worker the cookie id pins to.
   uint64_t workers_touched = 0;
-  for (const auto& w : fx.pool.snapshot().workers) {
+  for (const auto& w : fx.plane.snapshot().workers) {
     if (w.cookie_packets > 0) ++workers_touched;
   }
   EXPECT_EQ(workers_touched, 1u);
@@ -289,11 +310,9 @@ TEST(Runtime, ConcurrentDoubleSpendRejectedUnderAffinity) {
 /// so the copied cookie is accepted once per worker it reaches — the
 /// documented weakness that motivates descriptor affinity.
 TEST(Runtime, FlowHashAcceptsOncePerWorker) {
-  WorkerPool::Config config;
-  config.workers = 4;
-  PoolFixture fx(config);
-  fx.pool.add_descriptor(make_descriptor(1));
-  Dispatcher dispatcher(fx.pool, {.policy = DispatchPolicy::kFlowHash});
+  constexpr size_t kWorkers = 4;
+  PlaneFixture fx(plane_config(DispatchPolicy::kFlowHash, kWorkers));
+  fx.plane.add_descriptor(make_descriptor(1));
 
   util::ManualClock mint_clock(fx.clock.now());
   cookies::CookieGenerator gen(make_descriptor(1), mint_clock, 7);
@@ -301,114 +320,74 @@ TEST(Runtime, FlowHashAcceptsOncePerWorker) {
 
   // Pick one flow tuple per worker (route() is deterministic).
   std::vector<net::Packet> copies;
-  std::vector<bool> covered(config.workers, false);
-  for (uint32_t flow = 0; copies.size() < config.workers; ++flow) {
+  std::vector<bool> covered(kWorkers, false);
+  for (uint32_t flow = 0; copies.size() < kWorkers; ++flow) {
     ASSERT_LT(flow, 10'000u) << "flow hash never covered all workers";
     net::Packet packet = flow_packet(flow, 0);
     cookies::attach(packet, cookie, cookies::Transport::kUdpHeader);
-    const size_t worker = dispatcher.route(packet);
+    const size_t worker = fx.plane.route(packet);
     if (!covered[worker]) {
       covered[worker] = true;
       copies.push_back(std::move(packet));
     }
   }
 
-  fx.pool.start();
-  dispatcher.start();
-  std::vector<std::thread> producers;
-  for (auto& copy : copies) {
-    producers.emplace_back([&dispatcher, packet = std::move(copy)]() mutable {
-      while (!dispatcher.offer(std::move(packet))) {
-        std::this_thread::yield();
-      }
-    });
-  }
-  for (auto& t : producers) t.join();
-  dispatcher.drain();
-  dispatcher.stop();
-  fx.pool.stop();
+  fx.plane.start();
+  for (auto& copy : copies) EXPECT_TRUE(fx.ingest(std::move(copy)));
+  fx.plane.drain();
+  fx.plane.stop();
 
   // One acceptance PER SHARD: the double-spend the paper warns about.
-  EXPECT_EQ(fx.pool.total_verified(), uint64_t{config.workers});
-  EXPECT_EQ(fx.pool.total_replays_detected(), 0u);
+  EXPECT_EQ(fx.plane.total_verified(), uint64_t{kWorkers});
+  EXPECT_EQ(fx.plane.total_replays_detected(), 0u);
 }
 
 // --- Backpressure accounting ---------------------------------------
 
-/// Fill a deliberately tiny ring with the pool not yet started: the
-/// overflow is counted as fail-open bypass, nothing is lost, and the
-/// accounting identity offered == routed + bypassed holds.
+/// Fill a deliberately tiny ring with the plane not yet started: the
+/// overflow is shed fail-open, nothing is lost, and the accounting
+/// identity offered == routed + shed holds.
 TEST(Runtime, BackpressureCountsAndForwardsBestEffort) {
-  WorkerPool::Config config;
-  config.workers = 1;
-  config.ring_capacity = 16;
-  PoolFixture fx(config);
-  Dispatcher dispatcher(fx.pool, {.policy = DispatchPolicy::kFlowHash});
+  constexpr size_t kRing = 16;
+  Dataplane::Config config = plane_config(DispatchPolicy::kFlowHash, 1);
+  config.pool.ring_capacity = kRing;
+  PlaneFixture fx(config);
 
   constexpr uint64_t kOffered = 100;
+  uint64_t routed = 0;
+  uint64_t shed = 0;
   for (uint32_t i = 0; i < kOffered; ++i) {
-    dispatcher.dispatch(flow_packet(i, i));
-  }
-  const auto before = dispatcher.stats();
-  EXPECT_EQ(before.offered, kOffered);
-  EXPECT_EQ(before.routed, fx.pool.ring_capacity(0));
-  EXPECT_EQ(before.ring_full_bypass, kOffered - before.routed);
-  EXPECT_EQ(before.forwarded(), kOffered);  // never dropped
-
-  // Late start still processes exactly what was queued.
-  fx.pool.start();
-  dispatcher.drain();
-  fx.pool.stop();
-  EXPECT_EQ(fx.pool.snapshot().totals().packets, before.routed);
-}
-
-/// offer() on a full ingress ring is also fail-open, not a wait.
-TEST(Runtime, IngressOverflowIsCountedBypass) {
-  WorkerPool::Config config;
-  config.workers = 1;
-  PoolFixture fx(config);
-  Dispatcher dispatcher(fx.pool, {.policy = DispatchPolicy::kFlowHash,
-                                  .ingress_capacity = 8});
-  // Pump not started: ingress fills at its capacity.
-  uint64_t accepted = 0, bypassed = 0;
-  for (uint32_t i = 0; i < 20; ++i) {
-    if (dispatcher.offer(flow_packet(i, i))) {
-      ++accepted;
+    if (fx.ingest(flow_packet(i, i))) {
+      ++routed;
     } else {
-      ++bypassed;
+      ++shed;
     }
   }
-  EXPECT_EQ(accepted, 8u);
-  EXPECT_EQ(bypassed, 12u);
-  const auto s = dispatcher.stats();
-  EXPECT_EQ(s.ingress_full_bypass, 12u);
-  // The gap between offered and forwarded is exactly what still sits
-  // in the ingress ring.
-  EXPECT_EQ(s.offered - s.forwarded(), 8u);
-  // Start everything; the 8 queued packets drain.
-  fx.pool.start();
-  dispatcher.start();
-  dispatcher.drain();
-  dispatcher.stop();
-  fx.pool.stop();
-  EXPECT_EQ(fx.pool.snapshot().totals().packets, 8u);
+  EXPECT_EQ(routed, kRing);
+  EXPECT_EQ(fx.plane.snapshot().totals().shed, shed);  // never dropped
+
+  // Late start still processes exactly what was queued.
+  fx.plane.start();
+  fx.plane.drain();
+  fx.plane.stop();
+  const auto totals = fx.plane.snapshot().totals();
+  EXPECT_EQ(totals.packets, routed);
+  EXPECT_EQ(totals.processed + totals.shed, kOffered);
 }
 
 // --- Lifecycle -----------------------------------------------------
 
 TEST(Runtime, DrainGivesDeterministicCountsAndQuiescentReads) {
-  WorkerPool::Config config;
-  config.workers = 2;
-  config.ring_capacity = 4096;
-  PoolFixture fx(config);
-  fx.pool.add_descriptor(make_descriptor(3));
-  Dispatcher dispatcher(
-      fx.pool, {.policy = DispatchPolicy::kDescriptorAffinity});
+  Dataplane::Config config =
+      plane_config(DispatchPolicy::kDescriptorAffinity, 2);
+  config.pool.ring_capacity = 4096;
+  PlaneFixture fx(config);
+  fx.plane.add_descriptor(make_descriptor(3));
 
   util::ManualClock mint_clock(fx.clock.now());
   cookies::CookieGenerator gen(make_descriptor(3), mint_clock, 11);
 
-  fx.pool.start();
+  fx.plane.start();
   constexpr uint32_t kFlows = 200;
   for (uint32_t flow = 0; flow < kFlows; ++flow) {
     // Keep mint time current so cookies stay inside the NCT window
@@ -416,44 +395,42 @@ TEST(Runtime, DrainGivesDeterministicCountsAndQuiescentReads) {
     mint_clock.set(fx.clock.now());
     net::Packet first = flow_packet(flow, 0);
     cookies::attach(first, gen.generate(), cookies::Transport::kUdpHeader);
-    dispatcher.dispatch_blocking(std::move(first));
+    fx.ingest_blocking(std::move(first));
     for (uint32_t seq = 1; seq < 5; ++seq) {
-      dispatcher.dispatch_blocking(flow_packet(flow, seq));
+      fx.ingest_blocking(flow_packet(flow, seq));
     }
   }
-  dispatcher.drain();
+  fx.plane.drain();
 
   // Quiescent: totals are exact and non-atomic state is readable.
-  const auto totals = fx.pool.snapshot().totals();
+  const auto totals = fx.plane.snapshot().totals();
   EXPECT_EQ(totals.packets, uint64_t{kFlows} * 5);
   EXPECT_EQ(totals.processed, totals.packets);
-  EXPECT_EQ(fx.pool.total_verified(), kFlows);
+  EXPECT_EQ(fx.plane.total_verified(), kFlows);
   uint64_t middlebox_packets = 0;
-  for (size_t w = 0; w < fx.pool.worker_count(); ++w) {
-    middlebox_packets += fx.pool.middlebox(w).stats().packets;
+  for (size_t w = 0; w < fx.plane.worker_count(); ++w) {
+    middlebox_packets += fx.plane.middlebox(w).stats().packets;
   }
   EXPECT_EQ(middlebox_packets, totals.packets);
 
-  fx.pool.stop();
-  EXPECT_FALSE(fx.pool.running());
+  fx.plane.stop();
+  EXPECT_FALSE(fx.plane.running());
   // Counts unchanged by shutdown.
-  EXPECT_EQ(fx.pool.snapshot().totals().packets, uint64_t{kFlows} * 5);
+  EXPECT_EQ(fx.plane.snapshot().totals().packets, uint64_t{kFlows} * 5);
 }
 
 TEST(Runtime, StopWithoutDrainProcessesQueuedPackets) {
-  WorkerPool::Config config;
-  config.workers = 2;
-  config.ring_capacity = 1024;
-  PoolFixture fx(config);
-  Dispatcher dispatcher(fx.pool, {.policy = DispatchPolicy::kFlowHash});
-  fx.pool.start();
+  Dataplane::Config config = plane_config(DispatchPolicy::kFlowHash, 2);
+  config.pool.ring_capacity = 1024;
+  PlaneFixture fx(config);
+  fx.plane.start();
   constexpr uint32_t kPackets = 400;
   for (uint32_t i = 0; i < kPackets; ++i) {
-    dispatcher.dispatch_blocking(flow_packet(i % 32, i));
+    fx.ingest_blocking(flow_packet(i % 32, i));
   }
   // stop() without drain(): workers finish their rings before exiting.
-  fx.pool.stop();
-  EXPECT_EQ(fx.pool.snapshot().totals().packets, kPackets);
+  fx.plane.stop();
+  EXPECT_EQ(fx.plane.snapshot().totals().packets, kPackets);
 }
 
 /// PR 5 satellite: the shed ledger must reconcile exactly with the
@@ -548,17 +525,15 @@ TEST(Runtime, DestructorJoinsRunningPool) {
 /// scrape-during-load case a /metrics endpoint lives in. TSan verifies
 /// the relaxed-atomic cells and the registry mutex discipline.
 TEST(Runtime, RegistrySnapshotsRaceFreeWithRunningPool) {
-  WorkerPool::Config config;
-  config.workers = 2;
-  config.ring_capacity = 1024;
-  PoolFixture fx(config);
-  fx.pool.add_descriptor(make_descriptor(7));
-  Dispatcher dispatcher(fx.pool, {.policy = DispatchPolicy::kFlowHash});
+  Dataplane::Config config = plane_config(DispatchPolicy::kFlowHash, 2);
+  config.pool.ring_capacity = 1024;
+  PlaneFixture fx(config);
+  fx.plane.add_descriptor(make_descriptor(7));
 
   util::ManualClock mint_clock(fx.clock.now());
   cookies::CookieGenerator gen(make_descriptor(7), mint_clock, 3);
 
-  fx.pool.start();
+  fx.plane.start();
   std::atomic<bool> done{false};
   std::thread reader([&done] {
     uint64_t last_packets = 0;
@@ -579,14 +554,14 @@ TEST(Runtime, RegistrySnapshotsRaceFreeWithRunningPool) {
     if (i % 4 == 0) {
       cookies::attach(p, gen.generate(), cookies::Transport::kUdpHeader);
     }
-    dispatcher.dispatch_blocking(std::move(p));
+    fx.ingest_blocking(std::move(p));
   }
-  dispatcher.drain();
+  fx.plane.drain();
   done.store(true, std::memory_order_release);
   reader.join();
-  fx.pool.stop();
+  fx.plane.stop();
 
-  const auto totals = fx.pool.snapshot().totals();
+  const auto totals = fx.plane.snapshot().totals();
   EXPECT_EQ(totals.packets, kPackets);
   // Quiescent now: the registry and the snapshot agree exactly.
   const auto snap = telemetry::Registry::global().snapshot();
@@ -623,102 +598,6 @@ TEST(Runtime, LoggerIsThreadSafeUnderConcurrentLogsAndSinkSwaps) {
 }
 
 // --- Zero-copy dataplane (PR 8) -------------------------------------
-
-/// Total order over every compared field, so two runs that produced
-/// the same multiset of verdicts sort into identical sequences even
-/// where (tuple, seq) ties (the generator stamps one seq per flow).
-bool verdict_before(const VerdictRecord& a, const VerdictRecord& b) {
-  if (a.tuple < b.tuple) return true;
-  if (b.tuple < a.tuple) return false;
-  auto key = [](const VerdictRecord& v) {
-    return std::make_tuple(
-        v.seq, v.worker, v.has_action, v.mapped_now,
-        v.verify_status ? static_cast<int>(*v.verify_status) : -1);
-  };
-  return key(a) < key(b);
-}
-
-/// Differential test: the Dispatcher front end (route + arena alloc
-/// per packet) and the Dataplane facade (make_packet + fill_next +
-/// ingest, building in the slot) must produce identical VerdictRecord
-/// streams for the same seeded workload — same steering, same verify
-/// status, same replay decisions. This is the proof that the entry
-/// paths differ only in the transport of packets, not their
-/// semantics.
-TEST(Runtime, ArenaPathMatchesCopyPathVerdicts) {
-  constexpr size_t kWorkers = 4;
-  constexpr size_t kFlows = 200;
-  constexpr uint64_t kSeed = 4242;
-  workload::PacketGenerator::Config wl;
-  wl.descriptors = 64;
-  const size_t total = kFlows * wl.packets_per_flow;
-
-  std::vector<VerdictRecord> copy_verdicts;
-  {
-    util::SystemClock clock;
-    dataplane::ServiceRegistry registry;
-    registry.bind("Boost", dataplane::PriorityAction{0});
-    cookies::CookieVerifier staging(clock);
-    workload::PacketGenerator gen(wl, clock, staging, kSeed);
-    WorkerPool::Config config;
-    config.workers = kWorkers;
-    config.verdict_capacity = 1 << 15;
-    WorkerPool pool(clock, registry, config);
-    for (const auto& d : gen.descriptors()) pool.add_descriptor(d);
-    Dispatcher dispatcher(pool,
-                          {.policy = DispatchPolicy::kDescriptorAffinity});
-    pool.start();
-    for (net::Packet& p : gen.make_batch(kFlows)) {
-      dispatcher.dispatch_blocking(std::move(p));
-    }
-    dispatcher.drain();
-    pool.stop();
-    pool.drain_verdicts(copy_verdicts);
-  }
-
-  std::vector<VerdictRecord> arena_verdicts;
-  {
-    util::SystemClock clock;
-    dataplane::ServiceRegistry registry;
-    registry.bind("Boost", dataplane::PriorityAction{0});
-    cookies::CookieVerifier staging(clock);
-    workload::PacketGenerator gen(wl, clock, staging, kSeed);
-    Dataplane::Config config;
-    config.pool.workers = kWorkers;
-    config.pool.verdict_capacity = 1 << 15;
-    Dataplane plane(clock, registry, config);
-    for (const auto& d : gen.descriptors()) plane.add_descriptor(d);
-    plane.start();
-    for (size_t i = 0; i < total; ++i) {
-      PacketHandle h = plane.make_packet();
-      while (!h) {  // transient exhaustion: workers are draining slots
-        std::this_thread::yield();
-        h = plane.make_packet();
-      }
-      gen.fill_next(*h);
-      plane.ingest_blocking(std::move(h));
-    }
-    plane.drain();
-    plane.stop();
-    plane.drain_verdicts(arena_verdicts);
-    EXPECT_EQ(plane.arena().outstanding(), 0u) << "arena leaked slots";
-  }
-
-  ASSERT_EQ(copy_verdicts.size(), total);
-  ASSERT_EQ(arena_verdicts.size(), total);
-  std::sort(copy_verdicts.begin(), copy_verdicts.end(), verdict_before);
-  std::sort(arena_verdicts.begin(), arena_verdicts.end(), verdict_before);
-  for (size_t i = 0; i < total; ++i) {
-    const auto& c = copy_verdicts[i];
-    const auto& a = arena_verdicts[i];
-    ASSERT_FALSE(verdict_before(c, a) || verdict_before(a, c))
-        << "tuple/seq streams diverge at " << i;
-    EXPECT_EQ(c.worker, a.worker) << "steering diverged at " << i;
-    EXPECT_EQ(c.has_action, a.has_action) << i;
-    EXPECT_EQ(c.mapped_now, a.mapped_now) << i;
-    EXPECT_EQ(c.verify_status, a.verify_status) << i;
-  }
-}
 
 /// Arena exhaustion is fail-open: with every slot held hostage,
 /// make_packet() returns empty handles and ingest() sheds — it never

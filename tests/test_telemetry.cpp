@@ -418,10 +418,10 @@ TEST(Telemetry, FlowTableAndQosViewsMatchAccessors) {
   dataplane::FlowTable table(3, 10 * util::kSecond);
   net::FiveTuple t;
   t.src_port = 5;
-  table.touch(t, 100, clock.now());
+  table.bind(net::FlowKey::from_tuple(t), 100, clock.now());
   net::FiveTuple t2;
   t2.src_port = 6;
-  table.touch(t2, 100, clock.now());
+  table.bind(net::FlowKey::from_tuple(t2), 100, clock.now());
   table.expire_idle(3600 * util::kSecond);
 
   const dataplane::FlowTableStats fs = table.stats();

@@ -137,17 +137,6 @@ TEST(Expected, EqualityIgnoresDetail) {
   EXPECT_FALSE(a == c);
 }
 
-TEST(Expected, ToOptionalBridgesLegacyShape) {
-  Expected<std::string> ok = std::string("payload");
-  const std::optional<std::string> opt = ok.to_optional();
-  ASSERT_TRUE(opt.has_value());
-  EXPECT_EQ(*opt, "payload");
-
-  Expected<std::string> bad =
-      unexpected(Error{ErrorDomain::kMessages, ErrorCode::kMalformed});
-  EXPECT_FALSE(bad.to_optional().has_value());
-}
-
 TEST(Expected, MoveOnlyValue) {
   Expected<std::unique_ptr<int>> ok = std::make_unique<int>(7);
   ASSERT_TRUE(ok.has_value());

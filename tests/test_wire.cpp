@@ -35,7 +35,7 @@ TEST(Wire, V4TcpRoundTrip) {
   p.syn = true;
   p.ack = true;
   const auto wire = serialize(p);
-  const auto parsed = parse(util::BytesView(wire));
+  const auto parsed = parse_packet(util::BytesView(wire));
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->tuple, p.tuple);
   EXPECT_EQ(parsed->dscp, 46);
@@ -53,7 +53,7 @@ TEST(Wire, V4UdpRoundTrip) {
   const Packet p = base_packet(L4Proto::kUdp, false);
   const auto wire = serialize(p);
   EXPECT_EQ(wire.size(), 20u + 8u + p.payload.size());
-  const auto parsed = parse(util::BytesView(wire));
+  const auto parsed = parse_packet(util::BytesView(wire));
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->tuple, p.tuple);
   EXPECT_EQ(parsed->payload, p.payload);
@@ -62,7 +62,7 @@ TEST(Wire, V4UdpRoundTrip) {
 TEST(Wire, V6TcpRoundTrip) {
   const Packet p = base_packet(L4Proto::kTcp, true);
   const auto wire = serialize(p);
-  const auto parsed = parse(util::BytesView(wire));
+  const auto parsed = parse_packet(util::BytesView(wire));
   ASSERT_TRUE(parsed.has_value());
   EXPECT_TRUE(parsed->ipv6);
   EXPECT_EQ(parsed->tuple, p.tuple);
@@ -74,7 +74,7 @@ TEST(Wire, V6HopByHopCookieRoundTrip) {
   Packet p = base_packet(L4Proto::kUdp, true);
   p.l3_cookie = util::Bytes{1, 2, 3, 4, 5, 6, 7, 8, 9};
   const auto wire = serialize(p);
-  const auto parsed = parse(util::BytesView(wire));
+  const auto parsed = parse_packet(util::BytesView(wire));
   ASSERT_TRUE(parsed.has_value());
   ASSERT_TRUE(parsed->l3_cookie.has_value());
   EXPECT_EQ(*parsed->l3_cookie, *p.l3_cookie);
@@ -91,7 +91,7 @@ TEST(Wire, TcpEdoOptionRoundTrip) {
     (*p.l4_cookie)[i] = static_cast<uint8_t>(i * 7);
   }
   const auto wire = serialize(p);
-  const auto parsed = parse(util::BytesView(wire));
+  const auto parsed = parse_packet(util::BytesView(wire));
   ASSERT_TRUE(parsed.has_value());
   ASSERT_TRUE(parsed->l4_cookie.has_value());
   EXPECT_EQ(*parsed->l4_cookie, *p.l4_cookie);
@@ -102,7 +102,7 @@ TEST(Wire, TcpEdoOptionRoundTrip) {
 TEST(Wire, TcpEdoOverV6RoundTrip) {
   Packet p = base_packet(L4Proto::kTcp, true);
   p.l4_cookie = util::Bytes{1, 2, 3, 4, 5};
-  const auto parsed = parse(util::BytesView(serialize(p)));
+  const auto parsed = parse_packet(util::BytesView(serialize(p)));
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->l4_cookie, p.l4_cookie);
 }
@@ -118,7 +118,7 @@ TEST(Wire, V4ChecksumCorruptionDetected) {
   const Packet p = base_packet(L4Proto::kTcp, false);
   auto wire = serialize(p);
   wire[14] ^= 0xff;  // corrupt a source-address byte
-  EXPECT_FALSE(parse(util::BytesView(wire)).has_value());
+  EXPECT_FALSE(parse_packet(util::BytesView(wire)).has_value());
 }
 
 TEST(Wire, TruncationRejected) {
@@ -126,7 +126,7 @@ TEST(Wire, TruncationRejected) {
   const auto wire = serialize(p);
   for (const size_t keep : {0u, 1u, 10u, 19u, 25u, 39u}) {
     EXPECT_FALSE(
-        parse(util::BytesView(wire.data(), std::min(keep, wire.size())))
+        parse_packet(util::BytesView(wire.data(), std::min(keep, wire.size())))
             .has_value())
         << "keep=" << keep;
   }
@@ -139,7 +139,7 @@ TEST(Wire, GarbageRejected) {
     for (auto& b : junk) b = static_cast<uint8_t>(rng.next_u64());
     if (!junk.empty()) junk[0] = static_cast<uint8_t>(rng.next_u64(3) << 4);
     // Must never crash; almost always rejects (version nibble invalid).
-    (void)parse(util::BytesView(junk));
+    (void)parse_packet(util::BytesView(junk));
   }
   SUCCEED();
 }
@@ -186,7 +186,7 @@ TEST_P(WireRoundtrip, RandomPacketsRoundtrip) {
       p.l4_cookie = util::Bytes(1 + rng.next_u64(120));
       for (auto& b : *p.l4_cookie) b = static_cast<uint8_t>(rng.next_u64());
     }
-    const auto parsed = parse(util::BytesView(serialize(p)));
+    const auto parsed = parse_packet(util::BytesView(serialize(p)));
     ASSERT_TRUE(parsed.has_value()) << "iteration " << i;
     EXPECT_EQ(parsed->tuple, p.tuple);
     EXPECT_EQ(parsed->dscp, p.dscp);
@@ -209,12 +209,12 @@ TEST(SyncWire, FrameRoundTrip) {
   append_sync_frame(buffer, 4, {});  // empty payload is legal
 
   util::ByteReader r{util::BytesView(buffer)};
-  const auto first = parse_sync_frame(r);
+  const auto first = read_sync_frame(r);
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(first->type, 9);
   EXPECT_EQ(util::Bytes(first->payload.begin(), first->payload.end()),
             payload);
-  const auto second = parse_sync_frame(r);
+  const auto second = read_sync_frame(r);
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(second->type, 4);
   EXPECT_TRUE(second->payload.empty());
@@ -228,19 +228,19 @@ TEST(SyncWire, FrameRejectsBadEnvelope) {
   util::Bytes bad_magic = good;
   bad_magic[0] ^= 0xff;
   util::ByteReader r1{util::BytesView(bad_magic)};
-  EXPECT_FALSE(parse_sync_frame(r1).has_value());
+  EXPECT_FALSE(read_sync_frame(r1).has_value());
 
   util::Bytes bad_version = good;
   bad_version[2] = kSyncVersion + 1;
   util::ByteReader r2{util::BytesView(bad_version)};
-  EXPECT_FALSE(parse_sync_frame(r2).has_value());
+  EXPECT_FALSE(read_sync_frame(r2).has_value());
 
   // Declared length beyond the buffer.
   util::Bytes overrun;
   append_sync_frame(overrun, 1, util::BytesView(good));
   overrun.resize(overrun.size() - 3);
   util::ByteReader r3{util::BytesView(overrun)};
-  EXPECT_FALSE(parse_sync_frame(r3).has_value());
+  EXPECT_FALSE(read_sync_frame(r3).has_value());
 }
 
 controlplane::SnapshotMessage rich_snapshot() {
@@ -272,18 +272,18 @@ controlplane::SnapshotMessage rich_snapshot() {
 }
 
 TEST(SyncWire, MessagesRoundTrip) {
-  using controlplane::decode;
   using controlplane::encode;
   using controlplane::Message;
+  auto expect_round_trip = [](const Message& message) {
+    const auto decoded =
+        controlplane::decode_message(util::BytesView(encode(message)));
+    ASSERT_TRUE(decoded.has_value());
+    EXPECT_EQ(*decoded, message);
+  };
 
-  const Message request = controlplane::SyncRequest{99, 1234};
-  EXPECT_EQ(decode(util::BytesView(encode(request))), request);
-
-  const Message heartbeat = controlplane::HeartbeatMessage{77};
-  EXPECT_EQ(decode(util::BytesView(encode(heartbeat))), heartbeat);
-
-  const Message snapshot = rich_snapshot();
-  EXPECT_EQ(decode(util::BytesView(encode(snapshot))), snapshot);
+  expect_round_trip(controlplane::SyncRequest{99, 1234});
+  expect_round_trip(controlplane::HeartbeatMessage{77});
+  expect_round_trip(rich_snapshot());
 
   controlplane::DeltaMessage delta;
   delta.from_version = 17;
@@ -298,19 +298,17 @@ TEST(SyncWire, MessagesRoundTrip) {
   revoke.op = controlplane::UpdateOp::kRevoke;
   revoke.id = 42;
   delta.updates = {add, revoke};
-  const Message delta_message = delta;
-  EXPECT_EQ(decode(util::BytesView(encode(delta_message))), delta_message);
+  expect_round_trip(delta);
 }
 
 TEST(SyncWire, EveryTruncationPrefixRejected) {
   // Chop a maximally-featured snapshot at every length; each prefix
-  // must decode to nullopt (defensive parsing), never crash or
-  // misparse.
+  // must fail to decode (defensive parsing), never crash or misparse.
   const util::Bytes full =
       controlplane::encode(controlplane::Message(rich_snapshot()));
   for (size_t len = 0; len < full.size(); ++len) {
     const util::BytesView prefix(full.data(), len);
-    EXPECT_FALSE(controlplane::decode(prefix).has_value())
+    EXPECT_FALSE(controlplane::decode_message(prefix).has_value())
         << "prefix of " << len << " bytes parsed";
   }
 }
@@ -326,7 +324,7 @@ TEST(SyncWire, UnknownFrameTypeIsSkipped) {
           controlplane::HeartbeatMessage{5}));
   datagram.insert(datagram.end(), heartbeat.begin(), heartbeat.end());
 
-  const auto decoded = controlplane::decode(util::BytesView(datagram));
+  const auto decoded = controlplane::decode_message(util::BytesView(datagram));
   ASSERT_TRUE(decoded.has_value());
   const auto* hb = std::get_if<controlplane::HeartbeatMessage>(&*decoded);
   ASSERT_NE(hb, nullptr);
@@ -337,7 +335,7 @@ TEST(SyncWire, UnknownFrameTypeIsSkipped) {
   util::Bytes only_unknown;
   append_sync_frame(only_unknown, 0x70, util::BytesView(future));
   EXPECT_FALSE(
-      controlplane::decode(util::BytesView(only_unknown)).has_value());
+      controlplane::decode_message(util::BytesView(only_unknown)).has_value());
 }
 
 TEST(SyncWire, DescriptorCodecRejectsCorruptFields) {
@@ -361,30 +359,28 @@ TEST(SyncWire, DescriptorCodecRejectsCorruptFields) {
   EXPECT_FALSE(controlplane::decode_descriptor(r).has_value());
 }
 
-// --- Expected-returning API (PR 5): differential vs legacy ---------
+// --- Expected-returning API (PR 5) ----------------------------------
 
-/// The legacy optional views must agree with the Expected-returning
-/// primaries on every input — the api_redesign satellite's "no
-/// behavior change" contract, checked byte-for-byte over full wires
-/// and every truncation of them.
+/// The every-prefix sweep of parse_packet: each strict prefix of a full
+/// wire is a typed wire-domain error, never a crash or a misparse, and
+/// the full wire round-trips tuple, payload and the TCP option cookie.
 TEST(Wire, ExpectedAndLegacyParseAgreeOnEveryPrefix) {
   for (const bool ipv6 : {false, true}) {
     for (const auto proto : {L4Proto::kTcp, L4Proto::kUdp}) {
       Packet p = base_packet(proto, ipv6);
       if (proto == L4Proto::kTcp) p.l4_cookie = util::Bytes(53, 0x5a);
       const auto wire = serialize(p);
-      for (size_t len = 0; len <= wire.size(); ++len) {
-        const util::BytesView view(wire.data(), len);
-        const auto legacy = parse(view);
-        const auto primary = parse_packet(view);
-        ASSERT_EQ(legacy.has_value(), primary.has_value())
+      for (size_t len = 0; len < wire.size(); ++len) {
+        const auto prefix = parse_packet(util::BytesView(wire.data(), len));
+        ASSERT_FALSE(prefix.has_value()) << "ipv6=" << ipv6 << " len=" << len;
+        EXPECT_EQ(prefix.error().domain, ErrorDomain::kWire)
             << "ipv6=" << ipv6 << " len=" << len;
-        if (legacy.has_value()) {
-          EXPECT_EQ(legacy->tuple, primary.value().tuple);
-          EXPECT_EQ(legacy->payload, primary.value().payload);
-          EXPECT_EQ(legacy->l4_cookie, primary.value().l4_cookie);
-        }
       }
+      const auto full = parse_packet(util::BytesView(wire));
+      ASSERT_TRUE(full.has_value()) << "ipv6=" << ipv6;
+      EXPECT_EQ(full->tuple, p.tuple);
+      EXPECT_EQ(full->payload, p.payload);
+      EXPECT_EQ(full->l4_cookie, p.l4_cookie);
     }
   }
 }
@@ -416,20 +412,6 @@ TEST(Wire, ParseErrorsAreTypedAndTallied) {
   EXPECT_EQ(
       ErrorTally::instance().count(ErrorDomain::kWire, ErrorCode::kTruncated),
       before + 1);
-}
-
-TEST(SyncWire, DecodeExpectedAndLegacyAgreeOnEveryPrefix) {
-  const util::Bytes full =
-      controlplane::encode(controlplane::Message(rich_snapshot()));
-  for (size_t len = 0; len <= full.size(); ++len) {
-    const util::BytesView prefix(full.data(), len);
-    const auto legacy = controlplane::decode(prefix);
-    const auto primary = controlplane::decode_message(prefix);
-    ASSERT_EQ(legacy.has_value(), primary.has_value()) << "len=" << len;
-    if (legacy.has_value()) {
-      EXPECT_EQ(*legacy, primary.value());
-    }
-  }
 }
 
 TEST(SyncWire, DecodeMessageErrorsAreTyped) {

@@ -72,7 +72,7 @@ class WirePipelineTest : public ::testing::Test {
 TEST_F(WirePipelineTest, HttpCookieSurvivesSerialization) {
   const auto wire = make_wire_packet(cookies::Transport::kHttpHeader,
                                      40001);
-  auto parsed = net::parse(util::BytesView(wire));
+  auto parsed = net::parse_packet(util::BytesView(wire));
   ASSERT_TRUE(parsed.has_value());
   dataplane::Middlebox middlebox(clock_, verifier_, registry_);
   EXPECT_TRUE(middlebox.process(*parsed).action.has_value());
@@ -81,7 +81,7 @@ TEST_F(WirePipelineTest, HttpCookieSurvivesSerialization) {
 TEST_F(WirePipelineTest, UdpShimCookieSurvivesSerialization) {
   const auto wire = make_wire_packet(cookies::Transport::kUdpHeader,
                                      40002);
-  auto parsed = net::parse(util::BytesView(wire));
+  auto parsed = net::parse_packet(util::BytesView(wire));
   ASSERT_TRUE(parsed.has_value());
   dataplane::Middlebox middlebox(clock_, verifier_, registry_);
   EXPECT_TRUE(middlebox.process(*parsed).action.has_value());
@@ -90,7 +90,7 @@ TEST_F(WirePipelineTest, UdpShimCookieSurvivesSerialization) {
 TEST_F(WirePipelineTest, Ipv6OptionCookieSurvivesSerialization) {
   const auto wire = make_wire_packet(cookies::Transport::kIpv6Extension,
                                      40003);
-  auto parsed = net::parse(util::BytesView(wire));
+  auto parsed = net::parse_packet(util::BytesView(wire));
   ASSERT_TRUE(parsed.has_value());
   ASSERT_TRUE(parsed->l3_cookie.has_value());
   dataplane::Middlebox middlebox(clock_, verifier_, registry_);
@@ -150,7 +150,7 @@ TEST_P(WireMutationProperty, TamperedBytesNeverForgeService) {
       const size_t pos = rng.next_u64(mutated.size());
       mutated[pos] ^= static_cast<uint8_t>(1 + rng.next_u64(255));
     }
-    const auto parsed = net::parse(util::BytesView(mutated));
+    const auto parsed = net::parse_packet(util::BytesView(mutated));
     if (!parsed) continue;  // checksum/structure caught it
     const auto extracted = cookies::extract(*parsed);
     if (!extracted) continue;  // cookie destroyed
@@ -210,7 +210,7 @@ TEST(WireFuzz, ParserNeverCrashesOnMutatedCorpus) {
       wire[rng.next_u64(wire.size())] ^=
           static_cast<uint8_t>(rng.next_u64(256));
     }
-    if (const auto parsed = net::parse(util::BytesView(wire))) {
+    if (const auto parsed = net::parse_packet(util::BytesView(wire))) {
       (void)cookies::extract(*parsed);
     }
   }
