@@ -84,6 +84,7 @@ int main() {
   std::printf("%-10s %12s %10s %14s\n", "profile", "rate", "latency",
               "200KB fetch(s)");
   uint16_t next_port = 50000;
+  uint64_t next_seed = 21;
   for (const auto* service :
        {"emulate-2g", "emulate-3g", "emulate-dsl"}) {
     // The developer's client attaches the profile-selecting cookie.
@@ -92,7 +93,10 @@ int main() {
     descriptor.key.assign(32, 0x33);
     descriptor.service_data = service;
     verifier.add_descriptor(descriptor);
-    cookies::CookieGenerator generator(descriptor, clock, 21);
+    // One seed per client: the proxy's verifier keeps one use-once
+    // cache for every descriptor, so two generators sharing a seed
+    // would mint the same uuids and the second one would be a replay.
+    cookies::CookieGenerator generator(descriptor, clock, next_seed++);
 
     net::Packet request;
     request.tuple.src_ip = net::IpAddress::v4(10, 0, 0, 2);
@@ -108,7 +112,7 @@ int main() {
     const auto profile = proxy.process(request);
     if (!profile) {
       std::printf("%-10s cookie did not select a profile!\n", service);
-      continue;
+      return 1;
     }
     const double fct = emulate_transfer(*profile);
     std::printf("%-10s %9.1f kb/s %7lld ms %14.2f\n",

@@ -20,13 +20,15 @@
 // expired and purge() returns without touching the wheel at all,
 // instead of the historical scan-per-insert.
 //
-// Ownership (§4.6 scale-out): a ReplayCache is single-threaded state
-// owned by exactly one verifier, which in the threaded runtime means
-// exactly one worker. Use-once is therefore only *locally* verifiable;
-// cross-worker soundness requires routing each descriptor's cookies to
-// one worker (DispatchPolicy::kDescriptorAffinity). Sharing one cache
-// between workers is deliberately unsupported — it would put a lock on
-// the per-packet hot path.
+// Ownership (§4.6 scale-out): a CookieVerifier owns exactly one
+// ReplayCache for all of its descriptors, in local and external-table
+// mode alike, and in the threaded runtime each worker owns one
+// verifier. A cache is therefore single-threaded state, and use-once
+// is only *locally* verifiable; cross-worker soundness requires
+// routing each descriptor's cookies to one worker
+// (DispatchPolicy::kDescriptorAffinity). Sharing one cache between
+// workers is deliberately unsupported — it would put a lock on the
+// per-packet hot path.
 #pragma once
 
 #include <cstddef>
@@ -96,8 +98,9 @@ class ReplayCache {
   /// Offline probe-length distribution over the handle index.
   state::ProbeStats probe_stats(size_t max_samples) const;
   /// When set, insert probes are sampled (1 in 64) into `hist`. The
-  /// histogram must outlive the cache. Left unset on the per-descriptor
-  /// caches of local-mode verifiers, which keeps them allocation-lean.
+  /// histogram must outlive the cache. A verifier points its one cache
+  /// at its nnn_state_probe_len histogram; standalone caches leave it
+  /// unset.
   void set_probe_histogram(telemetry::Histogram* hist) {
     probe_hist_ = hist;
   }

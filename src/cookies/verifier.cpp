@@ -30,9 +30,9 @@ CookieVerifier::WriterCheck::~WriterCheck() {
 #endif
 
 CookieVerifier::CookieVerifier(const util::Clock& clock, util::Timestamp nct)
-    : clock_(clock), nct_(nct), external_replay_(nct) {
+    : clock_(clock), nct_(nct), replays_(nct) {
   hot_.set_probe_histogram(&probe_len_);
-  external_replay_.set_probe_histogram(&probe_len_);
+  replays_.set_probe_histogram(&probe_len_);
   registration_ = telemetry::Registry::global().add_collector(
       [this](telemetry::SampleBuilder& builder) { collect(builder); });
 }
@@ -56,10 +56,10 @@ void CookieVerifier::collect(telemetry::SampleBuilder& builder) const {
   builder.counter("nnn_state_hot_evictions_total",
                   "Hot-tier CLOCK evictions", {}, hot_evictions_.value());
   builder.gauge("nnn_state_replay_entries",
-                "Outstanding uuids in the external replay cache", {},
+                "Outstanding uuids in the verifier's replay cache", {},
                 replay_entries_.value());
   builder.gauge("nnn_state_replay_wheel_occupied",
-                "Non-empty expiry-wheel slots in the external replay cache",
+                "Non-empty expiry-wheel slots in the verifier's replay cache",
                 {}, replay_wheel_occupied_.value());
   builder.counter("nnn_state_replay_capacity_evictions_total",
                   "Replay entries evicted early because the cache was full",
@@ -73,10 +73,10 @@ void CookieVerifier::sync_state_metrics() {
   hot_resident_.set(static_cast<int64_t>(hot_.resident()));
   hot_rehydrations_.set(hot_.rehydrations());
   hot_evictions_.set(hot_.evictions());
-  replay_entries_.set(static_cast<int64_t>(external_replay_.size()));
+  replay_entries_.set(static_cast<int64_t>(replays_.size()));
   replay_wheel_occupied_.set(
-      static_cast<int64_t>(external_replay_.wheel_occupied_slots()));
-  replay_capacity_evictions_.set(external_replay_.capacity_evictions());
+      static_cast<int64_t>(replays_.wheel_occupied_slots()));
+  replay_capacity_evictions_.set(replays_.capacity_evictions());
 }
 
 void CookieVerifier::add_descriptor(CookieDescriptor descriptor) {
@@ -90,8 +90,7 @@ void CookieVerifier::add_descriptor(CookieDescriptor descriptor) {
     it->second.revoked = false;
     return;
   }
-  table_.emplace(id, Entry{std::move(descriptor), schedule,
-                           ReplayCache(nct_), false});
+  table_.emplace(id, Entry{std::move(descriptor), schedule, false});
   if (!external_mode_) descriptors_.set(static_cast<int64_t>(table_.size()));
 }
 
@@ -105,8 +104,8 @@ void CookieVerifier::set_external_table(const DescriptorTable* table) {
 
 void CookieVerifier::configure_external_replay(size_t capacity) {
   const WriterCheck check(*this);
-  external_replay_ = ReplayCache(nct_, capacity);
-  external_replay_.set_probe_histogram(&probe_len_);
+  replays_ = ReplayCache(nct_, capacity);
+  replays_.set_probe_histogram(&probe_len_);
 }
 
 bool CookieVerifier::revoke(CookieId id) {
@@ -155,7 +154,6 @@ bool CookieVerifier::resolve(CookieId id, Resolved& out) {
     if (const HotTier::Entry* hot = hot_.lookup(id, epoch)) {
       out.descriptor = &hot->descriptor;
       out.schedule = &hot->schedule;
-      out.replays = &external_replay_;
       out.revoked = false;
       return true;
     }
@@ -164,13 +162,12 @@ bool CookieVerifier::resolve(CookieId id, Resolved& out) {
     if (record->revoked) {
       // Tombstones stay cold: verify_resolved checks `revoked` before
       // touching descriptor/schedule, so those stay null.
-      out = Resolved{nullptr, nullptr, nullptr, true};
+      out = Resolved{nullptr, nullptr, true};
       return true;
     }
     const HotTier::Entry* hot = hot_.admit(*record, external_->store(), epoch);
     out.descriptor = &hot->descriptor;
     out.schedule = &hot->schedule;
-    out.replays = &external_replay_;
     out.revoked = false;
     return true;
   }
@@ -180,7 +177,6 @@ bool CookieVerifier::resolve(CookieId id, Resolved& out) {
   out.descriptor = &entry.descriptor;
   out.schedule = &entry.schedule;
   out.revoked = entry.revoked;
-  out.replays = &entry.replays;
   return true;
 }
 
@@ -217,7 +213,7 @@ VerifyResult CookieVerifier::verify_resolved(const Resolved& match,
     return VerifyResult{VerifyStatus::kStaleTimestamp, nullptr};
   }
   // (iv) use-once.
-  if (!match.replays->insert(cookie.uuid, now)) {
+  if (!replays_.insert(cookie.uuid, now)) {
     status_.inc(VerifyStatus::kReplayed);
     return VerifyResult{VerifyStatus::kReplayed, nullptr};
   }
@@ -227,14 +223,14 @@ VerifyResult CookieVerifier::verify_resolved(const Resolved& match,
 
 VerifyResult CookieVerifier::verify(const Cookie& cookie) {
   const WriterCheck check(*this);
-  if (external_mode_) hot_.begin_burst();
+  hot_.begin_burst();
   Resolved match;
   if (!resolve(cookie.cookie_id, match)) {
     status_.inc(VerifyStatus::kUnknownId);
     return VerifyResult{VerifyStatus::kUnknownId, nullptr};
   }
   const VerifyResult result = verify_resolved(match, cookie, clock_.now());
-  if (external_mode_) sync_state_metrics();
+  sync_state_metrics();
   return result;
 }
 
@@ -244,7 +240,7 @@ void CookieVerifier::verify_batch(std::span<const Cookie> cookies,
   const WriterCheck check(*this);
   const size_t n = cookies.size();
   if (n == 0) return;
-  if (external_mode_) hot_.begin_burst();
+  hot_.begin_burst();
   // Batch-level timing: two clock reads per burst, never per cookie.
   // A 32-cookie burst is >=10 us of MAC work, so the ~86 ns timer pair
   // stays under 1% there; smaller bursts (a trickling producer can
@@ -255,9 +251,9 @@ void CookieVerifier::verify_batch(std::span<const Cookie> cookies,
   // One clock read for the burst (see header for why this is sound).
   const util::Timestamp now = clock_.now();
   // Visit in descriptor-id order, stable within each id: one table
-  // lookup per run of equal ids, and the entry's key schedule and
-  // replay cache stay cache-hot across the run. Stability preserves
-  // the sequential replay semantics for duplicate uuids in one batch.
+  // lookup per run of equal ids, and the entry's key schedule stays
+  // cache-hot across the run. Stability preserves the sequential
+  // replay semantics for duplicate uuids under one descriptor.
   batch_order_.resize(n);
   for (uint32_t i = 0; i < n; ++i) batch_order_[i] = i;
   std::stable_sort(batch_order_.begin(), batch_order_.end(),
@@ -283,7 +279,7 @@ void CookieVerifier::verify_batch(std::span<const Cookie> cookies,
     }
     results[idx] = verify_resolved(match, cookie, now);
   }
-  if (external_mode_) sync_state_metrics();
+  sync_state_metrics();
 }
 
 VerifyResult CookieVerifier::verify_wire(util::BytesView wire) {

@@ -18,13 +18,15 @@
 // per-call costs (clock read, descriptor lookup) across a burst, the
 // unit of work the runtime's rings hand to a worker.
 //
-// Replay scope: local mode keeps one ReplayCache per descriptor. In
-// external-table mode the verifier keeps ONE uuid-keyed ReplayCache
-// for all descriptors — uuids are 128-bit randoms minted per cookie,
-// so cross-descriptor uuid reuse is adversarial and rejecting it is
-// strictly more conservative; in exchange replay state is O(outstanding
-// cookies), not O(descriptors), at ISP scale. Use-once state still
-// survives table swaps.
+// Replay scope: the verifier keeps ONE uuid-keyed ReplayCache for all
+// descriptors, in local and external-table mode alike — the paper's
+// one list of recently seen cookies. Uuids are 128-bit randoms minted
+// per cookie, so cross-descriptor uuid reuse is adversarial and
+// rejecting it is strictly more conservative; in exchange replay state
+// is O(outstanding cookies), not O(descriptors), under one capacity
+// clamp. Use-once state survives table swaps and a remove() followed
+// by a re-add. Under descriptor affinity (§4.6) each worker owns one
+// verifier, so one cache per shard is all use-once needs.
 //
 // A failed match never drops traffic: "If it fails to match, it
 // behaves as if the cookie was not there, offering default services."
@@ -36,7 +38,7 @@
 // A CookieVerifier is NOT thread-safe. Exactly one thread at a time
 // may call any mutating, verifying, or resolving member
 // (add_descriptor, revoke, remove, verify*, find, reset_stats,
-// set_external_table): verification mutates replay caches, the hot
+// set_external_table): verification mutates the replay cache, the hot
 // tier, and status counters, and a concurrent add/remove rehashes the
 // descriptor map that an in-flight verify_batch is iterating — a data
 // race and potential use-after-free with no diagnostic. Debug builds
@@ -45,10 +47,10 @@
 // descriptor updates to a verifier that another thread is running
 // hot, do not call add_descriptor/revoke across threads — publish an
 // immutable DescriptorTable through controlplane::TablePublisher and
-// hand it to the verifying thread via set_external_table (the
-// runtime's WorkerPool::bind_table_publisher does exactly this; the
-// pool's legacy add_descriptor/revoke path instead waits for the
-// worker to quiesce before touching its shard).
+// hand it to the verifying thread via set_external_table
+// (runtime::Dataplane::bind_table_publisher does exactly this). The
+// plane's add_descriptor/revoke path does not wait for anything: it
+// requires a quiescent plane, before start() or after drain()/stop().
 #pragma once
 
 #include <atomic>
@@ -219,7 +221,10 @@ class CookieVerifier {
   /// the table lookup and key-schedule entry stay hot across a burst.
   /// Verdicts and stats match running verify() sequentially over the
   /// batch, up to the single clock read (a burst spans microseconds;
-  /// the NCT check has 1 s resolution and a 5 s budget).
+  /// the NCT check has 1 s resolution and a 5 s budget). One exception,
+  /// adversarial only: a uuid re-signed under several descriptors in
+  /// one burst is still accepted once, but the copy accepted is the
+  /// one under the lowest descriptor id.
   void verify_batch(std::span<const Cookie> cookies,
                     std::span<VerifyResult> results);
 
@@ -239,21 +244,23 @@ class CookieVerifier {
   }
   util::Timestamp nct() const { return nct_; }
 
-  /// External-mode state knobs and introspection (bench/tests).
-  /// set_hot_budget bounds resident midstates; configure_external_replay
-  /// RESETS the external replay cache with a new capacity (use before
-  /// traffic, e.g. to size for tens of millions of outstanding uuids).
+  /// State knobs and introspection (bench/tests). set_hot_budget
+  /// bounds resident midstates (external mode).
   void set_hot_budget(size_t budget) { hot_.set_budget(budget); }
   const HotTier& hot_tier() const { return hot_; }
+  /// RESETS the verifier's one replay cache, in either mode, with a new
+  /// capacity (use before traffic, e.g. to size for tens of millions of
+  /// outstanding uuids).
   void configure_external_replay(size_t capacity);
-  const ReplayCache& external_replay() const { return external_replay_; }
+  /// The verifier's one replay cache, in either mode (see the class
+  /// comment on replay scope).
+  const ReplayCache& external_replay() const { return replays_; }
 
  private:
   struct Entry {
     CookieDescriptor descriptor;
     /// ipad/opad midstates for descriptor.key, built at install time.
     crypto::HmacKeySchedule schedule;
-    ReplayCache replays;
     bool revoked = false;
   };
 
@@ -262,7 +269,6 @@ class CookieVerifier {
   struct Resolved {
     const CookieDescriptor* descriptor = nullptr;
     const crypto::HmacKeySchedule* schedule = nullptr;
-    ReplayCache* replays = nullptr;
     bool revoked = false;
   };
 
@@ -303,9 +309,9 @@ class CookieVerifier {
   /// Midstate working set over the external table (mutable: find() is
   /// logically const but admits records on a cold hit).
   mutable HotTier hot_;
-  /// Verifier-wide use-once memory for external mode (see the class
-  /// comment on replay scope).
-  ReplayCache external_replay_;
+  /// Verifier-wide use-once memory, both modes (see the class comment
+  /// on replay scope).
+  ReplayCache replays_;
 #ifndef NDEBUG
   /// Thread currently inside a mutating/verifying member, or default
   /// (empty) id when none. See WriterCheck.
@@ -319,9 +325,9 @@ class CookieVerifier {
   /// timed 1-in-32 so the clock reads can't dominate tiny batches.
   telemetry::Histogram batch_nanos_;
   telemetry::SampleStride burst_sample_{32};
-  /// nnn_state_* cells (external mode): synced from the hot tier and
-  /// replay cache at burst boundaries; sampled probe lengths recorded
-  /// inline by both.
+  /// nnn_state_* cells: synced from the hot tier (external mode) and
+  /// the replay cache (both modes) at burst boundaries; sampled probe
+  /// lengths recorded inline by both.
   telemetry::Gauge hot_resident_;
   telemetry::Counter hot_rehydrations_;
   telemetry::Counter hot_evictions_;

@@ -24,7 +24,7 @@
 //
 // The balancer itself — the one owner of the CID steering state that
 // pick_shard() reads — is runtime::Dataplane, which steers every
-// ingested packet onto a WorkerPool shard.
+// ingested packet onto one of its worker shards.
 #pragma once
 
 #include <cstddef>

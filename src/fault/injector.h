@@ -58,7 +58,7 @@ class Injector {
   /// spike's Bernoulli draw).
   bool drop_packet(uint32_t link_id, util::Timestamp now) const;
 
-  /// WorkerPool consume loop: true = the worker must not consume now
+  /// Dataplane worker loop: true = the worker must not consume now
   /// (wedged process). The worker re-checks each iteration; resume is
   /// the schedule's business, not the caller's.
   bool paused(uint32_t worker_id, util::Timestamp now) const;
@@ -69,8 +69,8 @@ class Injector {
   /// CookieServer::acquire: true = answer kUnavailable.
   bool acquire_unavailable(util::Timestamp now) const;
 
-  /// WorkerPool::submit admission: true = reject this submission (the
-  /// caller sheds it, counted, fail-open).
+  /// Dataplane::ingest admission: true = reject this packet (the plane
+  /// sheds it, counted, fail-open).
   bool reject_admission(uint32_t worker_id, util::Timestamp now) const;
 
   /// Offset a SkewedClock adds to the base clock's reading.

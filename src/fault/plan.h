@@ -13,7 +13,7 @@
 // any failure reproduces from its seed alone.
 //
 // The plan is pure data. The Injector (injector.h) evaluates it
-// against the clock at each hook point; sim::Link, WorkerPool,
+// against the clock at each hook point; sim::Link, runtime::Dataplane,
 // SyncServer, and CookieServer carry the hooks.
 #pragma once
 

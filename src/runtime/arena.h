@@ -22,7 +22,7 @@
 //     splices its whole chain in a single CAS;
 //   - alloc/release counters are relaxed atomics: `outstanding()` is
 //     exact whenever the arena is quiescent (the leak gate reads it
-//     after WorkerPool::stop()), approximate while threads run.
+//     after Dataplane::stop()), approximate while threads run.
 //
 // Exhaustion is fail-open by construction: try_alloc returns an empty
 // handle and the caller sheds (forwards the packet unverified); no

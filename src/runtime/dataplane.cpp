@@ -1,17 +1,125 @@
 #include "runtime/dataplane.h"
 
+#include <array>
+#include <chrono>
+#include <span>
+#include <string>
+
+#include "fault/injector.h"
+#include "util/logging.h"
+
 namespace nnn::runtime {
+
+namespace {
+
+/// Idle backoff: spin briefly (another burst usually lands within a
+/// few hundred cycles at line rate), then yield, then sleep. The sleep
+/// keeps an idle plane near 0% CPU; the yield tier matters when workers
+/// outnumber cores.
+void idle_backoff(unsigned& idle_rounds) {
+  ++idle_rounds;
+  if (idle_rounds < 64) {
+    // spin
+  } else if (idle_rounds < 256) {
+    std::this_thread::yield();
+  } else {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+}
+
+Dataplane::Config normalize(Dataplane::Config config) {
+  Dataplane::PoolConfig& pool = config.pool;
+  if (pool.workers == 0) pool.workers = 1;
+  if (pool.batch_size == 0) pool.batch_size = 1;
+  if (pool.arena_slots == 0) {
+    // Every ring full + every worker's warm cache + a producer burst
+    // in flight. Exhaustion under this sizing means the producer is
+    // outrunning the rings anyway, and shedding is the right answer.
+    pool.arena_slots =
+        pool.workers * (ring_capacity_for(pool.ring_capacity) +
+                        2 * PacketArena::kChunk) +
+        4 * pool.batch_size;
+  }
+  return config;
+}
+
+}  // namespace
+
+/// One shard: verifier + middlebox owned exclusively by one thread,
+/// plus the SPSC ring feeding it. Declaration order matters — the
+/// verifier must outlive the middlebox.
+struct Dataplane::Worker {
+  cookies::CookieVerifier verifier;
+  dataplane::Middlebox middlebox;
+  /// Arena slot indices; the packets themselves never move.
+  SpscRing<uint32_t> ring;
+  /// Thread-private release stash: emitted slots splice back to the
+  /// global freelist a chunk at a time. Touched only by this worker's
+  /// thread; flushed at idle and exit so slots never idle in a stash.
+  PacketArena::Cache cache;
+  WorkerCounters counters;
+  /// Epoch reader into the bound TablePublisher (detached when the
+  /// plane runs standalone). Used only by this worker's thread.
+  controlplane::TablePublisher::Reader table_reader;
+  /// Ring bursts are timed 1-in-32. Even a full 32-packet burst is
+  /// only ~3 us of work, so the ~86 ns timer pair would cost ~3%
+  /// unsampled — over the 2% telemetry budget on its own.
+  telemetry::SampleStride burst_sample{32};
+  /// Incremented by the producer *before* the push so a quiescence
+  /// check can never observe a pushed-but-uncounted packet.
+  alignas(kCacheLineSize) std::atomic<uint64_t> submitted{0};
+  std::thread thread;
+  /// Deregisters before `counters` is destroyed (declared after it).
+  telemetry::Registration registration;
+
+  Worker(const util::Clock& clock, dataplane::ServiceRegistry& registry,
+         PacketArena& arena, const PoolConfig& config)
+      : verifier(clock),
+        middlebox(clock, verifier, registry, config.middlebox),
+        ring(config.ring_capacity),
+        cache(arena) {}
+};
 
 Dataplane::Dataplane(const util::Clock& clock,
                      dataplane::ServiceRegistry& registry, Config config)
-    : config_(config),
-      pool_(clock, registry, config.pool),
-      cache_(pool_.arena()) {}
+    : clock_(clock),
+      config_(normalize(std::move(config))),
+      arena_(config_.pool.arena_slots),
+      cache_(arena_) {
+  workers_.reserve(config_.pool.workers);
+  for (size_t i = 0; i < config_.pool.workers; ++i) {
+    workers_.push_back(
+        std::make_unique<Worker>(clock_, registry, arena_, config_.pool));
+    // Each worker's block exports under worker="i"; identical families
+    // across workers merge into per-worker series of nnn_pool_*.
+    Worker& w = *workers_.back();
+    const std::string index = std::to_string(i);
+    w.registration = telemetry::Registry::global().add_collector(
+        [&w, labels = telemetry::LabelSet{{"worker", index}}](
+            telemetry::SampleBuilder& builder) {
+          w.counters.collect(builder, labels);
+        });
+  }
+  if (config_.pool.verdict_capacity > 0) {
+    verdicts_ = std::make_unique<MpscRing<VerdictRecord>>(
+        config_.pool.verdict_capacity);
+  }
+}
+
+Dataplane::~Dataplane() { stop(); }
 
 PacketHandle Dataplane::make_packet() {
   PacketHandle handle = cache_.alloc();
   if (handle) reset_for_reuse(*handle);
   return handle;
+}
+
+bool Dataplane::ingest(PacketHandle&& handle) {
+  return submit(std::move(handle), /*blocking=*/false);
+}
+
+void Dataplane::ingest_blocking(PacketHandle&& handle) {
+  submit(std::move(handle), /*blocking=*/true);
 }
 
 size_t Dataplane::steer(const net::Packet& packet) {
@@ -21,30 +129,305 @@ size_t Dataplane::steer(const net::Packet& packet) {
   return route(packet);
 }
 
-bool Dataplane::ingest(PacketHandle&& handle) {
+bool Dataplane::submit(PacketHandle&& handle, bool blocking) {
   if (!handle) {
     // Arena exhausted at make_packet(): record the shed on worker 0 so
-    // the ledger keeps one home for every ingest attempt.
-    return pool_.submit_handle(0, std::move(handle));
+    // the ledger keeps one home for every ingest attempt (attempts ==
+    // processed + shed holds per worker).
+    workers_[0]->counters.shed.add_shared();
+    return false;
   }
   const size_t worker = steer(*handle);
-  return pool_.submit_handle(worker, std::move(handle));
+  for (;;) {
+    switch (try_enqueue(worker, handle.slot(), /*shed_on_full=*/!blocking)) {
+      case EnqueueResult::kEnqueued:
+        // The ring owns the slot now; the worker releases it at emit.
+        handle.detach();
+        return true;
+      case EnqueueResult::kShed:
+        return false;  // ~handle returns the slot to the freelist
+      case EnqueueResult::kRingFull:
+        // Closed loop: wait for the worker instead of shedding. Yield
+        // so the worker actually runs when cores are scarce.
+        std::this_thread::yield();
+        break;
+    }
+  }
 }
 
-void Dataplane::ingest_blocking(PacketHandle&& handle) {
-  if (!handle) {
-    pool_.submit_handle(0, std::move(handle));
-    return;
+void Dataplane::add_descriptor(const cookies::CookieDescriptor& descriptor) {
+  if (publisher_ != nullptr) return;  // descriptor state owned by sync
+  for (auto& worker : workers_) {
+    worker->verifier.add_descriptor(descriptor);
   }
-  const size_t worker = steer(*handle);
-  pool_.submit_handle_blocking(worker, std::move(handle));
+}
+
+void Dataplane::revoke(cookies::CookieId id) {
+  if (publisher_ != nullptr) return;  // descriptor state owned by sync
+  for (auto& worker : workers_) {
+    worker->verifier.revoke(id);
+  }
+}
+
+void Dataplane::bind_table_publisher(
+    controlplane::TablePublisher& publisher) {
+  publisher_ = &publisher;
+  for (auto& worker : workers_) {
+    worker->table_reader = publisher.register_reader();
+  }
+}
+
+void Dataplane::set_fault_injector(const fault::Injector* injector) {
+  injector_ = injector;
+}
+
+void Dataplane::start() {
+  if (running_) return;
+  stop_.store(false, std::memory_order_release);
+  for (size_t i = 0; i < workers_.size(); ++i) {
+    workers_[i]->thread = std::thread([this, i] { worker_main(i); });
+  }
+  running_ = true;
+  util::log_debug_tagged(
+      "runtime", "started {} workers (ring={}, batch={}, arena={})",
+      workers_.size(), workers_[0]->ring.capacity(), config_.pool.batch_size,
+      arena_.capacity());
+}
+
+void Dataplane::drain() {
+  for (auto& worker : workers_) {
+    unsigned idle = 0;
+    for (;;) {
+      const uint64_t submitted =
+          worker->submitted.load(std::memory_order_acquire);
+      const uint64_t processed = worker->counters.processed.value_acquire();
+      if (processed >= submitted) break;
+      if (!running_) {
+        // Not started: nothing will ever drain the ring.
+        break;
+      }
+      idle_backoff(idle);
+    }
+  }
 }
 
 void Dataplane::stop() {
-  // Return the producer stash before stopping so the post-stop leak
-  // gate (arena().outstanding() == 0) holds without caveats.
+  // Return the producer stash first so the post-stop leak gate
+  // (arena().outstanding() == 0) holds without caveats.
   cache_.flush();
-  pool_.stop();
+  if (!running_) return;
+  // seq_cst: pairs with the try_enqueue() re-check (see there).
+  stop_.store(true, std::memory_order_seq_cst);
+  for (auto& worker : workers_) {
+    if (worker->thread.joinable()) worker->thread.join();
+  }
+  // Reclaim leftovers into the shed ledger, releasing their arena
+  // slots. Workers normally exit with empty rings, but a fault-paused
+  // worker exits wedged, and an ingest that passed the stop_ gate
+  // before the store above may land its push after the join. Pop until
+  // processed + reclaimed covers submitted; the residual gap
+  // (count-first enqueue between its fetch_add and the push/rollback)
+  // resolves in bounded time. After this loop every slot that entered
+  // a ring is back on the freelist.
+  for (auto& worker : workers_) {
+    uint32_t slot = PacketHandle::kNil;
+    uint64_t reclaimed = 0;
+    for (;;) {
+      while (worker->ring.try_pop(slot)) {
+        arena_.release_raw(slot);
+        ++reclaimed;
+      }
+      const uint64_t submitted =
+          worker->submitted.load(std::memory_order_seq_cst);
+      const uint64_t processed = worker->counters.processed.value_acquire();
+      if (processed + reclaimed >= submitted) break;
+      std::this_thread::yield();
+    }
+    if (reclaimed > 0) worker->counters.shed.add_shared(reclaimed);
+  }
+  running_ = false;
+}
+
+Dataplane::EnqueueResult Dataplane::try_enqueue(size_t worker,
+                                                uint32_t slot,
+                                                bool shed_on_full) {
+  Worker& w = *workers_[worker];
+  // Admission gate: shed before counting into `submitted`, so the
+  // quiescence ledger only tracks packets that enter a ring. A plane
+  // that is stopping sheds everything (nothing will drain the ring);
+  // an armed injector models overload bursts the same way a full ring
+  // does. Shed == fail-open: the caller forwards unverified.
+  if (stop_.load(std::memory_order_seq_cst) ||
+      (injector_ != nullptr &&
+       injector_->reject_admission(static_cast<uint32_t>(worker),
+                                   clock_.now()))) {
+    w.counters.shed.add_shared();
+    return EnqueueResult::kShed;
+  }
+  // Count first, push second: a drain() racing with this enqueue
+  // either sees submitted > processed (waits, correct) or the push has
+  // not happened yet and the decrement below undoes the count.
+  w.submitted.fetch_add(1, std::memory_order_seq_cst);
+  // Re-check the stop gate AFTER publishing the count. Store-buffer
+  // pairing with stop() (both sides seq_cst): either this load sees
+  // the stop and rolls back, or stop()'s reclaim loop sees our count
+  // and waits for the push to land. Without it, an ingest in flight
+  // across stop() could strand a counted packet in a dead ring and
+  // break attempts == processed + shed.
+  if (stop_.load(std::memory_order_seq_cst)) {
+    w.submitted.fetch_sub(1, std::memory_order_release);
+    w.counters.shed.add_shared();
+    return EnqueueResult::kShed;
+  }
+  if (w.ring.try_push(uint32_t{slot})) return EnqueueResult::kEnqueued;
+  w.submitted.fetch_sub(1, std::memory_order_release);
+  if (!shed_on_full) return EnqueueResult::kRingFull;
+  w.counters.shed.add_shared();
+  return EnqueueResult::kShed;
+}
+
+void Dataplane::worker_main(size_t index) {
+  Worker& w = *workers_[index];
+  const bool synced = w.table_reader.attached();
+  const size_t batch_size = config_.pool.batch_size;
+  std::vector<uint32_t> slots(batch_size);
+  std::vector<net::Packet*> batch(batch_size);
+  std::vector<dataplane::Verdict> verdicts(batch_size);
+  unsigned idle = 0;
+  for (;;) {
+    // Injected pause: a wedged/descheduled process. Don't consume;
+    // keep re-checking so the schedule's end resumes us. stop() still
+    // wins — it reclaims whatever we leave in the ring — else a pause
+    // outliving the test would wedge shutdown too.
+    if (injector_ != nullptr &&
+        injector_->paused(static_cast<uint32_t>(index), clock_.now())) {
+      if (synced) w.table_reader.park();
+      w.cache.flush();
+      if (stop_.load(std::memory_order_acquire)) break;
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+      continue;
+    }
+    const size_t n = w.ring.pop_batch(slots.data(), batch_size);
+    if (n == 0) {
+      // Ring observed empty; exit only after stop so in-flight packets
+      // are always processed (deterministic final counts). Park first
+      // (an idle worker must not pin a retired table) and flush the
+      // release stash (an idle worker must not starve the producer of
+      // slots it is hoarding).
+      if (synced) w.table_reader.park();
+      w.cache.flush();
+      if (stop_.load(std::memory_order_acquire)) break;
+      idle_backoff(idle);
+      continue;
+    }
+    idle = 0;
+    // Run-to-completion burst: verify -> classify -> QoS-mark -> emit
+    // in one pass over the arena-resident packets; the only per-packet
+    // data this loop moves is the 4-byte slot index popped above.
+    // Epoch swap point first: pin the control plane's current table
+    // for this burst. Two uncontended atomic ops; the old table is
+    // reclaimable the moment every worker has moved on or parked.
+    if (synced) w.verifier.set_external_table(w.table_reader.acquire());
+    for (size_t i = 0; i < n; ++i) batch[i] = &arena_.at(slots[i]);
+    const telemetry::ScopedTimer batch_timer(w.counters.batch_nanos,
+                                             w.burst_sample.next());
+    const uint64_t t0 = thread_cpu_micros();
+    // The whole burst goes through the middlebox batch path: one clock
+    // read, and cookie MACs verified via the descriptor-grouped
+    // CookieVerifier::verify_batch instead of per-packet calls.
+    w.middlebox.process_batch(std::span<net::Packet* const>(batch.data(), n),
+                              std::span(verdicts.data(), n));
+    uint64_t bytes = 0, cookie = 0, mapped = 0;
+    std::array<uint64_t, cookies::kVerifyStatusCount> statuses{};
+    for (size_t i = 0; i < n; ++i) {
+      const net::Packet& packet = *batch[i];
+      const dataplane::Verdict& verdict = verdicts[i];
+      bytes += packet.size();
+      if (verdict.verify_status) {
+        ++cookie;
+        ++statuses[static_cast<size_t>(*verdict.verify_status)];
+      }
+      if (verdict.mapped_now) ++mapped;
+      if (verdicts_) {
+        VerdictRecord record;
+        record.worker = static_cast<uint32_t>(index);
+        record.seq = packet.seq;
+        record.tuple = packet.tuple;
+        record.has_action = verdict.action.has_value();
+        record.mapped_now = verdict.mapped_now;
+        record.verify_status = verdict.verify_status;
+        if (!verdicts_->try_push(std::move(record))) {
+          w.counters.verdicts_dropped.inc();
+        }
+      }
+      // Emit: the packet leaves the cookie layer here; its slot goes
+      // back to the freelist (stashed, spliced a chunk at a time).
+      w.cache.release_raw(slots[i]);
+    }
+    const uint64_t busy = thread_cpu_micros() - t0;
+    auto& c = w.counters;
+    c.packets.inc(n);
+    c.bytes.inc(bytes);
+    c.cookie_packets.inc(cookie);
+    for (size_t s = 0; s < statuses.size(); ++s) {
+      if (statuses[s] != 0) {
+        c.statuses.inc(static_cast<cookies::VerifyStatus>(s), statuses[s]);
+      }
+    }
+    c.mapped.inc(mapped);
+    c.batches.inc();
+    c.busy_micros.inc(busy);
+    // Release: publishes the middlebox/verifier mutations above to
+    // whoever acquires `processed` (drain, snapshot readers).
+    c.processed.inc_release(n);
+  }
+  if (synced) w.table_reader.park();
+  w.cache.flush();
+}
+
+RuntimeSnapshot Dataplane::snapshot() const {
+  RuntimeSnapshot snap;
+  snap.workers.reserve(workers_.size());
+  for (const auto& worker : workers_) {
+    snap.workers.push_back(snapshot_of(worker->counters));
+  }
+  return snap;
+}
+
+uint64_t Dataplane::total_verified() const {
+  uint64_t total = 0;
+  for (const auto& worker : workers_) {
+    total += worker->counters.statuses.count(cookies::VerifyStatus::kOk);
+  }
+  return total;
+}
+
+uint64_t Dataplane::total_replays_detected() const {
+  uint64_t total = 0;
+  for (const auto& worker : workers_) {
+    total +=
+        worker->counters.statuses.count(cookies::VerifyStatus::kReplayed);
+  }
+  return total;
+}
+
+size_t Dataplane::drain_verdicts(std::vector<VerdictRecord>& out) {
+  if (!verdicts_) return 0;
+  VerdictRecord record;
+  size_t n = 0;
+  while (verdicts_->try_pop(record)) {
+    out.push_back(std::move(record));
+    ++n;
+  }
+  return n;
+}
+
+const dataplane::Middlebox& Dataplane::middlebox(size_t worker) const {
+  return workers_[worker]->middlebox;
+}
+
+const cookies::CookieVerifier& Dataplane::verifier(size_t worker) const {
+  return workers_[worker]->verifier;
 }
 
 }  // namespace nnn::runtime

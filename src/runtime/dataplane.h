@@ -1,18 +1,31 @@
-// Dataplane: the zero-copy ingestion facade (§4.6 deployment, PR 8
-// API redesign).
+// Dataplane: the threaded, zero-copy cookie middlebox (§4.6 scale-out)
+// — the balancer, the worker shards behind it, and their lifecycle.
 //
-// Before this facade, callers chose a worker themselves —
-// `pool.submit(worker, std::move(packet))` — which spread the §4.6
-// correctness argument ("all cookies from a specific descriptor always
-// go through the same middle-box") across every call site, and moved
-// a ~200-byte Packet struct per hop. The redesigned contract is one
-// verb with the steering inside:
+// "We can use multiple cores instead of one, and similarly add more
+// than one middle-boxes to scale-out the deployment." The plane runs N
+// worker threads, each owning a complete shard (its own CookieVerifier
+// — descriptor table + replay cache — and its own Middlebox with flow
+// table), fed through one SPSC ring per worker in the
+// run-to-completion style of DPDK pipelines. Because a worker's
+// verifier and replay cache are touched by exactly one thread, the
+// §4.2 use-once check needs no locks; cross-worker soundness is the
+// steering's job (descriptor affinity, below).
+//
+// The contract is one verb with the steering inside:
 //
 //     runtime::Dataplane plane(clock, registry, config);
 //     plane.start();
 //     auto h = plane.make_packet();       // arena slot, recycled
 //     if (h) { build *h in place; plane.ingest(std::move(h)); }
 //     plane.drain();  plane.stop();
+//
+// Packets are built in place in the plane's PacketArena
+// (PacketGenerator::fill_packet, wire decode) and the rings carry
+// 4-byte slot indices, so the worker verifies/classifies/QoS-marks/
+// emits the same bytes — zero payload copies between ingest and emit.
+// Each burst is run to completion: pop handles -> pin epoch table ->
+// batch verify/classify -> mark -> emit (release slots), no
+// intermediate queues.
 //
 // ingest() demuxes by cookie identity: a cookie-bearing packet is
 // pinned to worker steer_shard(cookie_id) — the cheap no-HMAC peek +
@@ -21,44 +34,115 @@
 // verifiable (the paper's double-spend fix). Cookie-less traffic
 // spreads by five-tuple hash, preserving load balance where uniqueness
 // does not matter. DispatchPolicy::kFlowHash turns the peek off for
-// A/B runs (tests assert the double-spend hole it opens).
+// A/B runs (tests assert the double-spend hole it opens). This class
+// is the only §4.6 balancer in the tree: it alone owns the CID
+// steering state and calls pick_shard(), so the double-spend argument
+// lives in one place.
 //
 // Failure semantics are fail-open at every edge, matching the paper:
 // arena exhausted -> make_packet() returns an empty handle and
-// ingest() of it counts a shed; worker ring full or pool stopping ->
-// shed; in every case the slot is back on the freelist when ingest()
-// returns false and the wire path never blocks. The pool's ledger
-// (attempts == processed + shed) covers every handle passed in.
+// ingest() of it counts a shed; worker ring full, injected queue
+// pressure or plane stopping -> shed; in every case the slot is back
+// on the freelist when ingest() returns false and the wire path never
+// blocks. The shed ledger (attempts == processed + shed) covers every
+// handle passed in.
 //
-// This facade is the only §4.6 balancer in the tree: it alone owns the
-// CID steering state and calls pick_shard(), so the double-spend
-// argument lives in one place.
+// Threading contract:
+//   - make_packet()/ingest()/ingest_blocking() — ONE producer thread
+//     (the ingest thread);
+//   - arena().try_alloc() / PacketHandle release — any thread (the
+//     freelist is lock-free MPMC); but building a packet in a slot and
+//     ingesting it must happen on the producer thread;
+//   - control plane (add_descriptor / revoke / bind_table_publisher /
+//     set_fault_injector / middlebox / verifier accessors) — only
+//     while the plane is quiescent: before start(), or after
+//     drain()/stop() returns;
+//   - snapshot()/total_* — any thread, any time (atomics only);
+//   - the injected Clock must be safe to read concurrently
+//     (SystemClock is; a ManualClock must not be advanced while
+//     workers run).
 //
-// Threading: make_packet()/ingest()/ingest_blocking() are single
-// -producer (one ingest thread); control-plane calls follow
-// WorkerPool's quiescence contract; snapshots are safe any time.
+// Lifecycle: start() spawns the threads; drain() blocks until every
+// ingested packet has been processed (quiescence = per-worker
+// processed == submitted, with acquire/release pairing so the caller
+// may then read non-atomic state); stop() returns the producer stash,
+// lets workers finish what is already in their rings, then joins them
+// and reclaims anything a fault-paused worker left behind into the
+// shed ledger — so the books balance deterministically (attempts ==
+// processed + shed) whether or not drain() was called first, and
+// every arena slot that entered a ring is back on the freelist when
+// stop() returns (arena().outstanding() == 0 if the producer holds no
+// handles). The destructor stops and joins.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
+#include <optional>
+#include <thread>
+#include <vector>
 
+#include "controlplane/epoch.h"
+#include "cookies/verifier.h"
+#include "dataplane/middlebox.h"
+#include "dataplane/service_registry.h"
 #include "dataplane/sharding.h"
+#include "net/packet.h"
 #include "runtime/arena.h"
-#include "runtime/worker_pool.h"
+#include "runtime/mpsc_ring.h"
+#include "runtime/spsc_ring.h"
+#include "runtime/stats.h"
+#include "util/clock.h"
+
+namespace nnn::fault {
+class Injector;
+}
 
 namespace nnn::runtime {
 
+/// Compact record a worker publishes per processed packet when verdict
+/// collection is enabled — the cross-thread replacement for returning
+/// dataplane::Verdict by value to the caller.
+struct VerdictRecord {
+  uint32_t worker = 0;
+  uint32_t seq = 0;  // copied from Packet::seq; tests use it for ordering
+  net::FiveTuple tuple;
+  bool has_action = false;
+  bool mapped_now = false;
+  std::optional<cookies::VerifyStatus> verify_status;
+};
+
 class Dataplane {
  public:
+  /// The worker shards: threads, rings, arena and middlebox settings.
+  struct PoolConfig {
+    size_t workers = 1;
+    /// Per-worker input ring capacity (rounded up to a power of two).
+    size_t ring_capacity = 1024;
+    /// Burst size for worker dequeue; ~32 amortizes ring overhead
+    /// without hurting latency.
+    size_t batch_size = 32;
+    /// Capacity of the shared verdict ring; 0 disables collection.
+    size_t verdict_capacity = 0;
+    /// Packet-arena slots backing the rings. 0 = auto: enough for
+    /// every ring to be full plus per-thread caches and a producer
+    /// burst in flight.
+    size_t arena_slots = 0;
+    dataplane::Middlebox::Config middlebox{};
+  };
+
   struct Config {
-    WorkerPool::Config pool{};
+    PoolConfig pool{};
     dataplane::DispatchPolicy policy =
         dataplane::DispatchPolicy::kDescriptorAffinity;
   };
 
-  /// `clock` and `registry` must outlive the dataplane (they back the
-  /// owned WorkerPool).
+  /// `clock` and `registry` must outlive the dataplane. The registry is
+  /// read concurrently by all workers and must not be mutated while
+  /// the plane runs.
   Dataplane(const util::Clock& clock, dataplane::ServiceRegistry& registry,
             Config config);
+  ~Dataplane();  // stops and joins if still running
 
   Dataplane(const Dataplane&) = delete;
   Dataplane& operator=(const Dataplane&) = delete;
@@ -71,69 +155,119 @@ class Dataplane {
   PacketHandle make_packet();
 
   /// Steer by cookie identity and enqueue. Returns false when the
-  /// packet was shed (fail-open: forward it unverified); the slot is
-  /// back on the freelist either way. Producer thread only.
+  /// packet was shed — ring full, injected queue pressure, or the
+  /// plane is stopping — and counts it in the worker's shed ledger;
+  /// the slot is back on the freelist either way (on success, the
+  /// worker releases it at emit). Shedding is the overload valve with
+  /// the paper's fail-open semantics: the caller forwards the packet
+  /// unverified (best-effort band), it never drops it, and it never
+  /// blocks the wire path. Producer thread only.
   bool ingest(PacketHandle&& handle);
 
   /// Closed-loop variant: waits (yielding) for ring space instead of
   /// shedding — for benches and tests that need loss-free delivery.
-  /// An empty handle is still counted as shed (nothing to wait for).
+  /// The handle keeps its slot across retries, so nothing is recopied.
+  /// Still sheds for an empty handle (nothing to wait for), a stopping
+  /// plane, or an injector rejection.
   void ingest_blocking(PacketHandle&& handle);
 
   /// Which worker ingest() would steer this packet to. Pure query: it
   /// consults the CID steering state but never learns from the packet
   /// (ingest() does the learning), so repeated calls agree.
   size_t route(const net::Packet& packet) const {
-    return dataplane::pick_shard(packet, config_.policy,
-                                 pool_.worker_count(), aliases_);
+    return dataplane::pick_shard(packet, config_.policy, workers_.size(),
+                                 aliases_);
   }
 
-  // ---- lifecycle (see WorkerPool for the contracts) ----
-  void start() { pool_.start(); }
-  void drain() { pool_.drain(); }
+  // ---- lifecycle (see the file comment for the contracts) ----
+  void start();
+  /// Block until all ingested packets are processed. Callers must have
+  /// stopped ingesting; concurrent ingest makes "drained" a moving
+  /// target.
+  void drain();
+  /// Return the producer stash, drain what is already in the rings,
+  /// then join the threads. Idempotent.
   void stop();
-  bool running() const { return pool_.running(); }
+  bool running() const { return running_; }
 
   // ---- control plane (quiescent only) ----
-  void add_descriptor(const cookies::CookieDescriptor& descriptor) {
-    pool_.add_descriptor(descriptor);
-  }
-  void revoke(cookies::CookieId id) { pool_.revoke(id); }
-  void bind_table_publisher(controlplane::TablePublisher& publisher) {
-    pool_.bind_table_publisher(publisher);
-  }
-  void set_fault_injector(const fault::Injector* injector) {
-    pool_.set_fault_injector(injector);
-  }
+  /// Install a descriptor into every worker's verifier (control-plane
+  /// state is replicated; replay caches are not — see §4.6). Ignored
+  /// once a table publisher is bound — descriptor state then flows
+  /// exclusively through the sync channel.
+  void add_descriptor(const cookies::CookieDescriptor& descriptor);
+  /// Revoke on every worker; ignored once a table publisher is bound
+  /// (see add_descriptor).
+  void revoke(cookies::CookieId id);
+  /// Bind the plane to a control-plane table publisher. Must be called
+  /// before start(); the publisher must outlive the plane. Each worker
+  /// registers an epoch reader and thereafter verifies every burst
+  /// against the publisher's current table (re-acquired per burst — a
+  /// swap costs the worker two uncontended atomic ops, never a lock),
+  /// parking at idle and exit so retired tables reclaim promptly.
+  void bind_table_publisher(controlplane::TablePublisher& publisher);
+  /// Hook the plane into a fault injector: admission consults
+  /// reject_admission() and workers consult paused(). Before start()
+  /// only; the injector must outlive the plane. Null detaches. Workers
+  /// pass their index as the injector's worker id.
+  void set_fault_injector(const fault::Injector* injector);
 
   // ---- observability ----
-  RuntimeSnapshot snapshot() const { return pool_.snapshot(); }
-  uint64_t total_verified() const { return pool_.total_verified(); }
-  uint64_t total_replays_detected() const {
-    return pool_.total_replays_detected();
-  }
-  size_t drain_verdicts(std::vector<VerdictRecord>& out) {
-    return pool_.drain_verdicts(out);
-  }
-  const dataplane::Middlebox& middlebox(size_t worker) const {
-    return pool_.middlebox(worker);
-  }
-  const cookies::CookieVerifier& verifier(size_t worker) const {
-    return pool_.verifier(worker);
-  }
+  /// Consistent counters, safe while running.
+  RuntimeSnapshot snapshot() const;
+  uint64_t total_verified() const;
+  uint64_t total_replays_detected() const;
+  /// Drain collected verdicts (single consumer). Returns how many were
+  /// appended to `out`. No-op (0) unless verdict_capacity > 0.
+  size_t drain_verdicts(std::vector<VerdictRecord>& out);
+  /// Quiescent plane only (see the threading contract).
+  const dataplane::Middlebox& middlebox(size_t worker) const;
+  const cookies::CookieVerifier& verifier(size_t worker) const;
   dataplane::DispatchPolicy policy() const { return config_.policy; }
-  size_t worker_count() const { return pool_.worker_count(); }
-  PacketArena& arena() { return pool_.arena(); }
-  const PacketArena& arena() const { return pool_.arena(); }
+  size_t worker_count() const { return workers_.size(); }
+  /// The slab pool the rings index into. Producers build packets in
+  /// slots allocated here; workers release the slots at emit.
+  PacketArena& arena() { return arena_; }
+  const PacketArena& arena() const { return arena_; }
 
  private:
-  /// The balancer step ingest() and ingest_blocking() share: learn the
-  /// packet's CID steering state (descriptor affinity only), then pick
-  /// its worker.
+  struct Worker;
+
+  enum class EnqueueResult : uint8_t {
+    kEnqueued,  // ring owns the slot
+    kShed,      // shed counted; caller still owns (and releases) the slot
+    kRingFull,  // only when !shed_on_full: no shed counted, caller retries
+  };
+
+  /// The tail ingest() and ingest_blocking() share: count an empty
+  /// handle as shed, steer, then enqueue — shedding on a full ring, or
+  /// (`blocking`) waiting for space.
+  bool submit(PacketHandle&& handle, bool blocking);
+
+  /// The balancer step: learn the packet's CID steering state
+  /// (descriptor affinity only), then pick its worker.
   size_t steer(const net::Packet& packet);
 
+  /// Shed-ledger enqueue of a raw slot. `shed_on_full` selects whether
+  /// a full ring is terminal (shed counted) or retryable (kRingFull,
+  /// nothing counted — the blocking path's packet is one attempt, not
+  /// one per retry).
+  EnqueueResult try_enqueue(size_t worker, uint32_t slot,
+                            bool shed_on_full);
+
+  void worker_main(size_t index);
+
+  // Members the workers read come first; the state only the ingest
+  // thread writes, per packet, comes last, away from them.
+  const util::Clock& clock_;
   Config config_;
-  WorkerPool pool_;
+  PacketArena arena_;
+  controlplane::TablePublisher* publisher_ = nullptr;
+  const fault::Injector* injector_ = nullptr;
+  std::vector<std::unique_ptr<Worker>> workers_;
+  std::unique_ptr<MpscRing<VerdictRecord>> verdicts_;
+  std::atomic<bool> stop_{false};
+  bool running_ = false;
   /// Producer-side alloc stash (single producer thread).
   PacketArena::Cache cache_;
   /// CID -> steering-key state for the encrypted transport, learned on

@@ -7,13 +7,13 @@
 // (written only by that worker, so the atomics never contend) and
 // exposes:
 //   - snapshot():   safe at any time, reads only the atomics;
-//   - the worker's middlebox/verifier objects: safe only when the pool
+//   - the worker's middlebox/verifier objects: safe only when the plane
 //     is quiescent (after drain()/stop(), which establish the needed
 //     happens-before edge through the `processed` counter).
 //
 // The cells are telemetry::Counter instruments — the single-writer
 // relaxed-store discipline this block pioneered is now the telemetry
-// module's Counter contract, so the pool exports straight into the
+// module's Counter contract, so the plane exports straight into the
 // process-wide registry (nnn_pool_*{worker="i"}) with no extra
 // bookkeeping.
 #pragma once
@@ -34,7 +34,7 @@ namespace nnn::runtime {
 /// every store can be relaxed. `processed` is the exception: it is
 /// stored with release order after each batch (Counter::inc_release)
 /// and read with acquire by drain(), which is what makes the
-/// non-atomic middlebox state safe to read once the pool is quiescent.
+/// non-atomic middlebox state safe to read once the plane is quiescent.
 ///
 /// Per-VerifyStatus outcomes live in `statuses` — one cell per enum
 /// value — replacing the old hand-mirrored `verified`/`replayed`
@@ -52,11 +52,11 @@ struct alignas(kCacheLineSize) WorkerCounters {
   telemetry::Counter processed;       // release-stored per batch
   telemetry::Counter verdicts_dropped;  // verdict ring was full
   /// Packets refused admission (ring full, injected queue pressure, or
-  /// pool stopping) plus ring leftovers reclaimed by stop(). TWO
+  /// plane stopping) plus ring leftovers reclaimed by stop(). TWO
   /// writers — the producer thread and stop() — so unlike every other
   /// cell in this block it is written with the shared (fetch_add)
   /// path. The load-shedding ledger: submit attempts == processed +
-  /// shed once the pool has stopped.
+  /// shed once the plane has stopped.
   telemetry::Counter shed;
   telemetry::Histogram batch_nanos;   // wall nanos per ring burst
 
@@ -87,14 +87,14 @@ struct WorkerSnapshot {
   double avg_batch() const;
 };
 
-/// Snapshot of the whole pool, taken worker by worker.
+/// Snapshot of the whole plane, taken worker by worker.
 struct RuntimeSnapshot {
   std::vector<WorkerSnapshot> workers;
 
   WorkerSnapshot totals() const;
   /// Busiest worker's CPU time — the parallel critical path. With one
   /// dedicated core per worker, elapsed time ≈ max busy time, so
-  /// packets/max_busy is the throughput the pool sustains when the
+  /// packets/max_busy is the throughput the plane sustains when the
   /// hardware actually provides the cores (robust to benchmarking on
   /// fewer physical cores than workers).
   uint64_t max_busy_micros() const;

@@ -56,7 +56,7 @@ class PacketGenerator {
 
   /// The descriptors this generator signs with, for installing into
   /// additional verifiers (the threaded runtime replicates descriptor
-  /// tables across workers; see runtime::WorkerPool::add_descriptor).
+  /// tables across workers; see runtime::Dataplane::add_descriptor).
   std::vector<cookies::CookieDescriptor> descriptors() const;
 
  private:

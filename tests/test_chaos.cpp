@@ -811,21 +811,6 @@ TEST_P(ChaosQuic, MigrationComposesWithPressureAndSkew) {
   const fault::FaultPlan drawn = fault::FaultPlan::random(seed, spec);
   SCOPED_TRACE(trace_label(seed, drawn));
 
-  fault::FaultPlan plan;
-  const Timestamp base = wall.now() + 2 * kMillisecond;
-  for (fault::FaultEvent e : drawn.events()) {
-    e.start += base;
-    plan.add(e);
-  }
-  // The guaranteed composition: every connection migrates, a pressure
-  // burst sheds, a skew window pushes the verifier past the NCT.
-  plan.add({fault::FaultKind::kNatRebind, base, 30 * kMillisecond, 1.0});
-  plan.add({fault::FaultKind::kQueuePressure, base + 5 * kMillisecond,
-            10 * kMillisecond, 0.3});
-  plan.add({fault::FaultKind::kClockSkew, base + 12 * kMillisecond,
-            8 * kMillisecond, 1.0, 8 * kSecond});
-  injector.arm(plan, seed);
-
   dataplane::ServiceRegistry registry;
   registry.bind("Boost", dataplane::PriorityAction{0});
   runtime::Dataplane::Config config;
@@ -845,6 +830,43 @@ TEST_P(ChaosQuic, MigrationComposesWithPressureAndSkew) {
   for (const auto& d : gen.descriptors()) plane.add_descriptor(d);
   gen.set_fault_injector(&injector);
   plane.start();
+
+  // Fix the fault times only once the workers run. Under
+  // instrumentation and load, the set-up above and worker thread
+  // start-up can each outlast the 30 ms plan: the trace would miss the
+  // rebind window, or the workers would first verify the whole
+  // handshake backlog inside the skew window. One cookie-less probe per
+  // worker, drained, proves every worker is up; a drained plane is
+  // quiescent, so arming the injector here is within its contract. The
+  // trace generator checks kNatRebind against mint_clock, so that clock
+  // starts at the same instant as the plan.
+  const size_t probes = plane.worker_count();
+  uint32_t probe_flow = 1000;  // clear of the trace's connections
+  for (size_t w = 0; w < probes; ++w) {
+    net::Packet probe = flow_packet(probe_flow++);
+    while (plane.route(probe) != w) probe = flow_packet(probe_flow++);
+    runtime::PacketHandle h = plane.make_packet();
+    ASSERT_TRUE(h);
+    *h = std::move(probe);
+    plane.ingest_blocking(std::move(h));
+  }
+  plane.drain();
+  const Timestamp start = wall.now();
+  const Timestamp base = start + 2 * kMillisecond;
+  fault::FaultPlan plan;
+  for (fault::FaultEvent e : drawn.events()) {
+    e.start += base;
+    plan.add(e);
+  }
+  // The guaranteed composition: every connection migrates, a pressure
+  // burst sheds, a skew window pushes the verifier past the NCT.
+  plan.add({fault::FaultKind::kNatRebind, base, 30 * kMillisecond, 1.0});
+  plan.add({fault::FaultKind::kQueuePressure, base + 5 * kMillisecond,
+            10 * kMillisecond, 0.3});
+  plan.add({fault::FaultKind::kClockSkew, base + 12 * kMillisecond,
+            8 * kMillisecond, 1.0, 8 * kSecond});
+  injector.arm(plan, seed);
+  mint_clock.set(start);
 
   const size_t total = gen.total_packets();
   for (size_t i = 0; i < total; ++i) {
@@ -869,7 +891,8 @@ TEST_P(ChaosQuic, MigrationComposesWithPressureAndSkew) {
 
   // Fail-open: the books balance and every arena slot came home.
   const runtime::WorkerSnapshot totals = plane.snapshot().totals();
-  EXPECT_EQ(totals.processed + totals.shed, total) << "ledger imbalance";
+  EXPECT_EQ(totals.processed + totals.shed, total + probes)
+      << "ledger imbalance";
   EXPECT_EQ(plane.arena().outstanding(), 0u) << "arena leaked slots";
 
   // The pinned kNatRebind event really migrated connections.

@@ -1,6 +1,6 @@
 // Control plane: descriptor log versioning, snapshot/delta sync,
 // epoch-swapped table publication, and revocation propagation into a
-// running worker pool. The VerifyDuringSwap test is a TSan CI target.
+// running dataplane. The VerifyDuringSwap test is a TSan CI target.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,7 +19,7 @@
 #include "cookies/verifier.h"
 #include "dataplane/service_registry.h"
 #include "net/packet.h"
-#include "runtime/worker_pool.h"
+#include "runtime/dataplane.h"
 #include "sim/event_loop.h"
 #include "sim/link.h"
 #include "util/clock.h"
@@ -618,7 +618,7 @@ TEST(ControlPlaneSim, ConvergesOverLossyReorderingLinks) {
       << "loss impairment never fired; the test is vacuous";
 }
 
-// --- End-to-end: revocation reaches a running pool -----------------
+// --- End-to-end: revocation reaches a running plane ----------------
 
 net::Packet flow_packet(uint32_t flow_id) {
   net::Packet p;
@@ -631,25 +631,40 @@ net::Packet flow_packet(uint32_t flow_id) {
   return p;
 }
 
-void submit_spin(runtime::WorkerPool& pool, size_t worker,
-                 net::Packet&& packet) {
-  // Closed loop over the arena path: wait for a slot, build the
-  // packet in place, then block on the ring (no copy-in shim).
+/// These tests spread one descriptor's cookies over every worker, so
+/// each worker's verifier must see the swap or the revocation itself:
+/// flow-hash steering, which ignores the cookie.
+runtime::Dataplane::Config flow_hash_config(size_t workers) {
+  runtime::Dataplane::Config config;
+  config.policy = dataplane::DispatchPolicy::kFlowHash;
+  config.pool.workers = workers;
+  return config;
+}
+
+/// Closed loop onto `worker`: under flow hash the worker is picked by
+/// picking the flow, the first flow id from `next_flow` on that
+/// route() sends there (advancing `next_flow`, so every packet opens a
+/// fresh flow). Waits for a slot, builds the packet in place, then
+/// blocks on the ring.
+void submit_spin(runtime::Dataplane& plane, size_t worker,
+                 uint32_t& next_flow, const cookies::Cookie& cookie) {
+  net::Packet packet = flow_packet(next_flow++);
+  while (plane.route(packet) != worker) packet = flow_packet(next_flow++);
+  cookies::attach(packet, cookie, cookies::Transport::kUdpHeader);
   runtime::PacketHandle handle;
-  while (!(handle = pool.arena().try_alloc())) {
+  while (!(handle = plane.make_packet())) {
     std::this_thread::yield();
   }
   *handle = std::move(packet);
-  pool.submit_handle_blocking(worker, std::move(handle));
+  plane.ingest_blocking(std::move(handle));
 }
 
 TEST(ControlPlaneRuntime, RevocationReachesEveryWorkerThroughSync) {
   util::SystemClock clock;
   dataplane::ServiceRegistry registry;
   registry.bind("Boost", dataplane::PriorityAction{0});
-  runtime::WorkerPool::Config config;
-  config.workers = 2;
-  runtime::WorkerPool pool(clock, registry, config);
+  const runtime::Dataplane::Config config = flow_hash_config(2);
+  runtime::Dataplane plane(clock, registry, config);
 
   DescriptorLog log;
   SyncServer server(log);
@@ -663,42 +678,39 @@ TEST(ControlPlaneRuntime, RevocationReachesEveryWorkerThroughSync) {
                       }
                     });
   client_ptr = &client;
-  pool.bind_table_publisher(tables);
+  plane.bind_table_publisher(tables);
 
   log.append_add(make_descriptor(1));
   client.start();
-  pool.start();
+  plane.start();
 
   util::ManualClock mint_clock(clock.now());
   cookies::CookieGenerator gen(make_descriptor(1), mint_clock, 7);
+  uint32_t next_flow = 0;
   for (uint32_t i = 0; i < 8; ++i) {
-    net::Packet p = flow_packet(i);
-    cookies::attach(p, gen.generate(), cookies::Transport::kUdpHeader);
-    submit_spin(pool, i % config.workers, std::move(p));
+    submit_spin(plane, i % config.pool.workers, next_flow, gen.generate());
     mint_clock.advance(kMillisecond);
   }
-  pool.drain();
-  EXPECT_EQ(pool.total_verified(), 8u);
+  plane.drain();
+  EXPECT_EQ(plane.total_verified(), 8u);
 
   // The revocation travels server -> log -> sync -> table swap; no
-  // direct pool/verifier call anywhere.
+  // direct plane/verifier call anywhere.
   log.append_revoke(1);
   control_clock.advance(kSecond);
   client.tick();
   ASSERT_TRUE(tables.peek()->find(1)->revoked);
 
   for (uint32_t i = 100; i < 108; ++i) {
-    net::Packet p = flow_packet(i);
-    cookies::attach(p, gen.generate(), cookies::Transport::kUdpHeader);
-    submit_spin(pool, i % config.workers, std::move(p));
+    submit_spin(plane, i % config.pool.workers, next_flow, gen.generate());
     mint_clock.advance(kMillisecond);
   }
-  pool.drain();
-  pool.stop();
-  EXPECT_EQ(pool.total_verified(), 8u);  // nothing after the revoke
+  plane.drain();
+  plane.stop();
+  EXPECT_EQ(plane.total_verified(), 8u);  // nothing after the revoke
   uint64_t revoked_seen = 0;
-  for (size_t w = 0; w < config.workers; ++w) {
-    const uint64_t revoked = pool.verifier(w).stats().revoked;
+  for (size_t w = 0; w < config.pool.workers; ++w) {
+    const uint64_t revoked = plane.verifier(w).stats().revoked;
     EXPECT_GT(revoked, 0u) << "revocation missed worker " << w;
     revoked_seen += revoked;
   }
@@ -714,13 +726,12 @@ TEST(ControlPlaneRuntime, VerifyDuringSwapIsRaceFree) {
   util::SystemClock clock;
   dataplane::ServiceRegistry registry;
   registry.bind("Boost", dataplane::PriorityAction{0});
-  runtime::WorkerPool::Config config;
-  config.workers = 2;
-  config.ring_capacity = 256;
-  runtime::WorkerPool pool(clock, registry, config);
+  runtime::Dataplane::Config config = flow_hash_config(2);
+  config.pool.ring_capacity = 256;
+  runtime::Dataplane plane(clock, registry, config);
 
   TablePublisher tables;
-  pool.bind_table_publisher(tables);
+  plane.bind_table_publisher(tables);
 
   // Seed both alternating tables with the descriptor being verified so
   // every burst resolves it no matter which epoch it pins.
@@ -732,7 +743,7 @@ TEST(ControlPlaneRuntime, VerifyDuringSwapIsRaceFree) {
     return mirror.build();
   };
   tables.publish(build(1));
-  pool.start();
+  plane.start();
 
   // The overlap is certain, not likely: the swapper publishes at least
   // twice before it honours stop, and the producer starts only after
@@ -755,21 +766,20 @@ TEST(ControlPlaneRuntime, VerifyDuringSwapIsRaceFree) {
   util::ManualClock mint_clock(clock.now());
   cookies::CookieGenerator gen(make_descriptor(1), mint_clock, 7);
   constexpr uint32_t kPackets = 4000;
+  uint32_t next_flow = 0;
   for (uint32_t i = 0; i < kPackets; ++i) {
-    net::Packet p = flow_packet(i);
-    cookies::attach(p, gen.generate(), cookies::Transport::kUdpHeader);
-    submit_spin(pool, i % config.workers, std::move(p));
+    submit_spin(plane, i % config.pool.workers, next_flow, gen.generate());
     mint_clock.advance(kMillisecond);
   }
-  pool.drain();
+  plane.drain();
   stop_swapping.store(true, std::memory_order_release);
   swapper.join();
-  pool.stop();
+  plane.stop();
 
   // Workers parked at stop; everything retired must now be free.
   tables.try_reclaim();
   EXPECT_EQ(tables.retired_count(), 0u);
-  EXPECT_EQ(pool.total_verified(), kPackets);
+  EXPECT_EQ(plane.total_verified(), kPackets);
   EXPECT_GT(tables.epoch(), 2u) << "swapper never actually swapped";
 }
 
@@ -782,13 +792,12 @@ TEST(ControlPlaneRuntime, VerifyDuringSwapAt100kDescriptors) {
   util::SystemClock clock;
   dataplane::ServiceRegistry registry;
   registry.bind("Boost", dataplane::PriorityAction{0});
-  runtime::WorkerPool::Config config;
-  config.workers = 2;
-  config.ring_capacity = 256;
-  runtime::WorkerPool pool(clock, registry, config);
+  runtime::Dataplane::Config config = flow_hash_config(2);
+  config.pool.ring_capacity = 256;
+  runtime::Dataplane plane(clock, registry, config);
 
   TablePublisher tables;
-  pool.bind_table_publisher(tables);
+  plane.bind_table_publisher(tables);
 
   constexpr cookies::CookieId kTableSize = 100'000;
   TableMirror mirror;
@@ -801,7 +810,7 @@ TEST(ControlPlaneRuntime, VerifyDuringSwapAt100kDescriptors) {
     mirror.reset(1, std::move(live), {});
   }
   tables.publish(mirror.build());
-  pool.start();
+  plane.start();
 
   // Swapper: keep publishing fresh 100k-record tables (each build()
   // copies the store) while the workers verify. The overlap is
@@ -839,21 +848,20 @@ TEST(ControlPlaneRuntime, VerifyDuringSwapAt100kDescriptors) {
                       id);
   }
   constexpr uint32_t kPackets = 2000;
+  uint32_t next_flow = 0;
   for (uint32_t i = 0; i < kPackets; ++i) {
-    net::Packet p = flow_packet(i);
-    cookies::attach(p, gens[i % gens.size()].generate(),
-                    cookies::Transport::kUdpHeader);
-    submit_spin(pool, i % config.workers, std::move(p));
+    submit_spin(plane, i % config.pool.workers, next_flow,
+                gens[i % gens.size()].generate());
     mint_clock.advance(kMillisecond);
   }
-  pool.drain();
+  plane.drain();
   stop_swapping.store(true, std::memory_order_release);
   swapper.join();
-  pool.stop();
+  plane.stop();
 
   tables.try_reclaim();
   EXPECT_EQ(tables.retired_count(), 0u);
-  EXPECT_EQ(pool.total_verified(), kPackets);
+  EXPECT_EQ(plane.total_verified(), kPackets);
   EXPECT_GT(tables.epoch(), 1u) << "swapper never actually swapped";
 }
 

@@ -2,7 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <deque>
-#include <unordered_set>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -127,11 +127,12 @@ TEST(ReplayCache, DistinctUuidsAllAccepted) {
   EXPECT_EQ(cache.size(), 1000u);
 }
 
-/// The seed-era cache in miniature: insertion-ordered deque, purge on
-/// every insert. Under a monotone clock insertion order equals expiry
-/// order, so its prefix purge is exact and the wheel-based cache must
-/// agree on every observable (insert verdicts, membership, size,
-/// capacity evictions).
+/// The seed-era cache in miniature, made exact for any clock order:
+/// every uuid is kept with its own expiry, purge drops each entry due
+/// by `now`, and the capacity clamp evicts in insertion order. Under a
+/// monotone clock insertion order is expiry order, so the wheel-based
+/// cache must agree on every observable (insert verdicts, membership,
+/// size, capacity evictions).
 class ReferenceReplayCache {
  public:
   ReferenceReplayCache(util::Timestamp horizon, size_t capacity)
@@ -139,46 +140,55 @@ class ReferenceReplayCache {
 
   bool insert(const crypto::Uuid& uuid, util::Timestamp now) {
     purge(now);
-    if (seen_.contains(uuid)) return false;
-    while (order_.size() >= capacity_) {
-      seen_.erase(order_.front().first);
+    if (expiry_.contains(uuid)) return false;
+    while (expiry_.size() >= capacity_) {
+      // Oldest live insertion first; records of purged entries (or of
+      // an earlier life of a re-inserted uuid) are skipped.
+      const auto [oldest, expires] = order_.front();
       order_.pop_front();
-      ++capacity_evictions_;
+      const auto it = expiry_.find(oldest);
+      if (it != expiry_.end() && it->second == expires) {
+        expiry_.erase(it);
+        ++capacity_evictions_;
+      }
     }
+    expiry_.emplace(uuid, now + horizon_);
     order_.emplace_back(uuid, now + horizon_);
-    seen_.insert(uuid);
     return true;
   }
   bool contains(const crypto::Uuid& uuid) const {
-    return seen_.contains(uuid);
+    return expiry_.contains(uuid);
   }
   void purge(util::Timestamp now) {
-    while (!order_.empty() && order_.front().second <= now) {
-      seen_.erase(order_.front().first);
-      order_.pop_front();
-    }
+    std::erase_if(expiry_,
+                  [now](const auto& entry) { return entry.second <= now; });
   }
-  size_t size() const { return order_.size(); }
+  size_t size() const { return expiry_.size(); }
   uint64_t capacity_evictions() const { return capacity_evictions_; }
 
  private:
   util::Timestamp horizon_;
   size_t capacity_;
+  std::unordered_map<crypto::Uuid, util::Timestamp> expiry_;
+  /// Insertion order with each record's expiry, for the capacity clamp.
   std::deque<std::pair<crypto::Uuid, util::Timestamp>> order_;
-  std::unordered_set<crypto::Uuid> seen_;
   uint64_t capacity_evictions_ = 0;
 };
 
-TEST(ReplayCache, DifferentialAgainstReferenceUnderMonotoneChurn) {
-  constexpr util::Timestamp kHorizon = 5 * util::kSecond;
-  constexpr size_t kCapacity = 300;
-  ReplayCache cache(kHorizon, kCapacity);
-  ReferenceReplayCache reference(kHorizon, kCapacity);
-  util::Rng rng(0xD1FF);
-  util::Timestamp now = 0;
+constexpr util::Timestamp kChurnHorizon = 5 * util::kSecond;
+constexpr int kChurnOps = 30'000;
+
+/// Random churn — fresh inserts, replays of recent uuids, explicit
+/// purges — at the timestamps `next_now` draws, with the cache and the
+/// reference compared after every operation.
+template <typename NextNow>
+void differential_churn(size_t capacity, uint64_t seed, NextNow next_now) {
+  ReplayCache cache(kChurnHorizon, capacity);
+  ReferenceReplayCache reference(kChurnHorizon, capacity);
+  util::Rng rng(seed);
   std::vector<crypto::Uuid> recent;
-  for (int op = 0; op < 30'000; ++op) {
-    now += rng.next_u64(40) * util::kMillisecond;  // monotone, bursty
+  for (int op = 0; op < kChurnOps; ++op) {
+    const util::Timestamp now = next_now(rng);
     const uint64_t kind = rng.next_u64(10);
     if (kind == 0) {
       cache.purge(now);
@@ -201,6 +211,36 @@ TEST(ReplayCache, DifferentialAgainstReferenceUnderMonotoneChurn) {
   }
   for (const auto& uuid : recent) {
     ASSERT_EQ(cache.contains(uuid), reference.contains(uuid));
+  }
+}
+
+TEST(ReplayCache, DifferentialAgainstReferenceUnderMonotoneChurn) {
+  {
+    // Monotone, bursty clock; a capacity of 300 makes the clamp evict.
+    SCOPED_TRACE("monotone clock");
+    util::Timestamp now = 0;
+    differential_churn(300, 0xD1FF, [&now](util::Rng& rng) {
+      now += static_cast<util::Timestamp>(rng.next_u64(40)) *
+             util::kMillisecond;
+      return now;
+    });
+  }
+  {
+    // Skewed clock, like kClockSkew: every reading jitters up to ±NCT
+    // around a bursty monotone base, and one in 32 jumps 8 s ahead.
+    // The wheel evicts for capacity in slot order, which differs from
+    // insertion order once timestamps arrive out of order, so the
+    // capacity sits above the operation count and expiry alone decides.
+    SCOPED_TRACE("skewed clock");
+    util::Timestamp base = 100 * util::kSecond;
+    differential_churn(kChurnOps + 1, 0x5CE3, [&base](util::Rng& rng) {
+      base += static_cast<util::Timestamp>(rng.next_u64(40)) *
+              util::kMillisecond;
+      if (rng.next_u64(32) == 0) return base + 8 * util::kSecond;
+      const auto jitter = static_cast<util::Timestamp>(
+          rng.next_u64(2 * kChurnHorizon + 1));
+      return base + jitter - kChurnHorizon;
+    });
   }
 }
 

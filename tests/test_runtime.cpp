@@ -16,7 +16,6 @@
 #include "runtime/dataplane.h"
 #include "runtime/mpsc_ring.h"
 #include "runtime/spsc_ring.h"
-#include "runtime/worker_pool.h"
 #include "telemetry/exposition.h"
 #include "telemetry/metrics.h"
 #include "util/clock.h"
@@ -150,7 +149,7 @@ TEST(MpscRing, ConcurrentProducersDeliverEverything) {
   for (auto& t : producers) t.join();
 }
 
-// --- Pool fixtures -------------------------------------------------
+// --- Plane fixtures ------------------------------------------------
 
 cookies::CookieDescriptor make_descriptor(cookies::CookieId id) {
   cookies::CookieDescriptor d;
@@ -171,17 +170,6 @@ net::Packet flow_packet(uint32_t flow_id, uint32_t seq) {
   p.seq = seq;
   return p;
 }
-
-struct PoolFixture {
-  util::SystemClock clock;  // safe for concurrent reads
-  dataplane::ServiceRegistry registry;
-  WorkerPool pool;
-
-  explicit PoolFixture(WorkerPool::Config config)
-      : pool(clock, registry, config) {
-    registry.bind("Boost", dataplane::PriorityAction{0});
-  }
-};
 
 struct PlaneFixture {
   util::SystemClock clock;  // safe for concurrent reads
@@ -438,10 +426,9 @@ TEST(Runtime, StopWithoutDrainProcessesQueuedPackets) {
 /// queue-pressure burst and a worker pause — every submit attempt ends
 /// up as processed or shed, never silently lost. Runs under TSan.
 TEST(Runtime, ShedLedgerReconcilesWhenStopRacesQueuePressure) {
-  WorkerPool::Config config;
-  config.workers = 2;
-  config.ring_capacity = 64;  // small on purpose: real ring-full sheds
-  PoolFixture fx(config);
+  Dataplane::Config config = plane_config(DispatchPolicy::kFlowHash, 2);
+  config.pool.ring_capacity = 64;  // small on purpose: real ring-full sheds
+  PlaneFixture fx(config);
 
   fault::Injector injector;
   fault::FaultPlan plan;
@@ -454,24 +441,25 @@ TEST(Runtime, ShedLedgerReconcilesWhenStopRacesQueuePressure) {
   plan.add({fault::FaultKind::kPause, now + 2 * util::kMillisecond,
             10 * util::kSecond, 1.0, 0, 0});
   injector.arm(plan, 42);
-  fx.pool.set_fault_injector(&injector);
-  fx.pool.start();
+  fx.plane.set_fault_injector(&injector);
+  fx.plane.start();
 
   constexpr uint64_t kAttempts = 20000;
   std::atomic<uint64_t> accepted{0};
   std::atomic<uint64_t> rejected{0};
   std::thread producer([&] {
     for (uint64_t i = 0; i < kAttempts; ++i) {
-      const size_t worker = i % 2;
       // One attempt per packet through the arena path: an exhausted
-      // arena rides the empty handle into submit_handle, which counts
-      // the shed — same ledger contract the retired copy-shim had.
-      runtime::PacketHandle handle = fx.pool.arena().try_alloc();
+      // arena rides the empty handle into ingest(), which counts the
+      // shed. The slot comes straight from the arena (any thread), not
+      // the producer stash, because stop() below returns that stash
+      // from the main thread. 64 flows hash onto both workers.
+      runtime::PacketHandle handle = fx.plane.arena().try_alloc();
       if (handle) {
         *handle = flow_packet(static_cast<uint32_t>(i % 64),
                               static_cast<uint32_t>(i));
       }
-      if (fx.pool.submit_handle(worker, std::move(handle))) {
+      if (fx.plane.ingest(std::move(handle))) {
         accepted.fetch_add(1, std::memory_order_relaxed);
       } else {
         rejected.fetch_add(1, std::memory_order_relaxed);
@@ -482,10 +470,10 @@ TEST(Runtime, ShedLedgerReconcilesWhenStopRacesQueuePressure) {
   // Stop while the producer is (very likely) still submitting — the
   // race under test. Correctness must not depend on the timing.
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  fx.pool.stop();
+  fx.plane.stop();
   producer.join();
 
-  const auto totals = fx.pool.snapshot().totals();
+  const auto totals = fx.plane.snapshot().totals();
   EXPECT_EQ(accepted.load() + rejected.load(), kAttempts);
   // The ledger: every attempt is processed or shed, exactly once.
   EXPECT_EQ(totals.processed + totals.shed, kAttempts);
@@ -497,25 +485,24 @@ TEST(Runtime, ShedLedgerReconcilesWhenStopRacesQueuePressure) {
 }
 
 TEST(Runtime, LifecycleIsIdempotent) {
-  WorkerPool::Config config;
-  config.workers = 2;
-  PoolFixture fx(config);
-  fx.pool.stop();   // stop before start: no-op
-  fx.pool.drain();  // drain before start: no-op (nothing submitted)
-  fx.pool.start();
-  fx.pool.start();  // double start: no-op
-  fx.pool.stop();
-  fx.pool.stop();  // double stop: no-op
-  EXPECT_EQ(fx.pool.snapshot().totals().packets, 0u);
+  PlaneFixture fx(plane_config(DispatchPolicy::kDescriptorAffinity, 2));
+  fx.plane.stop();   // stop before start: no-op
+  fx.plane.drain();  // drain before start: no-op (nothing submitted)
+  fx.plane.start();
+  fx.plane.start();  // double start: no-op
+  fx.plane.stop();
+  fx.plane.stop();  // double stop: no-op
+  EXPECT_EQ(fx.plane.snapshot().totals().packets, 0u);
 }
 
 TEST(Runtime, DestructorJoinsRunningPool) {
   util::SystemClock clock;
   dataplane::ServiceRegistry registry;
-  auto pool = std::make_unique<WorkerPool>(clock, registry,
-                                           WorkerPool::Config{.workers = 2});
-  pool->start();
-  pool.reset();  // must join, not crash or leak threads
+  auto plane = std::make_unique<Dataplane>(
+      clock, registry,
+      plane_config(DispatchPolicy::kDescriptorAffinity, 2));
+  plane->start();
+  plane.reset();  // must join, not crash or leak threads
 }
 
 // --- Concurrent telemetry export (TSan target) ---------------------

@@ -143,16 +143,16 @@ TEST_F(VerifierTest, WireAndTextVerification) {
   EXPECT_EQ(verifier_.stats().unknown_id, 0u);
 }
 
-TEST_F(VerifierTest, IndependentReplayCachesPerDescriptor) {
-  auto gen_a = install(12);
-  auto gen_b = install(13);
-  // Same uuid under two descriptors: each descriptor tracks its own.
-  Cookie a = gen_a.generate();
-  Cookie b = a;
-  b.cookie_id = 13;
-  b.signature = b.compute_tag(util::BytesView(make_descriptor(13).key));
-  EXPECT_TRUE(verifier_.verify(a).ok());
-  EXPECT_TRUE(verifier_.verify(b).ok());
+TEST_F(VerifierTest, RemoveThenReAddKeepsUseOnce) {
+  // Use-once memory belongs to the verifier, not to the descriptor
+  // entry: dropping a descriptor and installing it again must not
+  // make an already-spent cookie spendable.
+  auto gen = install(12);
+  const Cookie c = gen.generate();
+  EXPECT_TRUE(verifier_.verify(c).ok());
+  EXPECT_TRUE(verifier_.remove(12));
+  verifier_.add_descriptor(make_descriptor(12));
+  EXPECT_EQ(verifier_.verify(c).status, VerifyStatus::kReplayed);
 }
 
 TEST_F(VerifierTest, StatsTotalsAdd) {
@@ -282,8 +282,8 @@ class ExternalVerifierTest : public ::testing::Test {
   }
 
   /// `salt` picks a distinct uuid stream: the replay cache is
-  /// verifier-wide in external mode, so two generators for the same
-  /// descriptor must not replay each other's uuids.
+  /// verifier-wide, so two generators for the same descriptor must not
+  /// replay each other's uuids.
   CookieGenerator generator(const CookieDescriptor& descriptor,
                             uint64_t salt = 0) {
     return CookieGenerator(descriptor, clock_,
@@ -358,23 +358,31 @@ TEST_F(ExternalVerifierTest, RevokedRecordShortCircuitsWithoutAdmission) {
 }
 
 TEST_F(ExternalVerifierTest, ReplayScopeIsVerifierWideAcrossDescriptors) {
-  // External mode shares ONE uuid-keyed replay cache across
-  // descriptors (uuids are 128-bit randoms, so a cross-descriptor
-  // collision is adversarial reuse). Re-signing a seen uuid under a
-  // different descriptor's key must still be caught.
+  // Both modes share ONE uuid-keyed replay cache across descriptors
+  // (uuids are 128-bit randoms, so a cross-descriptor collision is
+  // adversarial reuse). Re-signing a seen uuid under a different
+  // descriptor's key must still be caught. Inputs: a local-mode
+  // verifier with both descriptors installed, and this fixture's
+  // verifier over a published table.
   const auto d1 = make_descriptor(1);
   const auto d2 = make_descriptor(2);
+  CookieVerifier local(clock_);
+  local.add_descriptor(d1);
+  local.add_descriptor(d2);
   mirror_.reset(1, {d1, d2}, {});
   publish(1);
-  auto gen = generator(d1);
-  const Cookie first = gen.generate();
-  EXPECT_TRUE(verifier_.verify(first).ok());
+  for (CookieVerifier* verifier : {&local, &verifier_}) {
+    SCOPED_TRACE(verifier->external_mode() ? "external" : "local");
+    auto gen = generator(d1);
+    const Cookie first = gen.generate();
+    EXPECT_TRUE(verifier->verify(first).ok());
 
-  Cookie cross = first;
-  cross.cookie_id = 2;
-  cross.signature = cross.compute_tag(util::BytesView(d2.key));
-  EXPECT_EQ(verifier_.verify(cross).status, VerifyStatus::kReplayed);
-  EXPECT_EQ(verifier_.external_replay().size(), 1u);
+    Cookie cross = first;
+    cross.cookie_id = 2;
+    cross.signature = cross.compute_tag(util::BytesView(d2.key));
+    EXPECT_EQ(verifier->verify(cross).status, VerifyStatus::kReplayed);
+    EXPECT_EQ(verifier->external_replay().size(), 1u);
+  }
 }
 
 TEST_F(ExternalVerifierTest, HotBudgetEvictsColdDescriptors) {
@@ -395,6 +403,7 @@ TEST_F(ExternalVerifierTest, HotBudgetEvictsColdDescriptors) {
 }
 
 TEST_F(ExternalVerifierTest, ConfiguredReplayCapacityClampsFlood) {
+  // External input: ten cookies under one published descriptor.
   mirror_.reset(1, {make_descriptor(1)}, {});
   publish(1);
   verifier_.configure_external_replay(4);
@@ -404,6 +413,18 @@ TEST_F(ExternalVerifierTest, ConfiguredReplayCapacityClampsFlood) {
   }
   EXPECT_EQ(verifier_.external_replay().size(), 4u);
   EXPECT_EQ(verifier_.external_replay().capacity_evictions(), 6u);
+
+  // Local input: one cookie under each of ten installed descriptors.
+  // The one clamp bounds them all, not one clamp per descriptor.
+  CookieVerifier local(clock_);
+  local.configure_external_replay(4);
+  for (CookieId id = 1; id <= 10; ++id) {
+    local.add_descriptor(make_descriptor(id));
+    auto local_gen = generator(make_descriptor(id));
+    EXPECT_TRUE(local.verify(local_gen.generate()).ok()) << "id " << id;
+  }
+  EXPECT_EQ(local.external_replay().size(), 4u);
+  EXPECT_EQ(local.external_replay().capacity_evictions(), 6u);
 }
 
 TEST_F(ExternalVerifierTest, BatchMatchesSequentialInExternalMode) {
