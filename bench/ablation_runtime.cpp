@@ -90,6 +90,10 @@ RunResult run_one(DispatchPolicy policy, size_t workers, size_t flows,
 
   const auto snap = plane.snapshot();
   const auto totals = snap.totals();
+  uint64_t bytes = 0;
+  for (size_t w = 0; w < plane.worker_count(); ++w) {
+    bytes += plane.middlebox(w).stats().bytes;
+  }
   RunResult r;
   r.workers = workers;
   const double wall_us = static_cast<double>(t1 - t0);
@@ -99,7 +103,7 @@ RunResult run_one(DispatchPolicy policy, size_t workers, size_t flows,
   r.percore_mpps =
       critical_us > 0 ? static_cast<double>(totals.packets) / critical_us : 0;
   r.gbps_percore = critical_us > 0
-                       ? static_cast<double>(totals.bytes) * 8 /
+                       ? static_cast<double>(bytes) * 8 /
                              (critical_us * 1e3)
                        : 0;
   r.verified = plane.total_verified();

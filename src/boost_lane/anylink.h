@@ -43,8 +43,6 @@ class AnyLinkProxy {
   /// emulate (nullopt -> unshaped pass-through).
   std::optional<LinkProfile> process(net::Packet& packet);
 
-  dataplane::MiddleboxStats stats() const { return middlebox_.stats(); }
-
  private:
   dataplane::ServiceRegistry registry_;
   dataplane::Middlebox middlebox_;

@@ -75,7 +75,6 @@ class BoostDaemon {
 
   const std::string& active_boost_client() const { return active_client_; }
   bool throttle_active() const { return throttle_active_; }
-  dataplane::MiddleboxStats stats() const { return middlebox_.stats(); }
   dataplane::Middlebox& middlebox() { return middlebox_; }
 
  private:

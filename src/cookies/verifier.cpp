@@ -302,19 +302,6 @@ VerifyResult CookieVerifier::verify_text(std::string_view text) {
   return verify(*cookie);
 }
 
-VerifierStats CookieVerifier::stats() const {
-  VerifierStats s;
-  s.verified = status_.count(VerifyStatus::kOk);
-  s.unknown_id = status_.count(VerifyStatus::kUnknownId);
-  s.bad_signature = status_.count(VerifyStatus::kBadSignature);
-  s.stale_timestamp = status_.count(VerifyStatus::kStaleTimestamp);
-  s.replayed = status_.count(VerifyStatus::kReplayed);
-  s.expired = status_.count(VerifyStatus::kDescriptorExpired);
-  s.revoked = status_.count(VerifyStatus::kDescriptorRevoked);
-  s.malformed = status_.count(VerifyStatus::kMalformed);
-  return s;
-}
-
 void CookieVerifier::reset_stats() {
   const WriterCheck check(*this);
   status_.reset();

@@ -73,7 +73,6 @@
 #include "telemetry/metrics.h"
 #include "telemetry/view.h"
 #include "util/clock.h"
-#include "util/error.h"
 
 namespace nnn::cookies {
 
@@ -96,32 +95,6 @@ enum class VerifyStatus : uint8_t {
 // to_string(VerifyStatus) lives in telemetry/labels.h (included above):
 // one header home, std::string_view return, no per-sample allocation.
 
-/// VerifyStatus viewed through the unified error taxonomy (PR 5): the
-/// enum stays the hot-path result type (one byte, StatusCounters
-/// indexes it directly); this adapter is for call sites that speak
-/// nnn::Error — logs, Expected-returning wrappers, nnn_errors_total.
-constexpr Error to_error(VerifyStatus s) {
-  switch (s) {
-    case VerifyStatus::kOk:
-      return Error{};
-    case VerifyStatus::kUnknownId:
-      return Error{ErrorDomain::kVerify, ErrorCode::kUnknownId};
-    case VerifyStatus::kBadSignature:
-      return Error{ErrorDomain::kVerify, ErrorCode::kBadSignature};
-    case VerifyStatus::kStaleTimestamp:
-      return Error{ErrorDomain::kVerify, ErrorCode::kStaleTimestamp};
-    case VerifyStatus::kReplayed:
-      return Error{ErrorDomain::kVerify, ErrorCode::kReplayed};
-    case VerifyStatus::kDescriptorExpired:
-      return Error{ErrorDomain::kVerify, ErrorCode::kExpired};
-    case VerifyStatus::kDescriptorRevoked:
-      return Error{ErrorDomain::kVerify, ErrorCode::kRevoked};
-    case VerifyStatus::kMalformed:
-      return Error{ErrorDomain::kVerify, ErrorCode::kMalformed};
-  }
-  return Error{ErrorDomain::kVerify, ErrorCode::kMalformed};
-}
-
 struct VerifyResult {
   VerifyStatus status = VerifyStatus::kUnknownId;
   /// Set when status == kOk. In local mode it points at the
@@ -132,32 +105,6 @@ struct VerifyResult {
   const CookieDescriptor* descriptor = nullptr;
 
   bool ok() const { return status == VerifyStatus::kOk; }
-};
-
-/// Counters the verifier keeps; the Fig. 4 bench and audit surfaces
-/// read these. Legacy materialized form: the live state is one
-/// telemetry cell per VerifyStatus (stats() builds this struct on
-/// demand, so existing call sites keep working unchanged).
-struct VerifierStats {
-  uint64_t verified = 0;
-  uint64_t unknown_id = 0;
-  uint64_t bad_signature = 0;
-  uint64_t stale_timestamp = 0;
-  uint64_t replayed = 0;
-  uint64_t expired = 0;
-  uint64_t revoked = 0;
-  /// Blobs that failed to decode (verify_wire / verify_text). Distinct
-  /// from unknown_id so wire-format fuzz noise is distinguishable from
-  /// cookies signed against descriptors this network never saw.
-  uint64_t malformed = 0;
-
-  uint64_t total() const {
-    return verified + unknown_id + bad_signature + stale_timestamp +
-           replayed + expired + revoked + malformed;
-  }
-
-  friend bool operator==(const VerifierStats&,
-                         const VerifierStats&) = default;
 };
 
 class CookieVerifier {
@@ -233,10 +180,13 @@ class CookieVerifier {
   VerifyResult verify_wire(util::BytesView wire);
   VerifyResult verify_text(std::string_view text);
 
-  /// Materialized from the live status cells (by value; binding to a
-  /// const reference at call sites keeps working via lifetime
-  /// extension).
-  VerifierStats stats() const;
+  /// One cell per VerifyStatus, the cells nnn_verify_total exports:
+  /// `stats().count(VerifyStatus::kReplayed)`, `stats().total()`.
+  /// Relaxed atomics, so readable from any thread.
+  const telemetry::StatusCounters<VerifyStatus, kVerifyStatusCount>& stats()
+      const {
+    return status_;
+  }
   void reset_stats();
   size_t descriptor_count() const {
     return external_mode_ ? (external_ ? external_->size() : 0)
@@ -317,8 +267,7 @@ class CookieVerifier {
   /// (empty) id when none. See WriterCheck.
   mutable std::atomic<std::thread::id> writer_{};
 #endif
-  /// One cell per VerifyStatus outcome — the single source of truth
-  /// the legacy VerifierStats mirrors materialized from.
+  /// One cell per VerifyStatus outcome (stats()).
   telemetry::StatusCounters<VerifyStatus, kVerifyStatusCount> status_;
   telemetry::Gauge descriptors_;
   /// Nanoseconds per verify_batch burst; bursts under 32 cookies are

@@ -163,8 +163,13 @@ Expected<uint64_t> FlowTable::add_alias(uint64_t fresh_cid,
   // Lazily register the connection on its first rotation; bind() is
   // idempotent for a known canonical.
   aliases_.bind(canon, 0);
+  const size_t cids = aliases_.cids();
   const Expected<uint64_t> linked = aliases_.alias(fresh_cid, canon);
-  if (linked) stats_.cell<&FlowTableStats::aliases_added>().inc();
+  // Count new links only: the middlebox re-links the server's CID on
+  // every long header.
+  if (aliases_.cids() > cids) {
+    stats_.cell<&FlowTableStats::aliases_added>().inc();
+  }
   return linked;
 }
 

@@ -71,7 +71,8 @@ struct FlowTableStats {
   uint64_t flows_created = 0;
   uint64_t flows_expired = 0;
   uint64_t lookups = 0;
-  /// CID rotations recorded against live flows (add_alias successes).
+  /// CID rotations recorded against live flows (add_alias calls that
+  /// linked a CID not linked before).
   uint64_t aliases_added = 0;
   /// bind() rejections because max_flows was reached.
   uint64_t overloads = 0;
@@ -224,7 +225,9 @@ class FlowTable {
   std::vector<uint32_t> free_;
   /// CID -> canonical-CID resolution for the QUIC-keyed entries. The
   /// steer field is unused here (the dataplane's ingest-side table
-  /// owns steering); flow keying only needs canonicalization.
+  /// owns steering); flow keying only needs canonicalization. Not
+  /// exported as nnn_quic_*: this table's facts are the flow table's,
+  /// nnn_flow_aliases_total and nnn_flows_active.
   quic::CidAliasTable aliases_;
   uint64_t touches_since_expiry_ = 0;
   telemetry::View<FlowTableStats> stats_;

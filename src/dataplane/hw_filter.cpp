@@ -65,13 +65,4 @@ HwDecision HardwareFilter::classify(const net::Packet& packet) {
   return record(HwDecision::kToSoftware);
 }
 
-HwFilterStats HardwareFilter::stats() const {
-  HwFilterStats s;
-  s.fast_path = decisions_.count(HwDecision::kFastPath);
-  s.to_software = decisions_.count(HwDecision::kToSoftware);
-  s.reject_unknown_id = decisions_.count(HwDecision::kRejectUnknownId);
-  s.reject_stale = decisions_.count(HwDecision::kRejectStale);
-  return s;
-}
-
 }  // namespace nnn::dataplane

@@ -41,22 +41,6 @@ enum class HwDecision : uint8_t {
 
 // to_string(HwDecision) lives in telemetry/labels.h (included above).
 
-/// Legacy materialized form; the live state is one telemetry cell per
-/// HwDecision (stats() builds this struct on demand).
-struct HwFilterStats {
-  uint64_t fast_path = 0;
-  uint64_t to_software = 0;
-  uint64_t reject_unknown_id = 0;
-  uint64_t reject_stale = 0;
-
-  uint64_t total() const {
-    return fast_path + to_software + reject_unknown_id + reject_stale;
-  }
-
-  friend bool operator==(const HwFilterStats&,
-                         const HwFilterStats&) = default;
-};
-
 class HardwareFilter {
  public:
   struct Config {
@@ -85,8 +69,12 @@ class HardwareFilter {
   /// The match-action decision for one packet.
   HwDecision classify(const net::Packet& packet);
 
-  /// Materialized from the live decision cells (by value).
-  HwFilterStats stats() const;
+  /// One cell per HwDecision, the cells nnn_hw_filter_total exports:
+  /// `stats().count(HwDecision::kFastPath)`, `stats().total()`.
+  const telemetry::StatusCounters<HwDecision, kHwDecisionCount>& stats()
+      const {
+    return decisions_;
+  }
 
  private:
   const util::Clock& clock_;

@@ -139,15 +139,6 @@ bool Middlebox::key_has_pending(const net::FlowKey& key) const {
   return false;
 }
 
-void Middlebox::process_batch(std::span<net::Packet> packets,
-                              std::span<Verdict> verdicts) {
-  batch_ptrs_.resize(packets.size());
-  for (size_t i = 0; i < packets.size(); ++i) {
-    batch_ptrs_[i] = &packets[i];
-  }
-  process_batch(std::span<net::Packet* const>(batch_ptrs_), verdicts);
-}
-
 void Middlebox::process_batch(std::span<net::Packet* const> packets,
                               std::span<Verdict> verdicts) {
   assert(verdicts.size() >= packets.size());

@@ -139,14 +139,9 @@ class Middlebox {
   /// descriptor-grouped MACs); everything else — composed stacks,
   /// packets whose flow (or its reverse) has a cookie pending, and the
   /// whole burst when delivery guarantees are on — falls back to the
-  /// sequential path at the right point in the order.
-  void process_batch(std::span<net::Packet> packets,
-                     std::span<Verdict> verdicts);
-
-  /// Indirect-burst form — the primary implementation since the arena
-  /// rework: packets[i] point into a PacketArena (or anywhere stable
-  /// for the call); nothing is moved or copied. The contiguous
-  /// overload above delegates here through a pointer scratch vector.
+  /// sequential path at the right point in the order. packets[i]
+  /// point into a PacketArena (or anywhere stable for the call);
+  /// nothing is moved or copied.
   void process_batch(std::span<net::Packet* const> packets,
                      std::span<Verdict> verdicts);
 
@@ -221,8 +216,6 @@ class Middlebox {
   std::vector<cookies::Cookie> pending_cookies_;
   std::vector<PendingVerify> pending_info_;
   std::vector<cookies::VerifyResult> pending_results_;
-  /// Pointer scratch for the contiguous process_batch overload.
-  std::vector<net::Packet*> batch_ptrs_;
 };
 
 }  // namespace nnn::dataplane

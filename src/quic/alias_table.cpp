@@ -5,17 +5,16 @@
 
 namespace nnn::quic {
 
-CidAliasTable::CidAliasTable(Config config) : config_(config) {
-  registration_ = telemetry::Registry::global().add_collector(
-      [this](telemetry::SampleBuilder& builder) {
-        stats_.collect(builder);
-        builder.gauge("nnn_quic_connections",
-                      "QUIC connections resident in the CID alias table", {},
-                      static_cast<int64_t>(live_connections_));
-        builder.gauge("nnn_quic_cids",
-                      "Connection IDs resolvable (canonical + aliases)", {},
-                      static_cast<int64_t>(index_.size()));
-      });
+CidAliasTable::CidAliasTable(Config config) : config_(config) {}
+
+void CidAliasTable::collect(telemetry::SampleBuilder& builder) const {
+  stats_.collect(builder);
+  builder.gauge("nnn_quic_connections",
+                "QUIC connections resident in the CID alias table", {},
+                connections_.value());
+  builder.gauge("nnn_quic_cids",
+                "Connection IDs resolvable (canonical + aliases)", {},
+                cids_.value());
 }
 
 const CidAliasTable::Entry* CidAliasTable::find_entry(uint64_t cid) const {
@@ -42,7 +41,8 @@ bool CidAliasTable::bind(uint64_t canonical, uint64_t steer) {
   index_.find_or_insert(hash_cid(canonical), index_matcher(canonical),
                         index_hasher(), [&] { return Entry{canonical, slot}; });
   fifo_.push_back(FifoEntry{slot, conn.gen});
-  ++live_connections_;
+  connections_.add();
+  cids_.set(static_cast<int64_t>(index_.size()));
   stats_.cell<&CidAliasStats::connections_bound>().inc();
   enforce_capacity();
   return true;
@@ -63,6 +63,7 @@ Expected<uint64_t> CidAliasTable::alias(uint64_t fresh_cid,
                             index_hasher(), [&] { return Entry{fresh_cid, slot}; });
   if (inserted) {
     conn.cids.push_back(fresh_cid);
+    cids_.set(static_cast<int64_t>(index_.size()));
     stats_.cell<&CidAliasStats::aliases_added>().inc();
   }
   // Not inserted + different connection: collision; the first binding
@@ -108,7 +109,8 @@ void CidAliasTable::evict_slot(uint32_t slot) {
   conn.cids.shrink_to_fit();
   conn.live = false;
   free_.push_back(slot);
-  --live_connections_;
+  connections_.sub();
+  cids_.set(static_cast<int64_t>(index_.size()));
   stats_.cell<&CidAliasStats::connections_evicted>().inc();
 }
 
@@ -151,7 +153,7 @@ uint64_t steer_key_for(const CidAliasTable& table, const net::Packet& packet) {
 
 void CidAliasTable::enforce_capacity() {
   if (config_.max_connections == 0) return;
-  while (live_connections_ > config_.max_connections && !fifo_.empty()) {
+  while (connections() > config_.max_connections && !fifo_.empty()) {
     const FifoEntry head = fifo_.front();
     fifo_.pop_front();
     // Entries for slots evicted explicitly (flow death) — or evicted

@@ -28,7 +28,12 @@
 // index entries (the alias-eviction test pins this).
 //
 // Thread-compatibility matches FlatTable: single mutator; concurrent
-// readers only on a table no thread mutates.
+// readers only on a table no thread mutates. collect() is the
+// exception: it reads telemetry cells only, so its owner may export
+// the table from any thread while the mutator runs. The table does
+// not register itself; the owner whose facts these are does
+// (runtime::Dataplane for its balancer table), so each connection is
+// exported once.
 #pragma once
 
 #include <cstdint>
@@ -107,7 +112,6 @@ class CidAliasTable {
  public:
   using Config = CidAliasConfig;
 
-  /// Registers the nnn_quic_* families; pinned (collector holds this).
   explicit CidAliasTable(Config config = {});
   CidAliasTable(const CidAliasTable&) = delete;
   CidAliasTable& operator=(const CidAliasTable&) = delete;
@@ -142,10 +146,15 @@ class CidAliasTable {
   /// it; returns the number of CIDs removed (0 = unknown connection).
   size_t evict(uint64_t canonical);
 
-  size_t connections() const { return live_connections_; }
+  size_t connections() const {
+    return static_cast<size_t>(connections_.value());
+  }
   size_t cids() const { return index_.size(); }
 
   CidAliasStats stats() const { return stats_.snapshot(); }
+  /// Append the nnn_quic_* families. Reads cells only: safe from any
+  /// thread while the mutator runs.
+  void collect(telemetry::SampleBuilder& builder) const;
 
  private:
   struct Entry {
@@ -187,9 +196,10 @@ class CidAliasTable {
     uint64_t gen;
   };
   std::deque<FifoEntry> fifo_;
-  size_t live_connections_ = 0;
   mutable telemetry::View<CidAliasStats> stats_;
-  telemetry::Registration registration_;  // last: deregisters first
+  /// Live connections, and index_.size() mirrored for collect().
+  telemetry::Gauge connections_;
+  telemetry::Gauge cids_;
 };
 
 /// Balancer-side steering education: feed every packet through on the

@@ -1,6 +1,5 @@
 #include "runtime/dataplane.h"
 
-#include <array>
 #include <chrono>
 #include <span>
 #include <string>
@@ -104,6 +103,8 @@ Dataplane::Dataplane(const util::Clock& clock,
     verdicts_ = std::make_unique<MpscRing<VerdictRecord>>(
         config_.pool.verdict_capacity);
   }
+  aliases_registration_ = telemetry::Registry::global().add_collector(
+      [this](telemetry::SampleBuilder& builder) { aliases_.collect(builder); });
 }
 
 Dataplane::~Dataplane() { stop(); }
@@ -337,18 +338,10 @@ void Dataplane::worker_main(size_t index) {
     // CookieVerifier::verify_batch instead of per-packet calls.
     w.middlebox.process_batch(std::span<net::Packet* const>(batch.data(), n),
                               std::span(verdicts.data(), n));
-    uint64_t bytes = 0, cookie = 0, mapped = 0;
-    std::array<uint64_t, cookies::kVerifyStatusCount> statuses{};
     for (size_t i = 0; i < n; ++i) {
-      const net::Packet& packet = *batch[i];
-      const dataplane::Verdict& verdict = verdicts[i];
-      bytes += packet.size();
-      if (verdict.verify_status) {
-        ++cookie;
-        ++statuses[static_cast<size_t>(*verdict.verify_status)];
-      }
-      if (verdict.mapped_now) ++mapped;
       if (verdicts_) {
+        const net::Packet& packet = *batch[i];
+        const dataplane::Verdict& verdict = verdicts[i];
         VerdictRecord record;
         record.worker = static_cast<uint32_t>(index);
         record.seq = packet.seq;
@@ -364,19 +357,9 @@ void Dataplane::worker_main(size_t index) {
       // back to the freelist (stashed, spliced a chunk at a time).
       w.cache.release_raw(slots[i]);
     }
-    const uint64_t busy = thread_cpu_micros() - t0;
     auto& c = w.counters;
-    c.packets.inc(n);
-    c.bytes.inc(bytes);
-    c.cookie_packets.inc(cookie);
-    for (size_t s = 0; s < statuses.size(); ++s) {
-      if (statuses[s] != 0) {
-        c.statuses.inc(static_cast<cookies::VerifyStatus>(s), statuses[s]);
-      }
-    }
-    c.mapped.inc(mapped);
     c.batches.inc();
-    c.busy_micros.inc(busy);
+    c.busy_micros.inc(thread_cpu_micros() - t0);
     // Release: publishes the middlebox/verifier mutations above to
     // whoever acquires `processed` (drain, snapshot readers).
     c.processed.inc_release(n);
@@ -397,7 +380,7 @@ RuntimeSnapshot Dataplane::snapshot() const {
 uint64_t Dataplane::total_verified() const {
   uint64_t total = 0;
   for (const auto& worker : workers_) {
-    total += worker->counters.statuses.count(cookies::VerifyStatus::kOk);
+    total += worker->verifier.stats().count(cookies::VerifyStatus::kOk);
   }
   return total;
 }
@@ -406,7 +389,7 @@ uint64_t Dataplane::total_replays_detected() const {
   uint64_t total = 0;
   for (const auto& worker : workers_) {
     total +=
-        worker->counters.statuses.count(cookies::VerifyStatus::kReplayed);
+        worker->verifier.stats().count(cookies::VerifyStatus::kReplayed);
   }
   return total;
 }

@@ -215,12 +215,15 @@ class Dataplane {
   // ---- observability ----
   /// Consistent counters, safe while running.
   RuntimeSnapshot snapshot() const;
+  /// Cookies the worker verifiers accepted, and rejected as replays:
+  /// sums of their nnn_verify_total cells, safe while running.
   uint64_t total_verified() const;
   uint64_t total_replays_detected() const;
   /// Drain collected verdicts (single consumer). Returns how many were
   /// appended to `out`. No-op (0) unless verdict_capacity > 0.
   size_t drain_verdicts(std::vector<VerdictRecord>& out);
-  /// Quiescent plane only (see the threading contract).
+  /// Quiescent plane only (see the threading contract), except their
+  /// stats(), which read telemetry cells and are safe at any time.
   const dataplane::Middlebox& middlebox(size_t worker) const;
   const cookies::CookieVerifier& verifier(size_t worker) const;
   dataplane::DispatchPolicy policy() const { return config_.policy; }
@@ -275,6 +278,9 @@ class Dataplane {
   /// alias fresh CIDs). Producer thread only, like the stash: the one
   /// ingest thread is the only mutator.
   quic::CidAliasTable aliases_;
+  /// Exports aliases_ as nnn_quic_*; declared after it, so it
+  /// deregisters first.
+  telemetry::Registration aliases_registration_;
 };
 
 }  // namespace nnn::runtime

@@ -2,9 +2,6 @@
 
 #include <ctime>
 
-#include "cookies/verifier.h"  // full VerifyStatus definition
-#include "util/fmt.h"
-
 #if !defined(CLOCK_THREAD_CPUTIME_ID)
 #include <chrono>
 #endif
@@ -13,20 +10,6 @@ namespace nnn::runtime {
 
 void WorkerCounters::collect(telemetry::SampleBuilder& builder,
                              const telemetry::LabelSet& base) const {
-  builder.counter("nnn_pool_packets_total",
-                  "Packets processed by pool workers", base, packets.value());
-  builder.counter("nnn_pool_bytes_total", "Bytes processed by pool workers",
-                  base, bytes.value());
-  builder.counter("nnn_pool_cookie_packets_total",
-                  "Packets that carried a cookie the worker checked", base,
-                  cookie_packets.value());
-  statuses.collect(
-      builder, "nnn_pool_verify_total",
-      "Cookie verification outcomes observed by pool workers",
-      [](cookies::VerifyStatus s) { return to_string(s); }, "status", base);
-  builder.counter("nnn_pool_mapped_total",
-                  "Verdicts that mapped a new flow to a service", base,
-                  mapped.value());
   builder.counter("nnn_pool_batches_total", "Ring bursts dequeued", base,
                   batches.value());
   builder.counter("nnn_pool_busy_micros",
@@ -49,12 +32,6 @@ void WorkerCounters::collect(telemetry::SampleBuilder& builder,
 
 WorkerSnapshot& WorkerSnapshot::operator+=(const WorkerSnapshot& other) {
   packets += other.packets;
-  bytes += other.bytes;
-  cookie_packets += other.cookie_packets;
-  verified += other.verified;
-  replayed += other.replayed;
-  malformed += other.malformed;
-  mapped += other.mapped;
   batches += other.batches;
   busy_micros += other.busy_micros;
   processed += other.processed;
@@ -70,16 +47,10 @@ double WorkerSnapshot::avg_batch() const {
 
 WorkerSnapshot snapshot_of(const WorkerCounters& counters) {
   WorkerSnapshot s;
-  s.packets = counters.packets.value();
-  s.bytes = counters.bytes.value();
-  s.cookie_packets = counters.cookie_packets.value();
-  s.verified = counters.statuses.count(cookies::VerifyStatus::kOk);
-  s.replayed = counters.statuses.count(cookies::VerifyStatus::kReplayed);
-  s.malformed = counters.statuses.count(cookies::VerifyStatus::kMalformed);
-  s.mapped = counters.mapped.value();
+  s.processed = counters.processed.value_acquire();
+  s.packets = s.processed;
   s.batches = counters.batches.value();
   s.busy_micros = counters.busy_micros.value();
-  s.processed = counters.processed.value_acquire();
   s.verdicts_dropped = counters.verdicts_dropped.value();
   s.shed = counters.shed.value();
   return s;
@@ -97,15 +68,6 @@ uint64_t RuntimeSnapshot::max_busy_micros() const {
     if (w.busy_micros > max) max = w.busy_micros;
   }
   return max;
-}
-
-std::string RuntimeSnapshot::summary() const {
-  const WorkerSnapshot t = totals();
-  return util::fmt(
-      "workers={} packets={} cookie={} verified={} replayed={} "
-      "avg_batch={} max_busy_us={}",
-      workers.size(), t.packets, t.cookie_packets, t.verified, t.replayed,
-      t.avg_batch(), max_busy_micros());
 }
 
 uint64_t thread_cpu_micros() {

@@ -1,10 +1,11 @@
-// Typed views: legacy *Stats structs re-expressed over registry cells.
+// Typed views: a multi-field *Stats struct over registry cells.
 //
-// The seed grew nine ad-hoc `*Stats` structs, each a bag of uint64
-// fields with its own accessor shape. The redesign keeps those structs
-// as the *wire format* of per-object accessors (every existing call
-// site still receives the same struct, field for field) but moves the
-// live state into telemetry::Counter cells owned by a View<S>:
+// A component whose counters are several named facts (the middlebox's
+// task classes, packets and bytes; the flow table's creates, expiries
+// and lookups) keeps them as telemetry::Counter cells owned by a
+// View<S>. The struct S is the accessor format: snapshot() copies the
+// cells into one plain value a caller can hold, compare or pass on,
+// and the ViewTraits table names each field's metric family once:
 //
 //   struct MiddleboxStats { uint64_t packets; ... };
 //   template <> struct ViewTraits<MiddleboxStats> {
@@ -24,7 +25,9 @@
 // compile time (consteval lookup over the traits table), so the hot
 // path is exactly the relaxed store a hand-rolled atomic field would
 // be — the view costs nothing at runtime; it only centralizes naming,
-// export, and the legacy materialization.
+// export, and the snapshot. Counts keyed by one enum (verify outcomes,
+// hardware-filter decisions) use StatusCounters below instead, and
+// callers read its cells directly.
 //
 // Views are pinned (non-copyable, non-movable): register_with() hands
 // the registry a collector that captures `this`. Components therefore
@@ -42,7 +45,7 @@
 
 namespace nnn::telemetry {
 
-/// One legacy struct field bound to a metric family. `label_key` /
+/// One struct field bound to a metric family. `label_key` /
 /// `label_value` optionally stamp a per-field label (e.g. several
 /// `task_*` fields fanning into one family keyed by task=...); empty
 /// means no extra label beyond the view's base set.
@@ -56,7 +59,7 @@ struct ViewField {
   std::string_view label_value;
 };
 
-/// Specialized next to each legacy struct: a constexpr `fields` array
+/// Specialized next to each struct: a constexpr `fields` array
 /// of ViewField<S> covering every member, in declaration order.
 template <typename S>
 struct ViewTraits;
@@ -87,7 +90,7 @@ class View {
     return cell<M>().value();
   }
 
-  /// Materialize the legacy struct, field for field, from the cells.
+  /// Copy the cells into the struct, field for field.
   S snapshot() const {
     S s{};
     for (size_t i = 0; i < kFields; ++i) {
@@ -96,7 +99,7 @@ class View {
     return s;
   }
 
-  /// Reset every cell (legacy reset_stats() paths).
+  /// Reset every cell (reset_stats() paths).
   void reset() noexcept {
     for (auto& cell : cells_) cell.reset();
   }
@@ -144,10 +147,9 @@ class View {
   Registration registration_;  // last: released before cells_
 };
 
-/// Per-enum-value counters: one cell per status, replacing the
-/// hand-mirrored `verified`/`replayed`/`malformed`/... field bundles
-/// that had drifted out of sync across VerifierStats, MiddleboxStats,
-/// and WorkerCounters. Indexed by the enum's underlying value.
+/// Per-enum-value counters: one cell per status, indexed by the enum's
+/// underlying value. Owners hand out a const reference and callers
+/// read count(E) or total(), in the enum's own vocabulary.
 template <typename E, size_t N>
 class StatusCounters {
  public:
@@ -169,6 +171,16 @@ class StatusCounters {
     for (auto& cell : cells_) cell.reset();
   }
   Counter& cell(E e) noexcept { return cells_[index(e)]; }
+
+  /// Equal when every value has the same count: differential tests
+  /// compare two owners' outcomes in one assertion.
+  friend bool operator==(const StatusCounters& a,
+                         const StatusCounters& b) noexcept {
+    for (size_t i = 0; i < N; ++i) {
+      if (a.cells_[i].value() != b.cells_[i].value()) return false;
+    }
+    return true;
+  }
 
   /// One sample per enum value, labeled `label_key=name(value)` on
   /// top of `base` — e.g. nnn_verify_total{status="replayed"}.

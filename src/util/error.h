@@ -17,9 +17,9 @@
 //            always a string_view into a literal, never allocated, so
 //            constructing an Error on a parse path costs nothing.
 //
-// Legacy enums (cookies::VerifyStatus, server::AcquireError) stay as
-// thin views — same pattern as PR 3's StatusCounters — with to_error()
-// adapters mapping them into the taxonomy.
+// server::AcquireError maps into the taxonomy through to_error().
+// cookies::VerifyStatus stays its own one-byte hot-path enum, counted
+// per value by telemetry::StatusCounters.
 //
 // Counting: every Error can be tallied into the process-wide
 // ErrorTally (a fixed domain x code matrix of relaxed atomics). The

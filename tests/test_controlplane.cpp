@@ -710,7 +710,8 @@ TEST(ControlPlaneRuntime, RevocationReachesEveryWorkerThroughSync) {
   EXPECT_EQ(plane.total_verified(), 8u);  // nothing after the revoke
   uint64_t revoked_seen = 0;
   for (size_t w = 0; w < config.pool.workers; ++w) {
-    const uint64_t revoked = plane.verifier(w).stats().revoked;
+    const uint64_t revoked = plane.verifier(w).stats().count(
+        cookies::VerifyStatus::kDescriptorRevoked);
     EXPECT_GT(revoked, 0u) << "revocation missed worker " << w;
     revoked_seen += revoked;
   }

@@ -290,7 +290,9 @@ TEST_F(MiddleboxTest, ProcessBatchMatchesSequential) {
   for (auto& packet : copy) expected.push_back(sequential.process(packet));
 
   std::vector<Verdict> batched(burst.size());
-  middlebox_.process_batch(burst, batched);
+  std::vector<net::Packet*> pointers;
+  for (auto& packet : burst) pointers.push_back(&packet);
+  middlebox_.process_batch(pointers, batched);
 
   for (size_t i = 0; i < burst.size(); ++i) {
     EXPECT_EQ(batched[i].action.has_value(), expected[i].action.has_value())
@@ -329,7 +331,9 @@ TEST_F(MiddleboxTest, ProcessBatchRemarksDscp) {
   burst.push_back(flow_packet(5100));
   burst.push_back(flow_packet(5101));  // unmapped: untouched dscp
   std::vector<Verdict> verdicts(burst.size());
-  box.process_batch(burst, verdicts);
+  std::vector<net::Packet*> pointers;
+  for (auto& packet : burst) pointers.push_back(&packet);
+  box.process_batch(pointers, verdicts);
   EXPECT_EQ(burst[0].dscp, 46);
   EXPECT_EQ(burst[1].dscp, 46);
   EXPECT_EQ(burst[2].dscp, 0);

@@ -335,7 +335,7 @@ TEST_F(HwFilterTest, PlainPacketsTakeTheFastPath) {
   net::Packet opaque;
   opaque.payload = {0x17, 0x03, 0x03};
   EXPECT_EQ(filter_.classify(opaque), dataplane::HwDecision::kFastPath);
-  EXPECT_EQ(filter_.stats().fast_path, 2u);
+  EXPECT_EQ(filter_.stats().count(dataplane::HwDecision::kFastPath), 2u);
 }
 
 TEST_F(HwFilterTest, KnownFreshCookieGoesToSoftware) {

@@ -97,7 +97,8 @@ TEST_F(PacketGenTest, WholeBatchMapsThroughMiddlebox) {
   }
   // Every packet of every flow rides the service its cookie set up.
   EXPECT_EQ(boosted, batch.size());
-  EXPECT_EQ(middlebox.verifier().stats().verified, 50u);
+  EXPECT_EQ(middlebox.verifier().stats().count(cookies::VerifyStatus::kOk),
+            50u);
 }
 
 TEST_F(PacketGenTest, Ipv6TransportProducesV6Packets) {

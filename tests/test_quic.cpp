@@ -27,6 +27,7 @@
 #include "quic/alias_table.h"
 #include "quic/workload.h"
 #include "runtime/dataplane.h"
+#include "telemetry/metrics.h"
 #include "util/clock.h"
 #include "util/hash.h"
 
@@ -196,6 +197,13 @@ TEST(FlowTable, CidRotationKeepsOneEntry) {
   EXPECT_EQ(rotated.value().entry->packets_seen, 2u);
   EXPECT_EQ(table.size(), 1u);
   EXPECT_EQ(table.resolve_cid(200), 100u);
+  EXPECT_EQ(table.stats().aliases_added, 1u);
+
+  // Re-linking a CID that is already linked is no rotation: the
+  // middlebox re-links the server's CID on every long header.
+  ASSERT_EQ(table.add_alias(200, 100).value(), 100u);
+  ASSERT_EQ(table.add_alias(100, 100).value(), 100u);
+  EXPECT_EQ(table.alias_cids(), 2u);
   EXPECT_EQ(table.stats().aliases_added, 1u);
 
   // A marker naming a CID no flow is keyed on cannot link (fail-open:
@@ -541,6 +549,47 @@ TEST(QuicRuntime, MigrationDuringEpochSwapKeepsLedgerAndMapping) {
   EXPECT_GE(static_cast<double>(survived) /
                 static_cast<double>(post_handshake),
             0.99);
+}
+
+// One export per fact: only the balancer's alias table exports
+// nnn_quic_*, so each connection counts once, although every worker's
+// flow table also binds the connections it serves.
+TEST(QuicRuntime, ExportsEachConnectionOnce) {
+  util::ManualClock plane_clock;  // frozen, as above
+  dataplane::ServiceRegistry registry;
+  registry.bind("Boost", dataplane::PriorityAction{0});
+  runtime::Dataplane::Config config;
+  config.pool.workers = 2;
+  runtime::Dataplane plane(plane_clock, registry, config);
+
+  quic::QuicTraceGenerator::Config wl;
+  wl.connections = 32;
+  wl.packets_per_connection = 60;
+  wl.rotate_every = 10;
+  util::ManualClock trace_clock;
+  quic::QuicTraceGenerator gen(wl, trace_clock, nullptr, 23);
+  for (const auto& d : gen.descriptors()) plane.add_descriptor(d);
+
+  plane.start();
+  for (size_t i = 0; i < gen.total_packets(); ++i) {
+    runtime::PacketHandle h = plane.make_packet();
+    while (!h) {
+      std::this_thread::yield();
+      h = plane.make_packet();
+    }
+    gen.fill_next(*h);
+    trace_clock.advance(50);
+    plane.ingest_blocking(std::move(h));
+  }
+  plane.drain();
+  plane.stop();
+
+  const telemetry::Snapshot snap = telemetry::Registry::global().snapshot();
+  const telemetry::Family* connections = snap.find("nnn_quic_connections");
+  ASSERT_NE(connections, nullptr);
+  ASSERT_EQ(connections->samples.size(), 1u);
+  EXPECT_EQ(connections->samples[0].gauge_value, 32);
+  EXPECT_EQ(snap.counter_total("nnn_quic_connections_bound_total"), 32u);
 }
 
 }  // namespace

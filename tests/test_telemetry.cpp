@@ -384,25 +384,27 @@ TEST(Telemetry, VerifierViewMatchesAccessorsAndRegistry) {
   forged.signature[0] ^= 1;
   verifier.verify(forged);  // -> kBadSignature
 
-  const cookies::VerifierStats s = verifier.stats();
-  EXPECT_EQ(s.verified, 4u);
-  EXPECT_EQ(s.replayed, 1u);
-  EXPECT_EQ(s.unknown_id, 1u);
-  EXPECT_EQ(s.bad_signature, 1u);
+  using cookies::VerifyStatus;
+  const auto& s = verifier.stats();
+  EXPECT_EQ(s.count(VerifyStatus::kOk), 4u);
+  EXPECT_EQ(s.count(VerifyStatus::kReplayed), 1u);
+  EXPECT_EQ(s.count(VerifyStatus::kUnknownId), 1u);
+  EXPECT_EQ(s.count(VerifyStatus::kBadSignature), 1u);
 
   // The registry exports exactly the accessor's numbers (same cells).
   const Snapshot snap = Registry::global().snapshot();
   const LabelSet ok{{"status", "ok"}};
-  EXPECT_EQ(snap.counter_total("nnn_verify_total", ok), s.verified);
+  EXPECT_EQ(snap.counter_total("nnn_verify_total", ok),
+            s.count(VerifyStatus::kOk));
   EXPECT_EQ(snap.counter_total("nnn_verify_total",
                                LabelSet{{"status", "replayed"}}),
-            s.replayed);
+            s.count(VerifyStatus::kReplayed));
   EXPECT_EQ(snap.counter_total("nnn_verify_total",
                                LabelSet{{"status", "unknown-id"}}),
-            s.unknown_id);
+            s.count(VerifyStatus::kUnknownId));
   EXPECT_EQ(snap.counter_total("nnn_verify_total",
                                LabelSet{{"status", "bad-signature"}}),
-            s.bad_signature);
+            s.count(VerifyStatus::kBadSignature));
   EXPECT_EQ(snap.counter_total("nnn_verify_total"), s.total());
   // Descriptor gauge mirrors the table size.
   const telemetry::Family* gauges = snap.find("nnn_verifier_descriptors");

@@ -40,7 +40,7 @@ TEST_F(VerifierTest, ValidCookieVerifies) {
   EXPECT_TRUE(result.ok());
   ASSERT_NE(result.descriptor, nullptr);
   EXPECT_EQ(result.descriptor->service_data, "Boost");
-  EXPECT_EQ(verifier_.stats().verified, 1u);
+  EXPECT_EQ(verifier_.stats().count(VerifyStatus::kOk), 1u);
 }
 
 TEST_F(VerifierTest, UnknownIdRejected) {
@@ -48,7 +48,7 @@ TEST_F(VerifierTest, UnknownIdRejected) {
   Cookie c = gen.generate();
   c.cookie_id = 999;
   EXPECT_EQ(verifier_.verify(c).status, VerifyStatus::kUnknownId);
-  EXPECT_EQ(verifier_.stats().unknown_id, 1u);
+  EXPECT_EQ(verifier_.stats().count(VerifyStatus::kUnknownId), 1u);
 }
 
 TEST_F(VerifierTest, ForgedSignatureRejected) {
@@ -73,7 +73,7 @@ TEST_F(VerifierTest, ReplayRejected) {
   const Cookie c = gen.generate();
   EXPECT_TRUE(verifier_.verify(c).ok());
   EXPECT_EQ(verifier_.verify(c).status, VerifyStatus::kReplayed);
-  EXPECT_EQ(verifier_.stats().replayed, 1u);
+  EXPECT_EQ(verifier_.stats().count(VerifyStatus::kReplayed), 1u);
 }
 
 TEST_F(VerifierTest, NctWindowBoundaries) {
@@ -139,8 +139,8 @@ TEST_F(VerifierTest, WireAndTextVerification) {
   // descriptor — fuzz noise and never-issued ids stay distinguishable.
   EXPECT_EQ(verifier_.verify_text("garbage").status,
             VerifyStatus::kMalformed);
-  EXPECT_EQ(verifier_.stats().malformed, 1u);
-  EXPECT_EQ(verifier_.stats().unknown_id, 0u);
+  EXPECT_EQ(verifier_.stats().count(VerifyStatus::kMalformed), 1u);
+  EXPECT_EQ(verifier_.stats().count(VerifyStatus::kUnknownId), 0u);
 }
 
 TEST_F(VerifierTest, RemoveThenReAddKeepsUseOnce) {
@@ -216,10 +216,10 @@ TEST_F(VerifierTest, BatchMatchesSequentialOnMixedBurst) {
     }
   }
   EXPECT_EQ(verifier_.stats(), reference.stats());
-  EXPECT_EQ(verifier_.stats().replayed, 2u);
-  EXPECT_EQ(verifier_.stats().stale_timestamp, 1u);
-  EXPECT_EQ(verifier_.stats().bad_signature, 1u);
-  EXPECT_EQ(verifier_.stats().unknown_id, 1u);
+  EXPECT_EQ(verifier_.stats().count(VerifyStatus::kReplayed), 2u);
+  EXPECT_EQ(verifier_.stats().count(VerifyStatus::kStaleTimestamp), 1u);
+  EXPECT_EQ(verifier_.stats().count(VerifyStatus::kBadSignature), 1u);
+  EXPECT_EQ(verifier_.stats().count(VerifyStatus::kUnknownId), 1u);
 }
 
 TEST_F(VerifierTest, BatchSeesEarlierCookiesInSameBurst) {
@@ -250,7 +250,7 @@ TEST_F(VerifierTest, BatchScratchReuseAcrossCalls) {
     EXPECT_EQ(results[0].status, VerifyStatus::kOk) << "round " << round;
     EXPECT_EQ(results[1].status, VerifyStatus::kOk) << "round " << round;
   }
-  EXPECT_EQ(verifier_.stats().verified, 6u);
+  EXPECT_EQ(verifier_.stats().count(VerifyStatus::kOk), 6u);
 }
 
 TEST(VerifierStandalone, FailOpenSemantics) {
