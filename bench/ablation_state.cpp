@@ -5,7 +5,9 @@
 //                            bytes/descriptor (budget: <= 160 B
 //                            amortized, hot midstates excluded), index
 //                            probe p99, process RSS.
-//   state/verify/local     — single-descriptor local-mode verify, the
+//   state/verify/local     — single-descriptor verify against the
+//                            verifier's own table, read through the
+//                            hot tier like a published one: the
 //                            in-run stand-in for BENCH_crypto.json's
 //                            BM_CookieVerify figure. Comparing within
 //                            one run factors out machine drift.
@@ -140,7 +142,9 @@ int main(int argc, char** argv) {
   const nnn::cookies::CookieTime ts =
       nnn::cookies::to_cookie_time(clock.now());
 
-  // --- Phase 2: local-mode baseline (the BM_CookieVerify shape) -----
+  // --- Phase 2: local baseline (the BM_CookieVerify shape) ---------
+  // One descriptor in the verifier's own table: after the first hit
+  // every verify is a hot-tier hit, as for a published table.
   // Same stream length and warmup split as the Zipf phase, so both
   // sides carry the same replay-cache cache-pressure: at 10M-uuid
   // scale the uuid table dominates ns/verify variance, and a short

@@ -1,24 +1,15 @@
 #include "controlplane/local_subscriber.h"
 
-#include <utility>
-
 namespace nnn::controlplane {
 
 LocalSubscriber::LocalSubscriber(DescriptorLog& log,
                                  cookies::CookieVerifier& verifier)
     : log_(log), verifier_(verifier) {
-  Snapshot snap = log.snapshot();
-  for (auto& descriptor : snap.live) {
-    verifier_.add_descriptor(std::move(descriptor));
-  }
-  for (const cookies::CookieId id : snap.revoked) {
-    // Tombstone for a revocation that predates this subscriber: a
-    // stub descriptor (no key) whose only job is to verify as revoked.
-    cookies::CookieDescriptor stub;
-    stub.cookie_id = id;
-    verifier_.add_descriptor(std::move(stub));
-    verifier_.revoke(id);
-  }
+  const Snapshot snap = log.snapshot();
+  for (const auto& descriptor : snap.live) verifier_.add_descriptor(descriptor);
+  // Revocations that predate this subscriber leave tombstones, known
+  // ids or not.
+  for (const cookies::CookieId id : snap.revoked) verifier_.revoke(id);
   token_ = log.subscribe([this](const Update& update) { apply(update); });
 }
 
@@ -30,12 +21,7 @@ void LocalSubscriber::apply(const Update& update) {
       verifier_.add_descriptor(update.descriptor);
       break;
     case UpdateOp::kRevoke:
-      if (!verifier_.revoke(update.id)) {
-        cookies::CookieDescriptor stub;
-        stub.cookie_id = update.id;
-        verifier_.add_descriptor(std::move(stub));
-        verifier_.revoke(update.id);
-      }
+      verifier_.revoke(update.id);
       break;
     case UpdateOp::kRemove:
       verifier_.remove(update.id);

@@ -85,6 +85,7 @@ void DescriptorStore::clear() {
   index_.clear();
   profiles_.clear();
   intern_.clear();
+  last_profile_ = kNoProfile;
   spill_keys_.clear();
   spill_free_.clear();
 }
@@ -157,9 +158,21 @@ void DescriptorStore::release_spill(Record& record) {
 }
 
 uint32_t DescriptorStore::intern_profile(const CookieDescriptor& descriptor) {
-  // Identity = service_data + attributes with expires_at stripped
-  // (expiry lives per record). The serialized form is deterministic
-  // (json::Object is an ordered map).
+  // Descriptors arrive in runs of one service tier, so first compare
+  // with the last profile interned, expiry aligned (it lives per
+  // record). A match is the profile the serialized identity below
+  // would find; only a mismatch pays for the JSON dump.
+  if (last_profile_ != kNoProfile) {
+    Profile& last = profiles_[last_profile_];
+    last.attributes.expires_at = descriptor.attributes.expires_at;
+    const bool same = last.service_data == descriptor.service_data &&
+                      last.attributes == descriptor.attributes;
+    last.attributes.expires_at.reset();
+    if (same) return last_profile_;
+  }
+  // Identity = service_data + attributes with expires_at stripped.
+  // The serialized form is deterministic (json::Object is an ordered
+  // map).
   Attributes shared = descriptor.attributes;
   shared.expires_at.reset();
   std::string identity = descriptor.service_data;
@@ -170,7 +183,8 @@ uint32_t DescriptorStore::intern_profile(const CookieDescriptor& descriptor) {
     profiles_.push_back(Profile{descriptor.service_data, std::move(shared)});
     item->value = static_cast<uint32_t>(profiles_.size() - 1);
   }
-  return item->value;
+  last_profile_ = item->value;
+  return last_profile_;
 }
 
 }  // namespace nnn::cookies

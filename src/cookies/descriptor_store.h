@@ -3,9 +3,9 @@
 // A full CookieDescriptor is a control-plane object: ~200+ bytes of
 // strings, vectors and maps, most of it identical across the millions
 // of descriptors a cookie server mints for one service tier. Storing
-// it per-entry (as the old unordered_map<CookieId, TableEntry> did,
-// plus a 72-byte HMAC key schedule each) blows the per-descriptor
-// memory budget and drags cold heap nodes through the verify path.
+// it per entry in a hash map of full descriptors, plus a 72-byte HMAC
+// key schedule each, blows the per-descriptor memory budget and drags
+// cold heap nodes through the verify path.
 //
 // DescriptorStore splits the descriptor into what the hot path needs
 // per id and what can be shared:
@@ -16,7 +16,8 @@
 //
 //   Profile (interned): service_data + attributes minus expires_at,
 //   deduplicated by serialized identity. A million "Boost" descriptors
-//   share one profile entry.
+//   share one profile entry, and a run of them skips the
+//   serialization by matching the last profile interned.
 //
 // HMAC key schedules are deliberately NOT stored per record — that is
 // the hot/cold tiering boundary. The verifier keeps midstates only for
@@ -26,9 +27,9 @@
 // Records sit in a dense vector (stable order: insertion order, with
 // erase doing swap-remove) indexed by a state::FlatTable of u32
 // handles keyed on CookieId. Lookup is one flat probe plus one
-// cache-line read. The store is a value type: TableMirror mutates its
-// working copy and build() snapshots it into an immutable
-// DescriptorTable by plain copy.
+// cache-line read. The store is a value type: TableMirror and
+// runtime::Dataplane mutate a working copy and publish it into an
+// immutable DescriptorTable by plain copy.
 #pragma once
 
 #include <cstdint>
@@ -142,6 +143,9 @@ class DescriptorStore {
   /// profile outlives the records that reference it (the dedup set is
   /// tiny next to the record array).
   state::FlatMap<std::string, uint32_t> intern_;
+  /// The profile the previous upsert interned (intern_profile's fast
+  /// path).
+  uint32_t last_profile_ = kNoProfile;
   std::vector<util::Bytes> spill_keys_;
   std::vector<uint32_t> spill_free_;
 };

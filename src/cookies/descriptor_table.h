@@ -3,16 +3,18 @@
 // The control plane builds a complete DescriptorTable off the hot
 // path, publishes it through controlplane::TablePublisher with an
 // atomic pointer swap, and reclaims the previous table only after
-// every reader passed a quiescent point. Once constructed a table is
+// every reader passed a quiescent point. Once published a table is
 // never mutated (the publisher stamps `epoch` exactly once, before the
 // table becomes visible to any reader), so any number of worker
-// threads may read it with no locks in verify_batch.
+// threads may read it with no locks in verify_batch. The one table
+// edited in place is never published: the one a CookieVerifier owns
+// for its local add_descriptor/revoke/remove, which bumps its epoch on
+// every edit.
 //
 // Contents are a cookies::DescriptorStore snapshot: one 64-byte
 // Record per descriptor (key inline, revocation tombstone, expiry)
 // behind an open-addressing id index, with service profiles interned.
-// Unlike the historical unordered_map<CookieId, TableEntry>, the
-// table carries no per-entry HMAC key schedules — midstates are a
+// The table carries no per-entry HMAC key schedules — midstates are a
 // verifier-local working set (cookies::HotTier) sized to the hot
 // descriptors, not to the table.
 #pragma once
@@ -37,6 +39,8 @@ class DescriptorTable {
   }
 
   const DescriptorStore& store() const { return store_; }
+  /// In-place edits, for an unpublished table only (see above).
+  DescriptorStore& store() { return store_; }
 
   size_t size() const { return store_.size(); }
 

@@ -21,14 +21,13 @@
 // instead of the historical scan-per-insert.
 //
 // Ownership (§4.6 scale-out): a CookieVerifier owns exactly one
-// ReplayCache for all of its descriptors, in local and external-table
-// mode alike, and in the threaded runtime each worker owns one
-// verifier. A cache is therefore single-threaded state, and use-once
-// is only *locally* verifiable; cross-worker soundness requires
-// routing each descriptor's cookies to one worker
-// (DispatchPolicy::kDescriptorAffinity). Sharing one cache between
-// workers is deliberately unsupported — it would put a lock on the
-// per-packet hot path.
+// ReplayCache for all of its descriptors, whichever table it reads, and
+// in the threaded runtime each worker owns one verifier. A cache is
+// therefore single-threaded state, and use-once is only *locally*
+// verifiable; cross-worker soundness requires routing each descriptor's
+// cookies to one worker (DispatchPolicy::kDescriptorAffinity). Sharing
+// one cache between workers is deliberately unsupported — it would put
+// a lock on the per-packet hot path.
 #pragma once
 
 #include <cstddef>

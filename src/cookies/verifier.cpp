@@ -79,26 +79,24 @@ void CookieVerifier::sync_state_metrics() {
   replay_capacity_evictions_.set(replays_.capacity_evictions());
 }
 
-void CookieVerifier::add_descriptor(CookieDescriptor descriptor) {
+void CookieVerifier::edited() {
+  own_.set_epoch(own_.epoch() + 1);
+  descriptors_.set(static_cast<int64_t>(descriptor_count()));
+}
+
+void CookieVerifier::add_descriptor(const CookieDescriptor& descriptor) {
   const WriterCheck check(*this);
-  const CookieId id = descriptor.cookie_id;
-  crypto::HmacKeySchedule schedule{util::BytesView(descriptor.key)};
-  auto it = table_.find(id);
-  if (it != table_.end()) {
-    it->second.descriptor = std::move(descriptor);
-    it->second.schedule = schedule;
-    it->second.revoked = false;
-    return;
-  }
-  table_.emplace(id, Entry{std::move(descriptor), schedule, false});
-  if (!external_mode_) descriptors_.set(static_cast<int64_t>(table_.size()));
+  own_.store().upsert(descriptor);
+  edited();
 }
 
 void CookieVerifier::set_external_table(const DescriptorTable* table) {
   const WriterCheck check(*this);
-  external_ = table;
-  external_mode_ = true;
-  descriptors_.set(static_cast<int64_t>(table ? table->size() : 0));
+  // nullptr: no table yet, so nothing is known.
+  static const DescriptorTable kNoTable;
+  if (table_ == &own_) hot_.clear();  // see the header: epochs collide
+  table_ = table != nullptr ? table : &kNoTable;
+  descriptors_.set(static_cast<int64_t>(descriptor_count()));
   sync_state_metrics();
 }
 
@@ -110,73 +108,48 @@ void CookieVerifier::configure_external_replay(size_t capacity) {
 
 bool CookieVerifier::revoke(CookieId id) {
   const WriterCheck check(*this);
-  auto it = table_.find(id);
-  if (it == table_.end()) return false;
-  it->second.revoked = true;
-  return true;
+  const bool known = own_.find(id) != nullptr;
+  own_.store().revoke(id);  // tombstones an unknown id too
+  edited();
+  return known;
 }
 
 bool CookieVerifier::remove(CookieId id) {
   const WriterCheck check(*this);
-  const bool removed = table_.erase(id) > 0;
-  if (!external_mode_) descriptors_.set(static_cast<int64_t>(table_.size()));
+  const bool removed = own_.store().erase(id);
+  edited();
   return removed;
 }
 
 bool CookieVerifier::knows(CookieId id) const {
-  if (external_mode_) return external_ != nullptr && external_->find(id);
-  return table_.contains(id);
+  return table_->find(id) != nullptr;
 }
 
 const CookieDescriptor* CookieVerifier::find(CookieId id) const {
-  if (external_mode_) {
-    if (external_ == nullptr) return nullptr;
-    const uint64_t epoch = external_->epoch();
-    if (const HotTier::Entry* hot = hot_.lookup(id, epoch)) {
-      return &hot->descriptor;
-    }
-    const DescriptorStore::Record* record = external_->find(id);
-    if (record == nullptr || record->revoked) return nullptr;
-    return &hot_.admit(*record, external_->store(), epoch)->descriptor;
-  }
-  const auto it = table_.find(id);
-  if (it == table_.end() || it->second.revoked) return nullptr;
-  return &it->second.descriptor;
+  const WriterCheck check(*this);
+  Resolved match;
+  return resolve(id, match) ? match.descriptor : nullptr;
 }
 
-bool CookieVerifier::resolve(CookieId id, Resolved& out) {
-  if (external_mode_) {
-    if (external_ == nullptr) return false;
-    const uint64_t epoch = external_->epoch();
-    // Fast path: a hot entry stamped with the current epoch is known
-    // valid (revoked records are never admitted, and a swap bumps the
-    // epoch, forcing re-resolution below).
-    if (const HotTier::Entry* hot = hot_.lookup(id, epoch)) {
-      out.descriptor = &hot->descriptor;
-      out.schedule = &hot->schedule;
-      out.revoked = false;
-      return true;
-    }
-    const DescriptorStore::Record* record = external_->find(id);
-    if (record == nullptr) return false;
-    if (record->revoked) {
-      // Tombstones stay cold: verify_resolved checks `revoked` before
-      // touching descriptor/schedule, so those stay null.
-      out = Resolved{nullptr, nullptr, true};
-      return true;
-    }
-    const HotTier::Entry* hot = hot_.admit(*record, external_->store(), epoch);
-    out.descriptor = &hot->descriptor;
-    out.schedule = &hot->schedule;
-    out.revoked = false;
+bool CookieVerifier::resolve(CookieId id, Resolved& out) const {
+  const uint64_t epoch = table_->epoch();
+  // Fast path: a hot entry stamped with the current epoch is known
+  // valid (revoked records are never admitted, and a swap or a local
+  // edit bumps the epoch, forcing re-resolution below).
+  if (const HotTier::Entry* hot = hot_.lookup(id, epoch)) {
+    out = Resolved{&hot->descriptor, &hot->schedule, false};
     return true;
   }
-  const auto it = table_.find(id);
-  if (it == table_.end()) return false;
-  Entry& entry = it->second;
-  out.descriptor = &entry.descriptor;
-  out.schedule = &entry.schedule;
-  out.revoked = entry.revoked;
+  const DescriptorStore::Record* record = table_->find(id);
+  if (record == nullptr) return false;
+  if (record->revoked) {
+    // Tombstones stay cold: verify_resolved checks `revoked` before
+    // touching descriptor/schedule, so those stay null.
+    out = Resolved{nullptr, nullptr, true};
+    return true;
+  }
+  const HotTier::Entry* hot = hot_.admit(*record, table_->store(), epoch);
+  out = Resolved{&hot->descriptor, &hot->schedule, false};
   return true;
 }
 

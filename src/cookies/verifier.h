@@ -8,25 +8,25 @@
 //
 // Hot-path shape (§4.6, Fig. 4): MAC verification resumes from
 // precomputed ipad/opad SHA-256 midstates instead of re-deriving the
-// key schedule — half the compressions per cookie. In local
-// (household) mode every installed descriptor carries its schedule.
-// In external-table mode (ISP scale) schedules live in a bounded
-// cookies::HotTier keyed by table epoch: descriptors actually hit
-// stay resident with midstates, cold ones are 64-byte table records
-// rehydrated on first hit, so a million-descriptor table does not
-// mean a million midstates. verify_batch() amortizes the remaining
-// per-call costs (clock read, descriptor lookup) across a burst, the
-// unit of work the runtime's rings hand to a worker.
+// key schedule — half the compressions per cookie. Every id resolves
+// through one current DescriptorTable (the verifier's own, or one the
+// control plane published) and a bounded cookies::HotTier keyed by
+// table epoch: descriptors actually hit stay resident with midstates,
+// cold ones are 64-byte table records rehydrated on first hit, so a
+// million-descriptor table does not mean a million midstates.
+// verify_batch() amortizes the remaining per-call costs (clock read,
+// descriptor lookup) across a burst, the unit of work the runtime's
+// rings hand to a worker.
 //
 // Replay scope: the verifier keeps ONE uuid-keyed ReplayCache for all
-// descriptors, in local and external-table mode alike — the paper's
-// one list of recently seen cookies. Uuids are 128-bit randoms minted
-// per cookie, so cross-descriptor uuid reuse is adversarial and
-// rejecting it is strictly more conservative; in exchange replay state
-// is O(outstanding cookies), not O(descriptors), under one capacity
-// clamp. Use-once state survives table swaps and a remove() followed
-// by a re-add. Under descriptor affinity (§4.6) each worker owns one
-// verifier, so one cache per shard is all use-once needs.
+// descriptors, whichever table it reads — the paper's one list of
+// recently seen cookies. Uuids are 128-bit randoms minted per cookie,
+// so cross-descriptor uuid reuse is adversarial and rejecting it is
+// strictly more conservative; in exchange replay state is O(outstanding
+// cookies), not O(descriptors), under one capacity clamp. Use-once
+// state survives table swaps and a remove() followed by a re-add. Under
+// descriptor affinity (§4.6) each worker owns one verifier, so one
+// cache per shard is all use-once needs.
 //
 // A failed match never drops traffic: "If it fails to match, it
 // behaves as if the cookie was not there, offering default services."
@@ -35,22 +35,21 @@
 //
 // ## Threading: the single-writer contract
 //
-// A CookieVerifier is NOT thread-safe. Exactly one thread at a time
-// may call any mutating, verifying, or resolving member
-// (add_descriptor, revoke, remove, verify*, find, reset_stats,
-// set_external_table): verification mutates the replay cache, the hot
-// tier, and status counters, and a concurrent add/remove rehashes the
-// descriptor map that an in-flight verify_batch is iterating — a data
-// race and potential use-after-free with no diagnostic. Debug builds
-// enforce the contract with an atomic owner check that aborts on a
-// cross-thread overlap; release builds compile the check out. To feed
-// descriptor updates to a verifier that another thread is running
-// hot, do not call add_descriptor/revoke across threads — publish an
-// immutable DescriptorTable through controlplane::TablePublisher and
-// hand it to the verifying thread via set_external_table
-// (runtime::Dataplane::bind_table_publisher does exactly this). The
-// plane's add_descriptor/revoke path does not wait for anything: it
-// requires a quiescent plane, before start() or after drain()/stop().
+// A CookieVerifier is NOT thread-safe. Exactly one thread at a time may
+// call any mutating, verifying, or resolving member (add_descriptor,
+// revoke, remove, verify*, find, reset_stats, set_external_table):
+// verification mutates the replay cache, the hot tier, and status
+// counters, and a concurrent add/remove rehashes the own table's index
+// that an in-flight verify_batch is probing — a data race and potential
+// use-after-free with no diagnostic. Debug builds enforce the contract
+// with an atomic owner check that aborts on a cross-thread overlap;
+// release builds compile the check out. To feed descriptor updates to a
+// verifier that another thread is running hot, do not call
+// add_descriptor/revoke across threads — publish an immutable
+// DescriptorTable through controlplane::TablePublisher and hand it to
+// the verifying thread via set_external_table (runtime::Dataplane does
+// exactly this, with its own publisher or one bound through
+// bind_table_publisher).
 #pragma once
 
 #include <atomic>
@@ -60,7 +59,6 @@
 #include <span>
 #include <string_view>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "cookies/cookie.h"
@@ -97,11 +95,10 @@ enum class VerifyStatus : uint8_t {
 
 struct VerifyResult {
   VerifyStatus status = VerifyStatus::kUnknownId;
-  /// Set when status == kOk. In local mode it points at the
-  /// verifier's installed descriptor and is valid until the
-  /// descriptor is removed; in external-table mode it points into the
-  /// verifier's hot tier and is valid until the next verify call
-  /// (which may recycle evicted slots).
+  /// Set when status == kOk. Points into the verifier's hot tier and
+  /// is valid until the next verify*, find or set_external_table call
+  /// on that verifier (which may recycle evicted slots or revalidate
+  /// the entry in place). Read it before calling the verifier again.
   const CookieDescriptor* descriptor = nullptr;
 
   bool ok() const { return status == VerifyStatus::kOk; }
@@ -121,40 +118,39 @@ class CookieVerifier {
   CookieVerifier(const CookieVerifier&) = delete;
   CookieVerifier& operator=(const CookieVerifier&) = delete;
 
-  /// Install a descriptor (the network side learned it when issuing).
-  /// Replaces any existing descriptor with the same id. Precomputes
-  /// the HMAC key schedule the verify hot path resumes from.
-  void add_descriptor(CookieDescriptor descriptor);
+  /// Install a descriptor in the verifier's own table (the network
+  /// side learned it when issuing). Replaces any existing descriptor
+  /// with the same id.
+  void add_descriptor(const CookieDescriptor& descriptor);
 
-  /// External-table mode: verify against an immutable DescriptorTable
-  /// published by the control plane instead of the verifier's own map.
-  /// The caller (the verifying thread) re-acquires and re-installs the
-  /// current table before each burst; the table must stay valid until
-  /// the next set_external_table call (the epoch reclamation in
+  /// Read an immutable DescriptorTable the control plane published
+  /// instead of the verifier's own table. The caller (the verifying
+  /// thread) re-acquires and re-installs the current table before each
+  /// burst; the table must stay valid until the next
+  /// set_external_table call (the epoch reclamation in
   /// controlplane::TablePublisher guarantees this). nullptr means "no
   /// table yet" and verifies everything as kUnknownId. Replay and
-  /// hot-tier state stay local to the verifier, so use-once memory and
+  /// hot-tier state stay with the verifier, so use-once memory and
   /// warm midstates survive table swaps (the hot tier revalidates
-  /// epoch-stamped entries lazily). External mode is one-way for the
-  /// lifetime of the verifier (add_descriptor/revoke/remove keep
-  /// editing the local map, but verification ignores it), which keeps
-  /// the hot-path branch predictable.
+  /// epoch-stamped entries lazily). One-way: later local edits go to
+  /// the own table, which lookups no longer read. The first call
+  /// clears the hot tier, since own and published epochs both count
+  /// from 1.
   void set_external_table(const DescriptorTable* table);
-  bool external_mode() const { return external_mode_; }
 
   /// Revocation (§4.5): "the network can similarly stop matching
   /// against a cookie to stop offering a service." Returns true if the
-  /// id was known. Revoked ids keep a tombstone so verification
-  /// reports kDescriptorRevoked rather than kUnknownId.
+  /// id had a record. Revoked ids, added or not, keep a tombstone so
+  /// verification reports kDescriptorRevoked rather than kUnknownId.
   bool revoke(CookieId id);
 
   /// Remove entirely (descriptor and tombstone).
   bool remove(CookieId id);
 
   bool knows(CookieId id) const;
-  /// The live descriptor for `id`, or nullptr (unknown or revoked). In
-  /// external mode this admits the record into the hot tier; the
-  /// pointer is valid until the next verify call.
+  /// The live descriptor for `id`, or nullptr (unknown or revoked).
+  /// Admits the record into the hot tier; the pointer has
+  /// VerifyResult::descriptor's lifetime.
   const CookieDescriptor* find(CookieId id) const;
 
   /// Run the §4.2 checks on a cookie. A kOk result records the uuid in
@@ -188,34 +184,24 @@ class CookieVerifier {
     return status_;
   }
   void reset_stats();
-  size_t descriptor_count() const {
-    return external_mode_ ? (external_ ? external_->size() : 0)
-                          : table_.size();
-  }
+  size_t descriptor_count() const { return table_->size(); }
   util::Timestamp nct() const { return nct_; }
 
   /// State knobs and introspection (bench/tests). set_hot_budget
-  /// bounds resident midstates (external mode).
+  /// bounds resident midstates.
   void set_hot_budget(size_t budget) { hot_.set_budget(budget); }
   const HotTier& hot_tier() const { return hot_; }
-  /// RESETS the verifier's one replay cache, in either mode, with a new
-  /// capacity (use before traffic, e.g. to size for tens of millions of
-  /// outstanding uuids).
+  /// RESETS the verifier's one replay cache with a new capacity (use
+  /// before traffic, e.g. to size for tens of millions of outstanding
+  /// uuids).
   void configure_external_replay(size_t capacity);
-  /// The verifier's one replay cache, in either mode (see the class
-  /// comment on replay scope).
+  /// The verifier's one replay cache (see the class comment on replay
+  /// scope).
   const ReplayCache& external_replay() const { return replays_; }
 
  private:
-  struct Entry {
-    CookieDescriptor descriptor;
-    /// ipad/opad midstates for descriptor.key, built at install time.
-    crypto::HmacKeySchedule schedule;
-    bool revoked = false;
-  };
-
-  /// A descriptor match independent of where it came from (local map
-  /// entry or hot-tier slot backed by the external table).
+  /// A descriptor match: a hot-tier entry backed by a live record of
+  /// the current table, or a tombstone.
   struct Resolved {
     const CookieDescriptor* descriptor = nullptr;
     const crypto::HmacKeySchedule* schedule = nullptr;
@@ -239,8 +225,11 @@ class CookieVerifier {
 #endif
   };
 
-  /// Looks `id` up in whichever table is active. False when unknown.
-  bool resolve(CookieId id, Resolved& out);
+  /// Hot tier first, then the current table's record. False when
+  /// unknown.
+  bool resolve(CookieId id, Resolved& out) const;
+  /// After an edit of own_: bump its epoch so hot entries revalidate.
+  void edited();
   /// Checks (ii)-(iv) + revocation/expiry against a resolved match.
   VerifyResult verify_resolved(const Resolved& match, const Cookie& cookie,
                                util::Timestamp now);
@@ -252,15 +241,15 @@ class CookieVerifier {
 
   const util::Clock& clock_;
   util::Timestamp nct_;
-  std::unordered_map<CookieId, Entry> table_;
-  /// External-table mode state (set_external_table).
-  const DescriptorTable* external_ = nullptr;
-  bool external_mode_ = false;
-  /// Midstate working set over the external table (mutable: find() is
+  /// The table local edits go to, current until set_external_table.
+  DescriptorTable own_;
+  /// The table every lookup reads: &own_, then a published table.
+  const DescriptorTable* table_ = &own_;
+  /// Midstate working set over the current table (mutable: find() is
   /// logically const but admits records on a cold hit).
   mutable HotTier hot_;
-  /// Verifier-wide use-once memory, both modes (see the class comment
-  /// on replay scope).
+  /// Verifier-wide use-once memory (see the class comment on replay
+  /// scope).
   ReplayCache replays_;
 #ifndef NDEBUG
   /// Thread currently inside a mutating/verifying member, or default
@@ -274,9 +263,9 @@ class CookieVerifier {
   /// timed 1-in-32 so the clock reads can't dominate tiny batches.
   telemetry::Histogram batch_nanos_;
   telemetry::SampleStride burst_sample_{32};
-  /// nnn_state_* cells: synced from the hot tier (external mode) and
-  /// the replay cache (both modes) at burst boundaries; sampled probe
-  /// lengths recorded inline by both.
+  /// nnn_state_* cells: synced from the hot tier and the replay cache
+  /// at burst boundaries; sampled probe lengths recorded inline by
+  /// both.
   telemetry::Gauge hot_resident_;
   telemetry::Counter hot_rehydrations_;
   telemetry::Counter hot_evictions_;

@@ -45,6 +45,45 @@ net::FlowKey Middlebox::flow_key_for(const net::Packet& packet) {
   return net::FlowKey::from_cid(flow_table_.resolve_cid(q.dcid));
 }
 
+const cookies::CookieDescriptor* Middlebox::apply_verified(
+    const cookies::VerifyResult& result, cookies::Transport transport,
+    const net::FlowKey& key, FlowEntry& entry, util::Timestamp now,
+    Verdict& verdict) {
+  verdict.verify_status = result.status;
+  if (!result.ok()) return nullptr;
+  const cookies::CookieDescriptor& descriptor = *result.descriptor;
+  // Transport restriction attribute: a descriptor may pin its cookies
+  // to specific carriers.
+  if (!descriptor.attributes.allows_transport(transport)) {
+    verdict.verify_status = cookies::VerifyStatus::kUnknownId;
+    return nullptr;
+  }
+  const auto& attrs = descriptor.attributes;
+  if (attrs.granularity == cookies::Granularity::kFlow) {
+    const util::Timestamp mapping_expires =
+        attrs.mapping_ttl ? now + *attrs.mapping_ttl : 0;
+    flow_table_.map_flow(key, descriptor.service_data, now,
+                         attrs.reverse_flow, mapping_expires);
+    entry.state = FlowState::kMapped;
+    entry.service_data = descriptor.service_data;
+  }
+  verdict.mapped_now = true;
+  verdict.service_data = descriptor.service_data;
+  verdict.action = registry_.lookup(descriptor.service_data);
+  return &descriptor;
+}
+
+void Middlebox::finish_verdict(net::Packet& packet, const FlowEntry& entry,
+                               Verdict& verdict) const {
+  if (!verdict.mapped_now && entry.state == FlowState::kMapped) {
+    verdict.service_data = entry.service_data;
+    verdict.action = registry_.lookup(entry.service_data);
+  }
+  if (verdict.action && config_.remark_dscp) {
+    packet.dscp = *config_.remark_dscp;
+  }
+}
+
 void Middlebox::apply_stack(net::Packet& packet, const net::FlowKey& key,
                             FlowEntry& entry,
                             const cookies::ExtractedCookie& extracted,
@@ -52,34 +91,16 @@ void Middlebox::apply_stack(net::Packet& packet, const net::FlowKey& key,
   // With a composed stack, apply the first cookie this network can
   // verify (each network consumes its own layer, §4.5).
   for (const cookies::Cookie& cookie : extracted.stack) {
-    const auto result = verifier_.verify(cookie);
-    verdict.verify_status = result.status;
-    if (!result.ok()) continue;
-    // Transport restriction attribute: a descriptor may pin its
-    // cookies to specific carriers.
-    if (!result.descriptor->attributes.allows_transport(
-            extracted.transport)) {
-      verdict.verify_status = cookies::VerifyStatus::kUnknownId;
-      continue;
-    }
-    const auto& attrs = result.descriptor->attributes;
-    if (attrs.granularity == cookies::Granularity::kFlow) {
-      const util::Timestamp mapping_expires =
-          attrs.mapping_ttl ? now + *attrs.mapping_ttl : 0;
-      flow_table_.map_flow(key, result.descriptor->service_data, now,
-                           attrs.reverse_flow, mapping_expires);
-      entry.state = FlowState::kMapped;
-      entry.service_data = result.descriptor->service_data;
-    }
-    if (config_.delivery_guarantees && attrs.delivery_guarantee) {
+    const cookies::CookieDescriptor* applied =
+        apply_verified(verifier_.verify(cookie), extracted.transport, key,
+                       entry, now, verdict);
+    if (applied == nullptr) continue;
+    if (config_.delivery_guarantees &&
+        applied->attributes.delivery_guarantee) {
       // The network owes the sender an acknowledgment on the
       // reverse path (§4.3).
-      pending_acks_[packet.tuple.reversed()] =
-          result.descriptor->cookie_id;
+      pending_acks_[packet.tuple.reversed()] = applied->cookie_id;
     }
-    verdict.mapped_now = true;
-    verdict.service_data = result.descriptor->service_data;
-    verdict.action = registry_.lookup(result.descriptor->service_data);
     break;
   }
 }
@@ -114,14 +135,7 @@ Verdict Middlebox::process_at(net::Packet& packet, util::Timestamp now) {
     stats_.cell<&MiddleboxStats::task_map_only>().inc();
   }
 
-  if (!verdict.mapped_now && entry.state == FlowState::kMapped) {
-    verdict.service_data = entry.service_data;
-    verdict.action = registry_.lookup(entry.service_data);
-  }
-
-  if (verdict.action && config_.remark_dscp) {
-    packet.dscp = *config_.remark_dscp;
-  }
+  finish_verdict(packet, entry, verdict);
   if (config_.delivery_guarantees && !pending_acks_.empty()) {
     maybe_attach_ack(packet);
   }
@@ -204,13 +218,7 @@ void Middlebox::process_batch(std::span<net::Packet* const> packets,
       stats_.cell<&MiddleboxStats::task_map_only>().inc();
     }
 
-    if (!verdict.mapped_now && entry.state == FlowState::kMapped) {
-      verdict.service_data = entry.service_data;
-      verdict.action = registry_.lookup(entry.service_data);
-    }
-    if (verdict.action && config_.remark_dscp) {
-      packet.dscp = *config_.remark_dscp;
-    }
+    finish_verdict(packet, entry, verdict);
     verdicts[i] = verdict;
   }
   flush_pending(packets, verdicts, now);
@@ -226,34 +234,10 @@ void Middlebox::flush_pending(std::span<net::Packet* const> packets,
   for (size_t k = 0; k < pending_info_.size(); ++k) {
     const PendingVerify& p = pending_info_[k];
     net::Packet& packet = *packets[p.index];
-    const cookies::VerifyResult& result = pending_results_[k];
     Verdict verdict;
-    verdict.verify_status = result.status;
-    if (result.ok()) {
-      if (!result.descriptor->attributes.allows_transport(p.transport)) {
-        verdict.verify_status = cookies::VerifyStatus::kUnknownId;
-      } else {
-        const auto& attrs = result.descriptor->attributes;
-        if (attrs.granularity == cookies::Granularity::kFlow) {
-          const util::Timestamp mapping_expires =
-              attrs.mapping_ttl ? now + *attrs.mapping_ttl : 0;
-          flow_table_.map_flow(p.key, result.descriptor->service_data, now,
-                               attrs.reverse_flow, mapping_expires);
-          p.entry->state = FlowState::kMapped;
-          p.entry->service_data = result.descriptor->service_data;
-        }
-        verdict.mapped_now = true;
-        verdict.service_data = result.descriptor->service_data;
-        verdict.action = registry_.lookup(result.descriptor->service_data);
-      }
-    }
-    if (!verdict.mapped_now && p.entry->state == FlowState::kMapped) {
-      verdict.service_data = p.entry->service_data;
-      verdict.action = registry_.lookup(p.entry->service_data);
-    }
-    if (verdict.action && config_.remark_dscp) {
-      packet.dscp = *config_.remark_dscp;
-    }
+    apply_verified(pending_results_[k], p.transport, p.key, *p.entry, now,
+                   verdict);
+    finish_verdict(packet, *p.entry, verdict);
     verdicts[p.index] = verdict;
   }
   pending_cookies_.clear();

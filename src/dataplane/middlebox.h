@@ -185,6 +185,19 @@ class Middlebox {
   /// process() body with the clock read hoisted.
   Verdict process_at(net::Packet& packet, util::Timestamp now);
 
+  /// Apply one verify outcome (transport restriction, flow mapping,
+  /// verdict): the one reader of VerifyResult::descriptor. Returns the
+  /// descriptor when applied, else nullptr.
+  const cookies::CookieDescriptor* apply_verified(
+      const cookies::VerifyResult& result, cookies::Transport transport,
+      const net::FlowKey& key, FlowEntry& entry, util::Timestamp now,
+      Verdict& verdict);
+
+  /// The verdict's tail: a packet of a mapped flow that did not map it
+  /// takes the flow's action, and an action remarks DSCP.
+  void finish_verdict(net::Packet& packet, const FlowEntry& entry,
+                      Verdict& verdict) const;
+
   /// Apply a verified-cookie stack to a flow entry (the §4.5 loop).
   void apply_stack(net::Packet& packet, const net::FlowKey& key,
                    FlowEntry& entry,

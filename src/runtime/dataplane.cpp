@@ -57,8 +57,8 @@ struct Dataplane::Worker {
   /// thread; flushed at idle and exit so slots never idle in a stash.
   PacketArena::Cache cache;
   WorkerCounters counters;
-  /// Epoch reader into the bound TablePublisher (detached when the
-  /// plane runs standalone). Used only by this worker's thread.
+  /// Epoch reader into the plane's current publisher. Used only by
+  /// this worker's thread.
   controlplane::TablePublisher::Reader table_reader;
   /// Ring bursts are timed 1-in-32. Even a full 32-packet burst is
   /// only ~3 us of work, so the ~86 ns timer pair would cost ~3%
@@ -92,6 +92,7 @@ Dataplane::Dataplane(const util::Clock& clock,
     // Each worker's block exports under worker="i"; identical families
     // across workers merge into per-worker series of nnn_pool_*.
     Worker& w = *workers_.back();
+    w.table_reader = tables_.register_reader();
     const std::string index = std::to_string(i);
     w.registration = telemetry::Registry::global().add_collector(
         [&w, labels = telemetry::LabelSet{{"worker", index}}](
@@ -131,6 +132,9 @@ size_t Dataplane::steer(const net::Packet& packet) {
 }
 
 bool Dataplane::submit(PacketHandle&& handle, bool blocking) {
+  // Edits made on a drained, running plane reach the workers here,
+  // one publish for however many edits, before any packet needs them.
+  if (edits_pending_) publish_edits();
   if (!handle) {
     // Arena exhausted at make_packet(): record the shed on worker 0 so
     // the ledger keeps one home for every ingest attempt (attempts ==
@@ -157,22 +161,28 @@ bool Dataplane::submit(PacketHandle&& handle, bool blocking) {
 }
 
 void Dataplane::add_descriptor(const cookies::CookieDescriptor& descriptor) {
-  if (publisher_ != nullptr) return;  // descriptor state owned by sync
-  for (auto& worker : workers_) {
-    worker->verifier.add_descriptor(descriptor);
-  }
+  if (publisher_ != &tables_) return;  // descriptor state owned by sync
+  staged_.upsert(descriptor);
+  edits_pending_ = true;
 }
 
 void Dataplane::revoke(cookies::CookieId id) {
-  if (publisher_ != nullptr) return;  // descriptor state owned by sync
-  for (auto& worker : workers_) {
-    worker->verifier.revoke(id);
-  }
+  if (publisher_ != &tables_) return;  // descriptor state owned by sync
+  staged_.revoke(id);
+  edits_pending_ = true;
+}
+
+void Dataplane::publish_edits() {
+  // Version 0: no DescriptorLog stands behind it, and the registry
+  // sums nnn_controlplane_table_version over publishers.
+  tables_.publish(std::make_unique<cookies::DescriptorTable>(0, staged_));
+  edits_pending_ = false;
 }
 
 void Dataplane::bind_table_publisher(
     controlplane::TablePublisher& publisher) {
   publisher_ = &publisher;
+  edits_pending_ = false;  // the sync channel owns descriptor state
   for (auto& worker : workers_) {
     worker->table_reader = publisher.register_reader();
   }
@@ -184,6 +194,7 @@ void Dataplane::set_fault_injector(const fault::Injector* injector) {
 
 void Dataplane::start() {
   if (running_) return;
+  if (edits_pending_) publish_edits();
   stop_.store(false, std::memory_order_release);
   for (size_t i = 0; i < workers_.size(); ++i) {
     workers_[i]->thread = std::thread([this, i] { worker_main(i); });
@@ -289,7 +300,6 @@ Dataplane::EnqueueResult Dataplane::try_enqueue(size_t worker,
 
 void Dataplane::worker_main(size_t index) {
   Worker& w = *workers_[index];
-  const bool synced = w.table_reader.attached();
   const size_t batch_size = config_.pool.batch_size;
   std::vector<uint32_t> slots(batch_size);
   std::vector<net::Packet*> batch(batch_size);
@@ -302,7 +312,7 @@ void Dataplane::worker_main(size_t index) {
     // outliving the test would wedge shutdown too.
     if (injector_ != nullptr &&
         injector_->paused(static_cast<uint32_t>(index), clock_.now())) {
-      if (synced) w.table_reader.park();
+      w.table_reader.park();
       w.cache.flush();
       if (stop_.load(std::memory_order_acquire)) break;
       std::this_thread::sleep_for(std::chrono::microseconds(100));
@@ -315,7 +325,7 @@ void Dataplane::worker_main(size_t index) {
       // (an idle worker must not pin a retired table) and flush the
       // release stash (an idle worker must not starve the producer of
       // slots it is hoarding).
-      if (synced) w.table_reader.park();
+      w.table_reader.park();
       w.cache.flush();
       if (stop_.load(std::memory_order_acquire)) break;
       idle_backoff(idle);
@@ -328,7 +338,7 @@ void Dataplane::worker_main(size_t index) {
     // Epoch swap point first: pin the control plane's current table
     // for this burst. Two uncontended atomic ops; the old table is
     // reclaimable the moment every worker has moved on or parked.
-    if (synced) w.verifier.set_external_table(w.table_reader.acquire());
+    w.verifier.set_external_table(w.table_reader.acquire());
     for (size_t i = 0; i < n; ++i) batch[i] = &arena_.at(slots[i]);
     const telemetry::ScopedTimer batch_timer(w.counters.batch_nanos,
                                              w.burst_sample.next());
@@ -364,7 +374,7 @@ void Dataplane::worker_main(size_t index) {
     // whoever acquires `processed` (drain, snapshot readers).
     c.processed.inc_release(n);
   }
-  if (synced) w.table_reader.park();
+  w.table_reader.park();
   w.cache.flush();
 }
 

@@ -3,13 +3,13 @@
 //
 // "We can use multiple cores instead of one, and similarly add more
 // than one middle-boxes to scale-out the deployment." The plane runs N
-// worker threads, each owning a complete shard (its own CookieVerifier
-// — descriptor table + replay cache — and its own Middlebox with flow
-// table), fed through one SPSC ring per worker in the
-// run-to-completion style of DPDK pipelines. Because a worker's
-// verifier and replay cache are touched by exactly one thread, the
-// §4.2 use-once check needs no locks; cross-worker soundness is the
-// steering's job (descriptor affinity, below).
+// worker threads, each owning a shard (its own CookieVerifier — hot
+// tier + replay cache — and its own Middlebox with flow table), fed
+// through one SPSC ring per worker in the run-to-completion style of
+// DPDK pipelines. Because a worker's verifier and replay cache are
+// touched by exactly one thread, the §4.2 use-once check needs no
+// locks; cross-worker soundness is the steering's job (descriptor
+// affinity, below). All workers read one published descriptor table.
 //
 // The contract is one verb with the steering inside:
 //
@@ -56,7 +56,8 @@
 //   - control plane (add_descriptor / revoke / bind_table_publisher /
 //     set_fault_injector / middlebox / verifier accessors) — only
 //     while the plane is quiescent: before start(), or after
-//     drain()/stop() returns;
+//     drain()/stop() returns (the next ingest publishes an edit made
+//     on a drained, running plane);
 //   - snapshot()/total_* — any thread, any time (atomics only);
 //   - the injected Clock must be safe to read concurrently
 //     (SystemClock is; a ManualClock must not be advanced while
@@ -191,20 +192,21 @@ class Dataplane {
   bool running() const { return running_; }
 
   // ---- control plane (quiescent only) ----
-  /// Install a descriptor into every worker's verifier (control-plane
-  /// state is replicated; replay caches are not — see §4.6). Ignored
-  /// once a table publisher is bound — descriptor state then flows
-  /// exclusively through the sync channel.
+  /// Stage a descriptor in the plane's one store, which start() or the
+  /// next ingest publishes to every worker (replay caches stay per
+  /// worker — see §4.6). Ignored once a table publisher is bound —
+  /// descriptor state then flows exclusively through the sync channel.
   void add_descriptor(const cookies::CookieDescriptor& descriptor);
-  /// Revoke on every worker; ignored once a table publisher is bound
-  /// (see add_descriptor).
+  /// Stage a revocation; ignored once a table publisher is bound (see
+  /// add_descriptor).
   void revoke(cookies::CookieId id);
-  /// Bind the plane to a control-plane table publisher. Must be called
-  /// before start(); the publisher must outlive the plane. Each worker
-  /// registers an epoch reader and thereafter verifies every burst
-  /// against the publisher's current table (re-acquired per burst — a
-  /// swap costs the worker two uncontended atomic ops, never a lock),
-  /// parking at idle and exit so retired tables reclaim promptly.
+  /// Bind the plane to a control-plane table publisher in place of its
+  /// own. Must be called before start(); the publisher must outlive
+  /// the plane. Each worker registers an epoch reader and thereafter
+  /// verifies every burst against the publisher's current table
+  /// (re-acquired per burst — a swap costs the worker two uncontended
+  /// atomic ops, never a lock), parking at idle and exit so retired
+  /// tables reclaim promptly.
   void bind_table_publisher(controlplane::TablePublisher& publisher);
   /// Hook the plane into a fault injector: admission consults
   /// reject_admission() and workers consult paused(). Before start()
@@ -223,7 +225,8 @@ class Dataplane {
   /// appended to `out`. No-op (0) unless verdict_capacity > 0.
   size_t drain_verdicts(std::vector<VerdictRecord>& out);
   /// Quiescent plane only (see the threading contract), except their
-  /// stats(), which read telemetry cells and are safe at any time.
+  /// stats(), which read telemetry cells and are safe at any time. A
+  /// verifier's table may be reclaimed since its last burst: no lookups.
   const dataplane::Middlebox& middlebox(size_t worker) const;
   const cookies::CookieVerifier& verifier(size_t worker) const;
   dataplane::DispatchPolicy policy() const { return config_.policy; }
@@ -247,6 +250,9 @@ class Dataplane {
   /// (`blocking`) waiting for space.
   bool submit(PacketHandle&& handle, bool blocking);
 
+  /// Publish the staged descriptor store through tables_.
+  void publish_edits();
+
   /// The balancer step: learn the packet's CID steering state
   /// (descriptor affinity only), then pick its worker.
   size_t steer(const net::Packet& packet);
@@ -265,7 +271,11 @@ class Dataplane {
   const util::Clock& clock_;
   Config config_;
   PacketArena arena_;
-  controlplane::TablePublisher* publisher_ = nullptr;
+  /// Declared before workers_, so they outlive the workers' readers.
+  controlplane::TablePublisher tables_;
+  cookies::DescriptorStore staged_;
+  /// The publisher the workers read: tables_ unless one is bound.
+  controlplane::TablePublisher* publisher_ = &tables_;
   const fault::Injector* injector_ = nullptr;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::unique_ptr<MpscRing<VerdictRecord>> verdicts_;
@@ -273,6 +283,8 @@ class Dataplane {
   bool running_ = false;
   /// Producer-side alloc stash (single producer thread).
   PacketArena::Cache cache_;
+  /// staged_ holds edits the workers cannot see yet.
+  bool edits_pending_ = false;
   /// CID -> steering-key state for the encrypted transport, learned on
   /// the ingest path (handshakes bind the cookie id, rotation markers
   /// alias fresh CIDs). Producer thread only, like the stash: the one

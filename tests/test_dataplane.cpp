@@ -1,6 +1,9 @@
 // Dataplane: QoS primitives, flow table, middlebox, zero-rating.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "cookies/generator.h"
 #include "cookies/transport.h"
 #include "dataplane/flow_table.h"
@@ -314,6 +317,82 @@ TEST_F(MiddleboxTest, ProcessBatchMatchesSequential) {
   EXPECT_EQ(middlebox_.stats().bytes, sequential.stats().bytes);
   EXPECT_EQ(verifier_.stats(), verifier_seq.stats());
   EXPECT_EQ(middlebox_.flows().size(), sequential.flows().size());
+}
+
+TEST_F(MiddleboxTest, ProcessBatchReadsEachDescriptorBeforeEviction) {
+  // VerifyResult::descriptor points into the verifier's hot tier and
+  // lives until the next verifier call. With a one-entry tier every
+  // admission evicts the previous descriptor, so a holder that read
+  // its pointer late would apply another descriptor's attributes. Four
+  // descriptors, each with an attribute that changes the verdict, are
+  // interleaved with their flows' later and reverse packets in one
+  // burst: process_batch on the budget-1 box must give the verdicts
+  // process() gives packet by packet on a default-budget twin.
+  std::vector<cookies::CookieDescriptor> descriptors(4);
+  for (size_t i = 0; i < descriptors.size(); ++i) {
+    descriptors[i].cookie_id = 10 + i;
+    descriptors[i].key.assign(32, static_cast<uint8_t>(0x50 + i));
+    descriptors[i].service_data = "service-" + std::to_string(i);
+    registry_.bind(descriptors[i].service_data, PriorityAction{i});
+  }
+  // Rejects the UDP shim every cookie below rides in.
+  descriptors[0].attributes.transports = {cookies::Transport::kHttpHeader};
+  descriptors[1].attributes.mapping_ttl = 30 * kSecond;
+  descriptors[2].attributes.reverse_flow = false;
+  descriptors[3].attributes.granularity = cookies::Granularity::kPacket;
+
+  cookies::CookieVerifier tight(clock_);
+  tight.set_hot_budget(1);
+  cookies::CookieVerifier roomy(clock_);
+  std::vector<cookies::CookieGenerator> gens;
+  for (const auto& descriptor : descriptors) {
+    tight.add_descriptor(descriptor);
+    roomy.add_descriptor(descriptor);
+    gens.emplace_back(descriptor, clock_, descriptor.cookie_id);
+  }
+  Middlebox box(clock_, tight, registry_);
+  Middlebox twin(clock_, roomy, registry_);
+
+  const auto plain = [&](size_t flow, bool reverse = false) {
+    net::Packet p = flow_packet(static_cast<uint16_t>(6000 + flow));
+    p.tuple.proto = net::L4Proto::kUdp;
+    if (reverse) p.tuple = p.tuple.reversed();
+    return p;
+  };
+  const auto cookie = [&](size_t flow) {
+    net::Packet p = plain(flow);
+    cookies::attach(p, gens[flow].generate(), cookies::Transport::kUdpHeader);
+    return p;
+  };
+  std::vector<net::Packet> burst = {
+      cookie(0),      cookie(1), plain(0),       cookie(2),
+      plain(1, true), cookie(3), plain(2),       plain(0, true),
+      plain(3),       plain(2, true), plain(1),  plain(3, true)};
+
+  std::vector<net::Packet> copy = burst;
+  std::vector<Verdict> expected;
+  for (auto& packet : copy) expected.push_back(twin.process(packet));
+  // The twin's verdicts show each attribute at work.
+  EXPECT_EQ(expected[0].verify_status, cookies::VerifyStatus::kUnknownId);
+  EXPECT_TRUE(expected[4].action.has_value());    // reverse of flow 1
+  EXPECT_FALSE(expected[9].action.has_value());   // reverse of flow 2
+  EXPECT_TRUE(expected[5].mapped_now);            // per-packet cookie...
+  EXPECT_FALSE(expected[8].action.has_value());   // ...maps no flow
+
+  std::vector<Verdict> batched(burst.size());
+  std::vector<net::Packet*> pointers;
+  for (auto& packet : burst) pointers.push_back(&packet);
+  box.process_batch(pointers, batched);
+  for (size_t i = 0; i < burst.size(); ++i) {
+    EXPECT_EQ(batched[i].verify_status, expected[i].verify_status)
+        << "packet " << i;
+    EXPECT_EQ(batched[i].action, expected[i].action) << "packet " << i;
+    EXPECT_EQ(batched[i].service_data, expected[i].service_data)
+        << "packet " << i;
+    EXPECT_EQ(batched[i].mapped_now, expected[i].mapped_now)
+        << "packet " << i;
+  }
+  EXPECT_GE(tight.hot_tier().evictions(), 3u);
 }
 
 TEST_F(MiddleboxTest, ProcessBatchRemarksDscp) {

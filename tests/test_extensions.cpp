@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -186,6 +188,41 @@ TEST_F(ShardingTest, RevocationReachesAllShards) {
   EXPECT_EQ(accepted(run(plane, std::move(packets))), 0u);
 }
 
+TEST_F(ShardingTest, EditsOnADrainedRunningPlaneReachTheNextCookie) {
+  // add_descriptor/revoke on a drained, running plane are staged; the
+  // next ingest publishes them before its packet reaches a worker.
+  for (const auto policy : {dataplane::DispatchPolicy::kDescriptorAffinity,
+                            dataplane::DispatchPolicy::kFlowHash}) {
+    for (const size_t workers : {size_t{1}, size_t{2}}) {
+      SCOPED_TRACE(std::to_string(workers) + " workers, " +
+                   std::string(to_string(policy)));
+      runtime::Dataplane plane(clock_, registry_,
+                               plane_config(workers, policy));
+      plane.start();
+      plane.drain();
+      const auto descriptor = make_descriptor(6);
+      cookies::CookieGenerator generator(descriptor, clock_, 6);
+      const auto next_status = [&](uint16_t port) {
+        runtime::PacketHandle h = plane.make_packet();
+        EXPECT_TRUE(h);
+        if (!h) return std::optional<cookies::VerifyStatus>();
+        *h = cookie_udp_packet(port, generator.generate());
+        plane.ingest_blocking(std::move(h));
+        plane.drain();
+        std::vector<runtime::VerdictRecord> verdicts;
+        plane.drain_verdicts(verdicts);
+        EXPECT_EQ(verdicts.size(), 1u);
+        return verdicts.empty() ? std::nullopt : verdicts[0].verify_status;
+      };
+      plane.add_descriptor(descriptor);
+      EXPECT_EQ(next_status(44000), cookies::VerifyStatus::kOk);
+      plane.revoke(descriptor.cookie_id);
+      EXPECT_EQ(next_status(44001), cookies::VerifyStatus::kDescriptorRevoked);
+      plane.stop();
+    }
+  }
+}
+
 // --- delivery guarantees (§4.3) ---
 
 class DeliveryGuaranteeTest : public ::testing::Test {
@@ -209,30 +246,45 @@ class DeliveryGuaranteeTest : public ::testing::Test {
 };
 
 TEST_F(DeliveryGuaranteeTest, AckCookieAttachedToReverseTraffic) {
-  cookies::CookieGenerator generator(descriptor_, clock_, 7);
-  cookies::AckMonitor monitor(clock_, 2 * kSecond);
+  // Second input: a one-entry hot tier, and another descriptor's
+  // cookie verified between the boosted packet and its reverse, so the
+  // ack is minted from what find() reads back after an eviction.
+  const auto other = make_descriptor(8);
+  verifier_.add_descriptor(other);
+  for (const bool evicted : {false, true}) {
+    SCOPED_TRACE(evicted ? "descriptor evicted" : "descriptor hot");
+    if (evicted) verifier_.set_hot_budget(1);
+    cookies::CookieGenerator generator(descriptor_, clock_, evicted ? 11 : 7);
+    cookies::AckMonitor monitor(clock_, 2 * kSecond);
 
-  net::Packet request = cookie_udp_packet(45000, generator.generate());
-  monitor.expect(request.tuple, descriptor_.cookie_id);
-  ASSERT_TRUE(middlebox_->process(request).action.has_value());
-  EXPECT_EQ(middlebox_->pending_acks(), 1u);
+    net::Packet request = cookie_udp_packet(evicted ? 45004 : 45000,
+                                            generator.generate());
+    monitor.expect(request.tuple, descriptor_.cookie_id);
+    ASSERT_TRUE(middlebox_->process(request).action.has_value());
+    EXPECT_EQ(middlebox_->pending_acks(), 1u);
+    if (evicted) {
+      cookies::CookieGenerator other_generator(other, clock_, 12);
+      ASSERT_TRUE(verifier_.verify(other_generator.generate()).ok());
+      EXPECT_GE(verifier_.hot_tier().evictions(), 1u);
+    }
 
-  // The server's response crosses the same box on the reverse path.
-  net::Packet response;
-  response.tuple = request.tuple.reversed();
-  response.payload = {0x01};
-  middlebox_->process(response);
-  EXPECT_EQ(middlebox_->pending_acks(), 0u);
+    // The server's response crosses the same box on the reverse path.
+    net::Packet response;
+    response.tuple = request.tuple.reversed();
+    response.payload = {0x01};
+    middlebox_->process(response);
+    EXPECT_EQ(middlebox_->pending_acks(), 0u);
 
-  // The client's monitor recognizes the ack.
-  EXPECT_TRUE(monitor.on_packet(response));
-  EXPECT_TRUE(monitor.acked(request.tuple));
-  EXPECT_TRUE(monitor.overdue().empty());
+    // The client's monitor recognizes the ack.
+    EXPECT_TRUE(monitor.on_packet(response));
+    EXPECT_TRUE(monitor.acked(request.tuple));
+    EXPECT_TRUE(monitor.overdue().empty());
 
-  // The attached ack is a valid, fresh cookie from the descriptor.
-  const auto extracted = cookies::extract(response);
-  ASSERT_TRUE(extracted.has_value());
-  EXPECT_TRUE(verifier_.verify(extracted->stack.front()).ok());
+    // The attached ack is a valid, fresh cookie from the descriptor.
+    const auto extracted = cookies::extract(response);
+    ASSERT_TRUE(extracted.has_value());
+    EXPECT_TRUE(verifier_.verify(extracted->stack.front()).ok());
+  }
 }
 
 TEST_F(DeliveryGuaranteeTest, NoAckWithoutAttribute) {

@@ -230,23 +230,31 @@ cookies::CookieDescriptor make_descriptor(cookies::CookieId id,
 }
 
 TEST(DescriptorStore, MaterializeRoundTripsExactly) {
+  // Profiles run A, A, B, A, A' (A' differs from A only in
+  // mapping_ttl), so interning must match the last profile across an
+  // expiry, tell a new profile from the last one, and come back to an
+  // earlier one.
   cookies::DescriptorStore store;
   auto with_expiry = make_descriptor(1);
   with_expiry.attributes.expires_at = 42 * kSecond;
+  auto other_service = make_descriptor(4);
+  other_service.service_data = "Video";
   auto no_expiry = make_descriptor(2);
   auto long_key = make_descriptor(3, /*key_len=*/48);  // spills
-  store.upsert(with_expiry);
-  store.upsert(no_expiry);
-  store.upsert(long_key);
+  auto with_ttl = make_descriptor(5);
+  with_ttl.attributes.mapping_ttl = 60 * kSecond;
+  const std::vector<cookies::CookieDescriptor> inputs = {
+      no_expiry, with_expiry, other_service, long_key, with_ttl};
+  for (const auto& descriptor : inputs) store.upsert(descriptor);
 
-  for (const auto& original : {with_expiry, no_expiry, long_key}) {
+  for (const auto& original : inputs) {
     const auto* record = store.find(original.cookie_id);
     ASSERT_NE(record, nullptr);
     EXPECT_FALSE(record->revoked);
     EXPECT_EQ(store.materialize(*record), original);
   }
-  // Same service profile across all three records.
-  EXPECT_EQ(store.profile_count(), 1u);
+  // A (shared by three records, expiry or not), B and A'.
+  EXPECT_EQ(store.profile_count(), 3u);
 }
 
 TEST(DescriptorStore, ExpiryLivesPerRecordNotPerProfile) {

@@ -102,8 +102,13 @@ TEST_F(VerifierTest, RevocationTombstones) {
   EXPECT_TRUE(verifier_.revoke(8));
   EXPECT_EQ(verifier_.verify(gen.generate()).status,
             VerifyStatus::kDescriptorRevoked);
-  // Unknown ids cannot be revoked.
+  // Revoking an id never added reports it unknown, yet leaves a
+  // tombstone, as a synced table does: its cookies verify as revoked.
   EXPECT_FALSE(verifier_.revoke(999));
+  EXPECT_TRUE(verifier_.knows(999));
+  CookieGenerator never_added(make_descriptor(999), clock_, 999);
+  EXPECT_EQ(verifier_.verify(never_added.generate()).status,
+            VerifyStatus::kDescriptorRevoked);
   // find() hides revoked descriptors.
   EXPECT_EQ(verifier_.find(8), nullptr);
   // Re-adding reinstates service.
@@ -358,12 +363,12 @@ TEST_F(ExternalVerifierTest, RevokedRecordShortCircuitsWithoutAdmission) {
 }
 
 TEST_F(ExternalVerifierTest, ReplayScopeIsVerifierWideAcrossDescriptors) {
-  // Both modes share ONE uuid-keyed replay cache across descriptors
-  // (uuids are 128-bit randoms, so a cross-descriptor collision is
-  // adversarial reuse). Re-signing a seen uuid under a different
-  // descriptor's key must still be caught. Inputs: a local-mode
-  // verifier with both descriptors installed, and this fixture's
-  // verifier over a published table.
+  // A verifier keeps ONE uuid-keyed replay cache across descriptors,
+  // whichever table it reads (uuids are 128-bit randoms, so a
+  // cross-descriptor collision is adversarial reuse). Re-signing a
+  // seen uuid under a different descriptor's key must still be
+  // caught. Inputs: a verifier with both descriptors in its own
+  // table, and this fixture's verifier over a published table.
   const auto d1 = make_descriptor(1);
   const auto d2 = make_descriptor(2);
   CookieVerifier local(clock_);
@@ -372,7 +377,7 @@ TEST_F(ExternalVerifierTest, ReplayScopeIsVerifierWideAcrossDescriptors) {
   mirror_.reset(1, {d1, d2}, {});
   publish(1);
   for (CookieVerifier* verifier : {&local, &verifier_}) {
-    SCOPED_TRACE(verifier->external_mode() ? "external" : "local");
+    SCOPED_TRACE(verifier == &local ? "own table" : "published table");
     auto gen = generator(d1);
     const Cookie first = gen.generate();
     EXPECT_TRUE(verifier->verify(first).ok());
@@ -383,6 +388,27 @@ TEST_F(ExternalVerifierTest, ReplayScopeIsVerifierWideAcrossDescriptors) {
     EXPECT_EQ(verifier->verify(cross).status, VerifyStatus::kReplayed);
     EXPECT_EQ(verifier->external_replay().size(), 1u);
   }
+}
+
+TEST_F(ExternalVerifierTest, LeavingTheOwnTableDropsItsHotEntries) {
+  // Own and published epochs both count from 1. Id 1 verifies under
+  // K1 from the verifier's own table at epoch 1; the published table
+  // also has epoch 1 but holds id 1 under K2. The K1 entry must not
+  // pass for the published record.
+  const auto k1 = make_descriptor(1);
+  verifier_.add_descriptor(k1);
+  EXPECT_TRUE(verifier_.verify(generator(k1).generate()).ok());
+  ASSERT_NE(verifier_.hot_tier().peek(1, 1), nullptr)
+      << "premise: the own-table entry is stamped with epoch 1";
+
+  auto k2 = make_descriptor(1);
+  k2.key.assign(32, 0xC2);
+  mirror_.reset(1, {k2}, {});
+  publish(1);
+  EXPECT_EQ(verifier_.verify(generator(k2, /*salt=*/1).generate()).status,
+            VerifyStatus::kOk);
+  EXPECT_EQ(verifier_.verify(generator(k1, /*salt=*/2).generate()).status,
+            VerifyStatus::kBadSignature);
 }
 
 TEST_F(ExternalVerifierTest, HotBudgetEvictsColdDescriptors) {
