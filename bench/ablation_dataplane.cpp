@@ -4,11 +4,13 @@
 //   - sniff-window depth (the daemon's "first 3 packets" choice);
 //   - descriptor-table scale (does 100K descriptors slow the hot path?);
 //   - replay-cache churn;
+//   - flow-table churn at a steady live set (cost per new flow);
 //   - cookie transport extraction cost per carrier (HTTP text parse vs
 //     TLS binary parse vs IPv6 option vs UDP shim).
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <string>
 
 #include "cookies/replay_cache.h"
 #include "cookies/transport.h"
@@ -395,5 +397,45 @@ BENCHMARK(BM_FlowTableTouch)
     ->Arg(1000)
     ->Arg(100000)
     ->Arg(1000000);
+
+/// Flow churn in the cookie_storm shape: every iteration binds a fresh
+/// five-tuple and maps it with its reverse, two entries per new flow.
+/// The clock steps idle_timeout / `live` per flow, so about `live`
+/// flows stay resident while the oldest idle out. Time per iteration is
+/// ns per new flow; flow state that costs O(1) keeps it flat across
+/// live-set sizes. A fixed iteration count keeps the warm-up (two
+/// idle timeouts of churn) to one run per size.
+void BM_FlowTableChurn(benchmark::State& state) {
+  const auto live = static_cast<nnn::util::Timestamp>(state.range(0));
+  const nnn::util::Timestamp idle =
+      nnn::dataplane::FlowTable::kDefaultIdleTimeout;
+  nnn::dataplane::FlowTable table(
+      nnn::dataplane::FlowTable::kDefaultSniffWindow, idle);
+  const std::string service = "Boost";
+  nnn::util::Timestamp now = 0;
+  uint32_t next = 1;
+  const auto churn = [&] {
+    nnn::net::FiveTuple t;
+    t.src_ip = nnn::net::IpAddress::v4(next++);
+    t.dst_ip = nnn::net::IpAddress::v4(151, 101, 0, 1);
+    t.src_port = 40000;
+    t.dst_port = 443;
+    const auto key = nnn::net::FlowKey::from_tuple(t);
+    auto bound = table.bind(key, 512, now);
+    table.map_flow(key, *bound.value().entry, service, now,
+                   /*include_reverse=*/true);
+    benchmark::DoNotOptimize(bound);
+    now += idle / live;
+  };
+  for (nnn::util::Timestamp i = 0; i < 2 * live; ++i) churn();
+  for (auto _ : state) churn();
+  state.counters["entries"] = static_cast<double>(table.size());
+}
+BENCHMARK(BM_FlowTableChurn)
+    ->ArgName("live")
+    ->Arg(10000)
+    ->Arg(100000)
+    ->Arg(1000000)
+    ->Iterations(1 << 20);
 
 }  // namespace

@@ -1,16 +1,6 @@
 #include "cookies/replay_cache.h"
 
-#include <algorithm>
-
 namespace nnn::cookies {
-
-namespace {
-
-util::Timestamp tick_for(util::Timestamp horizon) {
-  return std::max<util::Timestamp>(1, horizon / 64);
-}
-
-}  // namespace
 
 ReplayCache::ReplayCache(util::Timestamp horizon, size_t capacity)
     : horizon_(horizon), capacity_(capacity == 0 ? 1 : capacity) {}
@@ -35,7 +25,7 @@ bool ReplayCache::insert(const crypto::Uuid& uuid, util::Timestamp now) {
     ++capacity_evictions_;
   }
   if (!wheel_.ready()) {
-    wheel_.init(tick_for(horizon_), kWheelSlots, now);
+    wheel_.init(state::ExpiryWheel::tick_for(horizon_), kWheelSlots, now);
   } else if (index_.empty()) {
     // A drained wheel's cursor only moves on purge walks, and those
     // stop once nothing is left; re-seat it so this entry lands within

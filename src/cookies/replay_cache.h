@@ -49,11 +49,9 @@ class ReplayCache {
   /// legitimate (rate x NCT) working set.
   static constexpr size_t kDefaultCapacity = 1 << 20;
 
-  /// Timer-wheel shape: 256 slots, tick = horizon/64 — the wheel
-  /// period is 4x the horizon, so one revolution can never mix entries
-  /// from different horizons even when the watermark lets the cursor
-  /// lag a full horizon behind.
-  static constexpr size_t kWheelSlots = 256;
+  /// Timer-wheel shape: state::ExpiryWheel's shared one (256 slots,
+  /// tick = horizon/64 rounded up).
+  static constexpr size_t kWheelSlots = state::ExpiryWheel::kSlots;
 
   /// `horizon` is how long a uuid is remembered — the NCT window.
   /// `capacity` clamps the entry count against uuid floods; oldest

@@ -4,9 +4,6 @@ namespace nnn::dataplane {
 
 namespace {
 
-/// Amortize idle expiry: run a sweep every this many touches.
-constexpr uint64_t kExpirySweepInterval = 8192;
-
 constexpr Error kOverloadError{ErrorDomain::kFlow, ErrorCode::kOverload,
                                "flow table at max_flows"};
 constexpr Error kUnknownFlowError{ErrorDomain::kFlow, ErrorCode::kUnknownId,
@@ -20,6 +17,10 @@ FlowTable::FlowTable(uint32_t sniff_window, util::Timestamp idle_timeout,
       idle_timeout_(idle_timeout),
       max_flows_(max_flows),
       aliases_(quic::CidAliasConfig{.max_connections = 0}) {
+  // Seated at 0; the first create reseats the drained wheel at its
+  // own time.
+  wheel_.init(state::ExpiryWheel::tick_for(idle_timeout_),
+              state::ExpiryWheel::kSlots, 0);
   registration_ = telemetry::Registry::global().add_collector(
       [this](telemetry::SampleBuilder& builder) {
         stats_.collect(builder);
@@ -63,21 +64,26 @@ std::optional<uint32_t> FlowTable::obtain(const net::FlowKey& key,
         Slot& s = pool_[slot];
         s.key = key;
         s.entry = FlowEntry{};
-        s.live = true;
         return slot;
       });
+  const uint32_t slot = *slot_entry;
   created = inserted;
-  return *slot_entry;
+  if (inserted) {
+    // File the new flow once, at its due; later touches only move the
+    // due on, and the wheel re-files it when it gets there.
+    if (wheel_.size() == 0) wheel_.reseat(now);
+    const util::Timestamp due = now + idle_timeout_ + 1;
+    wheel_.schedule(slot, due, wheel_next());
+    if (due < watermark_) watermark_ = due;
+  }
+  return slot;
 }
 
 Expected<FlowTable::Binding> FlowTable::bind(const net::FlowKey& key,
                                              uint32_t bytes,
                                              util::Timestamp now) {
   stats_.cell<&FlowTableStats::lookups>().inc();
-  if (++touches_since_expiry_ >= kExpirySweepInterval) {
-    touches_since_expiry_ = 0;
-    expire_idle(now);
-  }
+  if (now >= watermark_) expire_idle(now);
   bool created = false;
   const std::optional<uint32_t> slot = obtain(canonical(key), created, now);
   if (!slot) {
@@ -109,38 +115,36 @@ Expected<FlowTable::Binding> FlowTable::bind(const net::FlowKey& key,
   return Binding{&entry, created};
 }
 
-Expected<FlowTable::Binding> FlowTable::map_one(
-    const net::FlowKey& key, const std::string& service_data,
-    util::Timestamp now, util::Timestamp mapping_expires) {
-  bool created = false;
-  const std::optional<uint32_t> slot = obtain(canonical(key), created, now);
-  if (!slot) {
-    stats_.cell<&FlowTableStats::overloads>().inc();
-    return unexpected(kOverloadError);
-  }
-  FlowEntry& entry = pool_[*slot].entry;
-  if (created) stats_.cell<&FlowTableStats::flows_created>().inc();
+void FlowTable::map_entry(FlowEntry& entry, const std::string& service_data,
+                          util::Timestamp now,
+                          util::Timestamp mapping_expires) {
   entry.state = FlowState::kMapped;
   entry.service_data = service_data;
   entry.last_seen = now;
   entry.mapping_expires = mapping_expires;
-  return Binding{&entry, created};
 }
 
-Expected<FlowTable::Binding> FlowTable::map_flow(
-    const net::FlowKey& key, const std::string& service_data,
-    util::Timestamp now, bool include_reverse,
-    util::Timestamp mapping_expires) {
-  Expected<Binding> bound = map_one(key, service_data, now, mapping_expires);
-  if (!bound) return bound;
+void FlowTable::map_flow(const net::FlowKey& key, FlowEntry& entry,
+                         const std::string& service_data,
+                         util::Timestamp now, bool include_reverse,
+                         util::Timestamp mapping_expires) {
+  map_entry(entry, service_data, now, mapping_expires);
   const net::FlowKey reverse = key.reversed();
-  if (include_reverse && !(reverse == key)) {
-    // The forward binding stands even if the reverse create is what
-    // hits max_flows — fail-open per direction, like the adapters.
-    map_one(reverse, service_data, now, mapping_expires);
+  if (!include_reverse || reverse == key) return;
+  // The forward mapping stands even if the reverse create is what hits
+  // max_flows — fail-open per direction.
+  bool created = false;
+  const std::optional<uint32_t> slot =
+      obtain(canonical(reverse), created, now);
+  if (!slot) {
+    stats_.cell<&FlowTableStats::overloads>().inc();
+    return;
   }
-  active_flows_.set(static_cast<int64_t>(index_.size()));
-  return bound;
+  if (created) {
+    stats_.cell<&FlowTableStats::flows_created>().inc();
+    active_flows_.set(static_cast<int64_t>(index_.size()));
+  }
+  map_entry(pool_[*slot].entry, service_data, now, mapping_expires);
 }
 
 Expected<const FlowEntry*> FlowTable::lookup(const net::FlowKey& key) const {
@@ -174,30 +178,33 @@ Expected<uint64_t> FlowTable::add_alias(uint64_t fresh_cid,
 }
 
 size_t FlowTable::expire_idle(util::Timestamp now) {
-  const util::Timestamp cutoff = now - idle_timeout_;
-  size_t evicted = 0;
-  for (uint32_t slot = 0; slot < pool_.size(); ++slot) {
-    Slot& s = pool_[slot];
-    if (!s.live || s.entry.last_seen >= cutoff) continue;
-    index_.erase(hash_key(s.key), index_matcher(s.key));
-    if (s.key.is_cid()) {
-      // The flow dies with aliases outstanding: drop the whole alias
-      // set so no CID keeps resolving to a flow that no longer exists.
-      aliases_.evict(s.key.cid());
-    }
-    s.live = false;
-    s.entry.service_data.clear();
-    free_.push_back(slot);
-    ++evicted;
-  }
-  stats_.cell<&FlowTableStats::flows_expired>().inc(evicted);
+  const auto result = wheel_.advance(
+      now, wheel_next(),
+      [this](uint32_t slot) {
+        return pool_[slot].entry.last_seen + idle_timeout_ + 1;
+      },
+      [this](uint32_t slot) {
+        Slot& s = pool_[slot];
+        index_.erase(hash_key(s.key),
+                     [slot](const uint32_t& h) { return h == slot; });
+        if (s.key.is_cid()) {
+          // The flow dies with aliases outstanding: drop the whole alias
+          // set so no CID keeps resolving to a flow that no longer
+          // exists.
+          aliases_.evict(s.key.cid());
+        }
+        s.entry.service_data.clear();
+        free_.push_back(slot);
+      });
+  watermark_ = result.next_due_bound;
+  stats_.cell<&FlowTableStats::flows_expired>().inc(result.fired);
   active_flows_.set(static_cast<int64_t>(index_.size()));
-  return evicted;
+  return result.fired;
 }
 
 size_t FlowTable::memory_bytes() const {
   size_t bytes = index_.memory_bytes() + pool_.size() * sizeof(Slot) +
-                 free_.capacity() * sizeof(uint32_t);
+                 free_.capacity() * sizeof(uint32_t) + wheel_.memory_bytes();
   for (const Slot& s : pool_) bytes += s.entry.service_data.capacity();
   return bytes;
 }

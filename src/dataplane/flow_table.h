@@ -12,7 +12,25 @@
 //   kSniffing  — still inspecting the first `sniff_window` packets
 //   kMapped    — a verified cookie bound this flow to a service
 //   kBestEffort— the window passed with no (valid) cookie
-// Entries idle out after `idle_timeout` so the table stays bounded.
+//
+// ## Idle expiry
+//
+// A flow's *due* is last_seen + idle_timeout + 1: the first instant it
+// has been idle for longer than idle_timeout. Each flow is filed once,
+// when it is created, on a state::ExpiryWheel in the shape ReplayCache
+// uses (256 slots, one tick = idle_timeout/64 rounded up). A touch
+// writes only last_seen, so a due only grows; the wheel re-files a
+// flow it reaches before its due. bind() advances the wheel only once
+// `now` reaches its watermark (the wheel's next-due bound);
+// expire_idle() and the max_flows admission advance it every time.
+// Nothing walks the slot pool, so flow state costs O(1) amortized per
+// packet. The contract, for times that never decrease per table:
+//   - a flow is never evicted before its due;
+//   - a flow is gone after any bind() or expire_idle() at a time at or
+//     after its due plus one tick.
+// The first clause is what lets the middlebox hold a FlowEntry* across
+// a burst: an entry touched at `now` is due no sooner than
+// now + idle_timeout + 1.
 //
 // ## Keying (PR 10)
 //
@@ -46,6 +64,7 @@
 #include "net/five_tuple.h"
 #include "net/flow_key.h"
 #include "quic/alias_table.h"
+#include "state/expiry_wheel.h"
 #include "state/flat_table.h"
 #include "telemetry/view.h"
 #include "util/clock.h"
@@ -141,14 +160,16 @@ class FlowTable {
                          util::Timestamp now);
 
   /// Bind the flow — and, when `include_reverse`, its reverse — to a
-  /// service (a cookie verified on this flow). `mapping_expires` (0 =
-  /// never) bounds how long the mapping holds. A CID key is its own
-  /// reverse (direction-insensitive), so include_reverse is a no-op
-  /// there. Same kOverload contract as bind().
-  Expected<Binding> map_flow(const net::FlowKey& key,
-                             const std::string& service_data,
-                             util::Timestamp now, bool include_reverse,
-                             util::Timestamp mapping_expires = 0);
+  /// service (a cookie verified on this flow). `entry` is the forward
+  /// flow's entry, as bind(key, ...) returned it; it is mapped in
+  /// place, and only the reverse is looked up (created if absent).
+  /// `mapping_expires` (0 = never) bounds how long the mapping holds.
+  /// A CID key is its own reverse (direction-insensitive), so
+  /// include_reverse is a no-op there. A reverse create refused at
+  /// max_flows counts an overload; the forward mapping stands.
+  void map_flow(const net::FlowKey& key, FlowEntry& entry,
+                const std::string& service_data, util::Timestamp now,
+                bool include_reverse, util::Timestamp mapping_expires = 0);
 
   /// Pure lookup; kUnknownId when the flow is absent.
   Expected<const FlowEntry*> lookup(const net::FlowKey& key) const;
@@ -163,9 +184,11 @@ class FlowTable {
   /// Canonical CID for `cid` (itself when unaliased).
   uint64_t resolve_cid(uint64_t cid) const { return aliases_.resolve(cid); }
 
-  /// Drop entries idle since before now - idle_timeout — and, for
-  /// CID-keyed entries, their whole alias set. Returns how many flows
-  /// were evicted. bind() amortizes this; exposed for tests.
+  /// Advance the expiry wheel to `now`: evict flows whose due has
+  /// passed (idle since before now - idle_timeout) — and, for CID-keyed
+  /// flows, their whole alias set — within the contract in the file
+  /// comment. Returns how many flows were evicted. bind() runs this
+  /// when `now` reaches the wheel's watermark; exposed for tests.
   size_t expire_idle(util::Timestamp now);
 
   size_t size() const { return index_.size(); }
@@ -175,7 +198,7 @@ class FlowTable {
   size_t alias_cids() const { return aliases_.cids(); }
   /// Materialized from the live telemetry cells (by value).
   FlowTableStats stats() const { return stats_.snapshot(); }
-  /// Bytes held by the index, slot pool, and free list.
+  /// Bytes held by the index, slot pool, free list, and expiry wheel.
   size_t memory_bytes() const;
 
  private:
@@ -184,12 +207,15 @@ class FlowTable {
   /// the descriptor store. Handle indirection is what preserves the
   /// contract the middlebox relies on: the FlowEntry* bind() returns
   /// stays valid across later inserts in the same burst (the index
-  /// rehashes; the pool never moves an entry).
+  /// rehashes; the pool never moves an entry). A live slot is on the
+  /// expiry wheel exactly once, chained through `wheel_next`; a free
+  /// slot is on the free list.
   struct Slot {
     net::FlowKey key;
     FlowEntry entry;
-    bool live = false;
+    uint32_t wheel_next = state::ExpiryWheel::kNil;
   };
+  static_assert(sizeof(Slot) <= 128, "a flow slot fits two cache lines");
 
   /// std::hash<FlowKey> is already avalanched (mix64 over the
   /// platform-stable steer key), so the index consumes it raw.
@@ -212,10 +238,14 @@ class FlowTable {
   /// nullopt when max_flows blocks the create.
   std::optional<uint32_t> obtain(const net::FlowKey& key, bool& created,
                                  util::Timestamp now);
-  Expected<Binding> map_one(const net::FlowKey& key,
-                            const std::string& service_data,
-                            util::Timestamp now,
-                            util::Timestamp mapping_expires);
+  static void map_entry(FlowEntry& entry, const std::string& service_data,
+                        util::Timestamp now,
+                        util::Timestamp mapping_expires);
+  auto wheel_next() {
+    return [this](uint32_t slot) -> uint32_t& {
+      return pool_[slot].wheel_next;
+    };
+  }
 
   uint32_t sniff_window_;
   util::Timestamp idle_timeout_;
@@ -229,10 +259,14 @@ class FlowTable {
   /// exported as nnn_quic_*: this table's facts are the flow table's,
   /// nnn_flow_aliases_total and nnn_flows_active.
   quic::CidAliasTable aliases_;
-  uint64_t touches_since_expiry_ = 0;
+  /// Every live flow, filed at its due when created.
+  state::ExpiryWheel wheel_;
+  /// bind() advances the wheel only from this instant on (the wheel's
+  /// next-due bound; kNever while it is empty).
+  util::Timestamp watermark_ = state::ExpiryWheel::kNever;
   telemetry::View<FlowTableStats> stats_;
-  /// Mirror of table_.size() so the exporter thread never reads the
-  /// (unsynchronized) map itself — nnn_flows_active.
+  /// Mirror of index_.size() so the exporter thread never reads the
+  /// (unsynchronized) index itself — nnn_flows_active.
   telemetry::Gauge active_flows_;
   telemetry::Registration registration_;  // last: deregisters first
 };

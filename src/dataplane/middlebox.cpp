@@ -62,10 +62,8 @@ const cookies::CookieDescriptor* Middlebox::apply_verified(
   if (attrs.granularity == cookies::Granularity::kFlow) {
     const util::Timestamp mapping_expires =
         attrs.mapping_ttl ? now + *attrs.mapping_ttl : 0;
-    flow_table_.map_flow(key, descriptor.service_data, now,
+    flow_table_.map_flow(key, entry, descriptor.service_data, now,
                          attrs.reverse_flow, mapping_expires);
-    entry.state = FlowState::kMapped;
-    entry.service_data = descriptor.service_data;
   }
   verdict.mapped_now = true;
   verdict.service_data = descriptor.service_data;
@@ -143,12 +141,17 @@ Verdict Middlebox::process_at(net::Packet& packet, util::Timestamp now) {
 }
 
 bool Middlebox::key_has_pending(const net::FlowKey& key) const {
+  const uint64_t hash = std::hash<net::FlowKey>{}(key);
   for (const PendingVerify& p : pending_info_) {
     // The pending cookie may map p.key and (reverse_flow attribute, on
     // by default) its reverse; either way this packet must not observe
     // flow state from before that mapping lands. Keys are canonical
     // (flow_key_for), so two CIDs of one connection compare equal.
-    if (p.key == key || p.key.reversed() == key) return true;
+    // Equal keys hash equal, so the hash filter keeps the check exact.
+    if ((p.hash == hash && p.key == key) ||
+        (p.reverse_hash == hash && p.key.reversed() == key)) {
+      return true;
+    }
   }
   return false;
 }
@@ -201,12 +204,16 @@ void Middlebox::process_batch(std::span<net::Packet* const> packets,
         if (extracted->stack.size() == 1) {
           // The common case: defer the MAC into the batched verify.
           // (FlowTable hands out references into a stable slot pool —
-          // later inserts rehash only the handle index — and an entry
-          // touched this burst cannot idle out, so holding &entry
-          // until the flush is safe.)
+          // later inserts rehash only the handle index — and never
+          // evicts a flow before its due. This entry was touched at
+          // `now`, so it is due no sooner than now + idle_timeout + 1,
+          // and every wheel advance in this burst runs at `now`:
+          // holding &entry until the flush is safe.)
+          const std::hash<net::FlowKey> hasher;
           pending_cookies_.push_back(extracted->stack.front());
           pending_info_.push_back(PendingVerify{
-              static_cast<uint32_t>(i), extracted->transport, key, &entry});
+              static_cast<uint32_t>(i), extracted->transport, key,
+              hasher(key), hasher(key.reversed()), &entry});
           continue;  // verdict written by flush_pending
         }
         // Composed stack: entries are tried in order with early exit —

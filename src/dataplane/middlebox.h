@@ -166,9 +166,14 @@ class Middlebox {
     cookies::Transport transport;
     /// Canonical flow key the cookie will map (flow_key_for output).
     net::FlowKey key;
-    /// Flow entry touched in pass 1. Stable until the flush:
-    /// the slot pool never moves entries, and entries touched this
-    /// burst cannot be idle-expired at the same timestamp.
+    /// std::hash of `key` and of its reverse, taken once when the
+    /// cookie is queued: key_has_pending compares whole keys only on a
+    /// hash match.
+    uint64_t hash;
+    uint64_t reverse_hash;
+    /// Flow entry touched in pass 1. Stable until the flush: the slot
+    /// pool never moves entries, and FlowTable never evicts a flow
+    /// before its due (see process_batch).
     FlowEntry* entry;
   };
 
@@ -205,7 +210,8 @@ class Middlebox {
                    util::Timestamp now, Verdict& verdict);
 
   /// True when `key` (or its reverse) belongs to a packet with a
-  /// cookie still pending in the current batch.
+  /// cookie still pending in the current batch. Hashes `key` once and
+  /// compares it against each pending cookie's two stored hashes.
   bool key_has_pending(const net::FlowKey& key) const;
 
   /// Verify all pending cookies and apply their outcomes in order.

@@ -16,7 +16,8 @@
 //   on_due(h)                  — consume an expired entry
 //
 // Exactness: advance(now) fires precisely the entries with
-// expiry <= now. Fully elapsed slots fire wholesale; the current
+// expiry <= now, provided each entry's expiry is the one it was
+// scheduled at. Fully elapsed slots fire wholesale; the current
 // (partially elapsed) slot is walked. Each slot tracks whether its
 // chain was appended in non-decreasing expiry order — true whenever
 // the caller's clock is monotone, since expiry = now + horizon — and
@@ -24,15 +25,31 @@
 // purge work is O(entries fired), not O(entries in the slot). Skewed
 // clocks only cost the fallback full-slot walk, never correctness.
 //
+// Dues that grow: an owner may push an entry's expiry later after
+// scheduling it (FlowTable files a flow once, at creation, and a
+// touch moves its due on) without telling the wheel. expiry_of(h)
+// then reports the current expiry, and the wheel re-files an entry it
+// finds not yet due: a drained slot re-files into the entry's own
+// slot, and so does the walk of the current slot for an entry whose
+// expiry lies beyond the current tick, so a grown head never hides
+// the due entries behind it. An entry whose expiry grew but stays
+// within the current tick still stops a sorted walk; what it hides
+// fires once the tick has elapsed. For such owners the guarantee is:
+// no entry fires before its current expiry, and every entry has fired
+// after an advance to any time at or after its expiry plus one tick.
+// ReplayCache's entries never change, so it keeps the exact contract.
+//
 // Sizing: callers pick the tick so the wheel period (slot_count *
 // tick) comfortably exceeds twice the expiry horizon; then a slot
 // never mixes revolutions while the cursor lags at most one horizon
-// behind (the worst watermark-gated purge gap). Entries scheduled in
-// the past (clock skew) clamp into the current slot and fire on the
-// next advance whose `now` covers them — even one before the cursor's
-// seat time, which walks just the cursor slot.
+// behind (the worst watermark-gated purge gap). tick_for() and kSlots
+// give the shape both owners use. Entries scheduled in the past
+// (clock skew) clamp into the current slot and fire on the next
+// advance whose `now` covers them — even one before the cursor's seat
+// time, which walks just the cursor slot.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -49,12 +66,23 @@ class ExpiryWheel {
   static constexpr util::Timestamp kNever =
       std::numeric_limits<util::Timestamp>::max();
 
+  /// The wheel shape ReplayCache and FlowTable share: 256 slots with a
+  /// tick of horizon/64 rounded up, so one revolution spans at least
+  /// 4x the horizon and a slot never mixes revolutions even when a
+  /// watermark-gated cursor lags a full horizon behind.
+  static constexpr size_t kSlots = 256;
+  static constexpr util::Timestamp tick_for(util::Timestamp horizon) {
+    return std::max<util::Timestamp>(1, (horizon + 63) / 64);
+  }
+
   struct AdvanceResult {
     size_t fired = 0;
     /// Lower bound on the earliest remaining expiry (kNever when the
     /// wheel is empty). Exact for the current slot, a slot floor for
     /// later slots — never above the true minimum, so it is a sound
-    /// purge watermark.
+    /// purge watermark. With grown dues (see the file comment) it can
+    /// sit above an entry hidden behind a grown head in the current
+    /// slot, but never past the end of the current tick.
     util::Timestamp next_due_bound = kNever;
   };
 
@@ -166,17 +194,26 @@ class ExpiryWheel {
     }
     // The partially elapsed current tick: pop the due prefix when the
     // chain is sorted (the monotone-clock common case), else walk it
-    // all. Either way we learn the exact minimum of what remains.
+    // all. Either way we learn the minimum of what remains (exact
+    // unless a due grew within this tick).
     util::Timestamp kept_min = kNever;
     Slot& slot = slots_[static_cast<uint64_t>(cursor_) & mask_];
     if (slot.sorted) {
       const bool was_nonempty = slot.head != kNil;
-      while (slot.head != kNil && expiry_of(slot.head) <= now) {
+      while (slot.head != kNil) {
         const uint32_t h = slot.head;
+        const util::Timestamp expires = expiry_of(h);
+        if (expires > now && !beyond_current_tick(expires)) break;
         slot.head = next(h);
-        on_due(h);
-        --size_;
-        ++result.fired;
+        if (expires <= now) {
+          on_due(h);
+          --size_;
+          ++result.fired;
+        } else {
+          // A due that grew past this tick: re-file it so it hides no
+          // due entry behind it.
+          append(slot_at(floor_div(expires, tick_)), h, expires, next);
+        }
       }
       if (slot.head == kNil) {
         if (was_nonempty) {
@@ -197,7 +234,10 @@ class ExpiryWheel {
           ++result.fired;
         } else {
           if (expires < kept_min) kept_min = expires;
-          append(slot, h, expires, next);
+          append(beyond_current_tick(expires)
+                     ? slot_at(floor_div(expires, tick_))
+                     : slot,
+                 h, expires, next);
         }
         h = nxt;
       }
@@ -252,6 +292,14 @@ class ExpiryWheel {
 
   Slot& slot_at(int64_t tick_index) {
     return slots_[static_cast<uint64_t>(tick_index) & mask_];
+  }
+
+  /// Whether `expires` belongs to a later slot of the current
+  /// revolution (so re-filing it there cannot land back in the slot
+  /// being walked).
+  bool beyond_current_tick(util::Timestamp expires) const {
+    const int64_t ahead = floor_div(expires, tick_) - cursor_;
+    return ahead > 0 && ahead < static_cast<int64_t>(slots_.size());
   }
 
   int64_t clamp_tick(util::Timestamp expires) const {

@@ -1,6 +1,7 @@
 // Dataplane: QoS primitives, flow table, middlebox, zero-rating.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -12,7 +13,9 @@
 #include "dataplane/service_registry.h"
 #include "dataplane/zero_rating.h"
 #include "net/http.h"
+#include "state/expiry_wheel.h"
 #include "util/clock.h"
+#include "util/rng.h"
 
 namespace nnn::dataplane {
 namespace {
@@ -111,10 +114,10 @@ TEST(FlowTable, MapFlowCoversReverse) {
   net::FiveTuple t;
   t.src_port = 10;
   t.dst_port = 20;
-  ASSERT_TRUE(table
-                  .map_flow(net::FlowKey::from_tuple(t), "Boost", 0,
-                            /*include_reverse=*/true)
-                  .has_value());
+  const auto bound = table.bind(net::FlowKey::from_tuple(t), 100, 0);
+  ASSERT_TRUE(bound.has_value());
+  table.map_flow(net::FlowKey::from_tuple(t), *bound.value().entry, "Boost",
+                 0, /*include_reverse=*/true);
   const auto forward = table.lookup(net::FlowKey::from_tuple(t));
   ASSERT_TRUE(forward.has_value());
   EXPECT_EQ(forward.value()->state, FlowState::kMapped);
@@ -136,6 +139,279 @@ TEST(FlowTable, IdleExpiry) {
   EXPECT_EQ(gone.error().domain, ErrorDomain::kFlow);
   EXPECT_EQ(gone.error().code, ErrorCode::kUnknownId);
   EXPECT_EQ(table.stats().flows_expired, 1u);
+}
+
+TEST(FlowTable, IdleFlowBehindATouchedFlowGoesWithinATick) {
+  // A and B are filed in one wheel slot, A first. Touching A moves its
+  // due to 15 s; B stays idle and is due at 10.001 s. A bind at 10.1 s
+  // walks that slot while it is the current one; B must not wait behind
+  // A for 15 s, and must be gone one tick past its due.
+  const util::Timestamp idle = 10 * kSecond;
+  const util::Timestamp tick = state::ExpiryWheel::tick_for(idle);
+  FlowTable table(3, idle);
+  const auto key = [](uint16_t port) {
+    net::FiveTuple t;
+    t.src_port = port;
+    return net::FlowKey::from_tuple(t);
+  };
+  table.bind(key(1), 100, 0);                        // A
+  table.bind(key(2), 100, util::kMillisecond);       // B
+  table.bind(key(1), 100, 5 * kSecond);              // touch A
+  const util::Timestamp c_time = 10 * kSecond + 100 * util::kMillisecond;
+  table.bind(key(3), 100, c_time);                   // C
+  table.bind(key(3), 100, c_time + tick);
+  EXPECT_FALSE(table.lookup(key(2)).has_value()) << "B outlived its due";
+  EXPECT_TRUE(table.lookup(key(1)).has_value()) << "A evicted early";
+  EXPECT_EQ(table.stats().flows_expired, 1u);
+}
+
+// --- FlowTable model: wheel-based idle expiry against a reference ---
+
+/// Total order for the reference map: tuple keys, then CID keys.
+struct FlowKeyLess {
+  bool operator()(const net::FlowKey& a, const net::FlowKey& b) const {
+    if (a.is_cid() != b.is_cid()) return b.is_cid();
+    return a.is_cid() ? a.cid() < b.cid() : a.tuple() < b.tuple();
+  }
+};
+
+/// Drives a FlowTable with seeded random bind / map_flow / add_alias /
+/// expire_idle / lookup operations and a clock that takes small steps
+/// with jumps past idle_timeout, over tuple and CID keys, and checks it
+/// against a std::map reference of canonical key -> last_seen:
+///  - no flow is evicted before its due (last_seen + idle_timeout + 1);
+///  - after any bind() or expire_idle() no flow is live at or after its
+///    due plus one wheel tick;
+///  - size(), flows_created, flows_expired, overloads and alias_cids()
+///    agree with the reference.
+/// A flow the table may evict (due passed, less than a tick ago) is
+/// followed wherever the table took it.
+class FlowTableModel {
+ public:
+  static constexpr util::Timestamp kIdle = 10 * kSecond;
+
+  FlowTableModel(uint64_t seed, size_t max_flows)
+      : rng_(seed), max_flows_(max_flows), table_(3, kIdle, max_flows) {
+    for (uint16_t i = 0; i < 12; ++i) {
+      net::FiveTuple t;
+      t.src_ip = net::IpAddress::v4(10, 0, 0, 1);
+      t.dst_ip = net::IpAddress::v4(10, 0, 0, 2);
+      t.src_port = static_cast<uint16_t>(1000 + i);
+      t.dst_port = 443;
+      tuples_.push_back(t);
+    }
+    for (uint64_t cid = 1; cid <= 8; ++cid) cids_.push_back(cid);
+  }
+
+  void run(size_t ops) {
+    for (size_t op = 0; op < ops && !::testing::Test::HasFailure(); ++op) {
+      step_clock();
+      const uint64_t pick = rng_.next_u64(100);
+      if (pick < 35) {
+        bind(random_key());
+      } else if (pick < 55) {
+        map(random_key());
+      } else if (pick < 65) {
+        add_alias();
+      } else if (pick < 70) {
+        const size_t evicted = table_.expire_idle(now_);
+        EXPECT_EQ(evicted, settle(/*advanced=*/true)) << "op " << op;
+      } else {
+        lookup(random_key());
+      }
+    }
+  }
+
+  uint64_t overloads() const { return overloads_; }
+  uint64_t expired() const { return expired_; }
+
+ private:
+  struct Flow {
+    util::Timestamp last_seen = 0;
+  };
+
+  void step_clock() {
+    now_ += rng_.chance(0.02)
+                ? kIdle + static_cast<util::Timestamp>(
+                              rng_.next_u64(static_cast<uint64_t>(kIdle)))
+                : static_cast<util::Timestamp>(
+                      rng_.next_u64(400 * util::kMillisecond));
+  }
+
+  net::FlowKey random_key() {
+    const uint64_t pick = rng_.next_u64(3);
+    if (pick == 2) {
+      return net::FlowKey::from_cid(cids_[rng_.next_u64(cids_.size())]);
+    }
+    const net::FlowKey key =
+        net::FlowKey::from_tuple(tuples_[rng_.next_u64(tuples_.size())]);
+    return pick == 0 ? key : key.reversed();
+  }
+
+  net::FlowKey canonical(const net::FlowKey& key) const {
+    if (!key.is_cid()) return key;
+    const auto it = canon_of_.find(key.cid());
+    return it == canon_of_.end() ? key : net::FlowKey::from_cid(it->second);
+  }
+
+  /// The reference's record of the flow `canon` ending: checks that the
+  /// table did not evict it early, and drops its alias set.
+  void evicted(const net::FlowKey& canon) {
+    const util::Timestamp due = flows_.at(canon).last_seen + kIdle + 1;
+    EXPECT_LE(due, now_) << canon.to_string() << " evicted before its due";
+    ++expired_;
+    flows_.erase(canon);
+    if (!canon.is_cid()) return;
+    alias_cids_ -= alias_sets_[canon.cid()];
+    alias_sets_.erase(canon.cid());
+    std::erase_if(canon_of_,
+                  [&](const auto& link) { return link.second == canon.cid(); });
+  }
+
+  /// Follow the table's evictions and check the contract and counters.
+  /// Returns how many flows the reference saw go.
+  size_t settle(bool advanced) {
+    std::vector<net::FlowKey> gone;
+    for (const auto& [key, flow] : flows_) {
+      if (!table_.lookup(key).has_value()) {
+        gone.push_back(key);
+      } else if (advanced) {
+        EXPECT_LT(now_, flow.last_seen + kIdle + 1 + tick_)
+            << key.to_string() << " live a tick past its due";
+      }
+    }
+    for (const net::FlowKey& key : gone) evicted(key);
+    EXPECT_EQ(table_.size(), flows_.size());
+    const FlowTableStats stats = table_.stats();
+    EXPECT_EQ(stats.flows_created, created_);
+    EXPECT_EQ(stats.flows_expired, expired_);
+    EXPECT_EQ(stats.overloads, overloads_);
+    EXPECT_EQ(table_.alias_cids(), alias_cids_);
+    if (max_flows_ != 0) {
+      EXPECT_LE(table_.size(), max_flows_);
+    }
+    return gone.size();
+  }
+
+  /// bind() plus the reference's view of it; the entry, or null when
+  /// max_flows refused the flow.
+  FlowEntry* bind(const net::FlowKey& key) {
+    const net::FlowKey before = canonical(key);
+    const bool known = flows_.contains(before);
+    const auto bound = table_.bind(key, 100, now_);
+    if (!bound.has_value()) {
+      EXPECT_NE(max_flows_, 0u);
+      EXPECT_FALSE(known && table_.lookup(before).has_value())
+          << "a resident flow was refused";
+      EXPECT_EQ(bound.error().code, ErrorCode::kOverload);
+      ++overloads_;
+      settle(/*advanced=*/true);
+      EXPECT_GE(table_.size(), max_flows_);
+      return nullptr;
+    }
+    if (bound.value().created) {
+      // Known but created anew: this very bind evicted it first (and,
+      // for an alias, its set, so the key now names a flow of its own).
+      if (known) evicted(before);
+      ++created_;
+      flows_[canonical(key)] = Flow{};
+    } else {
+      EXPECT_TRUE(known) << key.to_string() << " bound without a record";
+    }
+    flows_[canonical(key)].last_seen = now_;
+    settle(/*advanced=*/true);
+    return bound.value().entry;
+  }
+
+  void map(const net::FlowKey& key) {
+    FlowEntry* entry = bind(key);
+    if (entry == nullptr) return;
+    const bool include_reverse = rng_.chance(0.7);
+    const net::FlowKey reverse = key.reversed();
+    const bool reverse_known = flows_.contains(reverse);
+    table_.map_flow(key, *entry, "svc", now_, include_reverse);
+    EXPECT_EQ(entry->state, FlowState::kMapped);
+    if (include_reverse && !(reverse == key)) {
+      if (table_.lookup(reverse).has_value()) {
+        if (!reverse_known) {
+          ++created_;
+          flows_[reverse] = Flow{};
+        }
+        flows_[reverse].last_seen = now_;
+      } else {
+        ++overloads_;  // refused at max_flows
+        EXPECT_NE(max_flows_, 0u);
+      }
+    }
+    settle(/*advanced=*/false);
+  }
+
+  void add_alias() {
+    const uint64_t existing = cids_[rng_.next_u64(cids_.size())];
+    const uint64_t fresh = next_fresh_cid_++;
+    const net::FlowKey canon = canonical(net::FlowKey::from_cid(existing));
+    const auto linked = table_.add_alias(fresh, existing);
+    if (!flows_.contains(canon)) {
+      EXPECT_FALSE(linked.has_value());
+      return;
+    }
+    ASSERT_TRUE(linked.has_value());
+    EXPECT_EQ(linked.value(), canon.cid());
+    size_t& set = alias_sets_[canon.cid()];
+    if (set == 0) {
+      set = 1;  // the canonical CID registers with its first rotation
+      ++alias_cids_;
+    }
+    ++set;
+    ++alias_cids_;
+    canon_of_[fresh] = canon.cid();
+    cids_.push_back(fresh);
+    settle(/*advanced=*/false);
+  }
+
+  void lookup(const net::FlowKey& key) {
+    const auto found = table_.lookup(key);
+    const auto it = flows_.find(canonical(key));
+    ASSERT_EQ(found.has_value(), it != flows_.end()) << key.to_string();
+    if (found.has_value()) {
+      EXPECT_EQ(found.value()->last_seen, it->second.last_seen);
+    }
+  }
+
+  util::Rng rng_;
+  size_t max_flows_;
+  FlowTable table_;
+  const util::Timestamp tick_ = state::ExpiryWheel::tick_for(kIdle);
+  util::Timestamp now_ = 0;
+  std::vector<net::FiveTuple> tuples_;
+  std::vector<uint64_t> cids_;
+  uint64_t next_fresh_cid_ = 1000;
+  std::map<net::FlowKey, Flow, FlowKeyLess> flows_;
+  std::map<uint64_t, uint64_t> canon_of_;  // aliased CID -> canonical CID
+  std::map<uint64_t, size_t> alias_sets_;  // canonical CID -> CIDs linked
+  size_t alias_cids_ = 0;
+  uint64_t created_ = 0;
+  uint64_t expired_ = 0;
+  uint64_t overloads_ = 0;
+};
+
+TEST(FlowTable, WheelExpiryMatchesReferenceModel) {
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE(seed);
+    FlowTableModel model(seed, /*max_flows=*/0);
+    model.run(5000);
+    EXPECT_GT(model.expired(), 0u);
+  }
+}
+
+TEST(FlowTable, WheelExpiryMatchesReferenceModelAtMaxFlows) {
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE(seed);
+    FlowTableModel model(seed, /*max_flows=*/10);
+    model.run(5000);
+    EXPECT_GT(model.expired(), 0u);
+    EXPECT_GT(model.overloads(), 0u);
+  }
 }
 
 // --- middlebox fixture ---
@@ -258,65 +534,99 @@ TEST_F(MiddleboxTest, ReplayedCookieDoesNotMapSecondFlow) {
 }
 
 TEST_F(MiddleboxTest, ProcessBatchMatchesSequential) {
-  // Differential: a mixed burst through process_batch must produce the
-  // same verdicts, stats, and flow states as process() one packet at a
-  // time. The burst deliberately contains the awkward cases: a flow's
-  // data packet right behind its own cookie, an in-burst replay on a
-  // different flow, a reverse-direction packet of a still-pending
-  // mapping, and a forged signature.
+  // Differential: a burst through process_batch must produce the same
+  // verdicts, stats, and flow states as process() one packet at a
+  // time. Two inputs run through both boxes in turn.
   cookies::CookieVerifier verifier_seq(clock_);
   verifier_seq.add_descriptor(descriptor_);
   Middlebox sequential(clock_, verifier_seq, registry_);
-
   auto gen = generator();
-  std::vector<net::Packet> burst;
-  burst.push_back(cookie_packet(5000, gen));   // 0: maps flow 5000
-  burst.push_back(flow_packet(5000));          // 1: same flow, same burst
-  burst.push_back(cookie_packet(5001, gen));   // 2: maps flow 5001
-  net::Packet replay = burst[0];               // 3: replayed wire bytes
-  replay.tuple.src_ip = net::IpAddress::v4(192, 168, 1, 66);
-  burst.push_back(replay);
-  burst.push_back(flow_packet(5002));          // 4: plain new flow
-  net::Packet forged = cookie_packet(5003, gen);
-  forged.payload[forged.payload.size() / 2] ^= 0x01;  // 5: corrupt cookie
-  burst.push_back(forged);
-  net::Packet reverse = flow_packet(5001);     // 6: reverse of pending map
-  reverse.tuple = reverse.tuple.reversed();
-  burst.push_back(reverse);
-  burst.push_back(cookie_packet(5004, gen));   // 7: one more mapping
-  burst.push_back(flow_packet(5001));          // 8: mapped fast path
-  burst.push_back(flow_packet(5002));          // 9: sniffing, no cookie
 
-  std::vector<net::Packet> copy = burst;
-  std::vector<Verdict> expected;
-  expected.reserve(copy.size());
-  for (auto& packet : copy) expected.push_back(sequential.process(packet));
+  const auto check = [&](std::vector<net::Packet> burst) {
+    std::vector<net::Packet> copy = burst;
+    std::vector<Verdict> expected;
+    expected.reserve(copy.size());
+    for (auto& packet : copy) expected.push_back(sequential.process(packet));
 
-  std::vector<Verdict> batched(burst.size());
-  std::vector<net::Packet*> pointers;
-  for (auto& packet : burst) pointers.push_back(&packet);
-  middlebox_.process_batch(pointers, batched);
+    std::vector<Verdict> batched(burst.size());
+    std::vector<net::Packet*> pointers;
+    for (auto& packet : burst) pointers.push_back(&packet);
+    middlebox_.process_batch(pointers, batched);
 
-  for (size_t i = 0; i < burst.size(); ++i) {
-    EXPECT_EQ(batched[i].action.has_value(), expected[i].action.has_value())
-        << "packet " << i;
-    EXPECT_EQ(batched[i].service_data, expected[i].service_data)
-        << "packet " << i;
-    EXPECT_EQ(batched[i].mapped_now, expected[i].mapped_now)
-        << "packet " << i;
-    EXPECT_EQ(batched[i].verify_status, expected[i].verify_status)
-        << "packet " << i;
-    EXPECT_EQ(burst[i].dscp, copy[i].dscp) << "packet " << i;
+    for (size_t i = 0; i < burst.size(); ++i) {
+      EXPECT_EQ(batched[i].action.has_value(),
+                expected[i].action.has_value())
+          << "packet " << i;
+      EXPECT_EQ(batched[i].service_data, expected[i].service_data)
+          << "packet " << i;
+      EXPECT_EQ(batched[i].mapped_now, expected[i].mapped_now)
+          << "packet " << i;
+      EXPECT_EQ(batched[i].verify_status, expected[i].verify_status)
+          << "packet " << i;
+      EXPECT_EQ(burst[i].dscp, copy[i].dscp) << "packet " << i;
+    }
+    EXPECT_EQ(middlebox_.stats().task_search,
+              sequential.stats().task_search);
+    EXPECT_EQ(middlebox_.stats().task_search_and_verify,
+              sequential.stats().task_search_and_verify);
+    EXPECT_EQ(middlebox_.stats().task_map_only,
+              sequential.stats().task_map_only);
+    EXPECT_EQ(middlebox_.stats().packets, sequential.stats().packets);
+    EXPECT_EQ(middlebox_.stats().bytes, sequential.stats().bytes);
+    EXPECT_EQ(verifier_.stats(), verifier_seq.stats());
+    EXPECT_EQ(middlebox_.flows().size(), sequential.flows().size());
+    return batched;
+  };
+
+  {
+    SCOPED_TRACE("mixed burst");
+    // The awkward cases: a flow's data packet right behind its own
+    // cookie, an in-burst replay on a different flow, a
+    // reverse-direction packet of a still-pending mapping, and a forged
+    // signature.
+    std::vector<net::Packet> burst;
+    burst.push_back(cookie_packet(5000, gen));   // 0: maps flow 5000
+    burst.push_back(flow_packet(5000));          // 1: same flow, same burst
+    burst.push_back(cookie_packet(5001, gen));   // 2: maps flow 5001
+    net::Packet replay = burst[0];               // 3: replayed wire bytes
+    replay.tuple.src_ip = net::IpAddress::v4(192, 168, 1, 66);
+    burst.push_back(replay);
+    burst.push_back(flow_packet(5002));          // 4: plain new flow
+    net::Packet forged = cookie_packet(5003, gen);
+    forged.payload[forged.payload.size() / 2] ^= 0x01;  // 5: corrupt cookie
+    burst.push_back(forged);
+    net::Packet reverse = flow_packet(5001);     // 6: reverse of pending map
+    reverse.tuple = reverse.tuple.reversed();
+    burst.push_back(reverse);
+    burst.push_back(cookie_packet(5004, gen));   // 7: one more mapping
+    burst.push_back(flow_packet(5001));          // 8: mapped fast path
+    burst.push_back(flow_packet(5002));          // 9: sniffing, no cookie
+    check(std::move(burst));
   }
-  EXPECT_EQ(middlebox_.stats().task_search, sequential.stats().task_search);
-  EXPECT_EQ(middlebox_.stats().task_search_and_verify,
-            sequential.stats().task_search_and_verify);
-  EXPECT_EQ(middlebox_.stats().task_map_only,
-            sequential.stats().task_map_only);
-  EXPECT_EQ(middlebox_.stats().packets, sequential.stats().packets);
-  EXPECT_EQ(middlebox_.stats().bytes, sequential.stats().bytes);
-  EXPECT_EQ(verifier_.stats(), verifier_seq.stats());
-  EXPECT_EQ(middlebox_.flows().size(), sequential.flows().size());
+  {
+    SCOPED_TRACE("cookie storm burst");
+    // 32 packets of one-packet cookie flows (every packet queues a
+    // cookie), with two packets that must wait for a pending mapping:
+    // the reverse of the first flow behind its cookie (a hit on a
+    // pending cookie's reverse hash) and, after 15 more cookies, a
+    // repeat of the last flow's tuple (a hit on the forward hash).
+    std::vector<net::Packet> burst;
+    for (uint16_t i = 0; i < 15; ++i) {
+      burst.push_back(cookie_packet(static_cast<uint16_t>(6000 + i), gen));
+    }
+    net::Packet reverse = flow_packet(6000);
+    reverse.tuple = reverse.tuple.reversed();
+    burst.push_back(reverse);
+    for (uint16_t i = 15; i < 30; ++i) {
+      burst.push_back(cookie_packet(static_cast<uint16_t>(6000 + i), gen));
+    }
+    burst.push_back(flow_packet(6029));
+    ASSERT_EQ(burst.size(), 32u);
+    const std::vector<Verdict> verdicts = check(std::move(burst));
+    // Both waiting packets saw their flow's mapping land first.
+    EXPECT_TRUE(verdicts[15].action.has_value());
+    EXPECT_TRUE(verdicts[31].action.has_value());
+  }
 }
 
 TEST_F(MiddleboxTest, ProcessBatchReadsEachDescriptorBeforeEviction) {

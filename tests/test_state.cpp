@@ -147,6 +147,16 @@ struct WheelHarness {
         now, next_ref(), [this](uint32_t h) { return entries[h].expires; },
         [this](uint32_t h) { fired.push_back(h); });
   }
+  /// Earliest expiry among the entries not fired yet.
+  util::Timestamp min_unfired() const {
+    util::Timestamp min = state::ExpiryWheel::kNever;
+    for (uint32_t h = 0; h < entries.size(); ++h) {
+      if (std::find(fired.begin(), fired.end(), h) == fired.end()) {
+        min = std::min(min, entries[h].expires);
+      }
+    }
+    return min;
+  }
 };
 
 TEST(ExpiryWheel, FiresEntryDueExactlyAtHorizon) {
@@ -211,6 +221,49 @@ TEST(ExpiryWheel, PopFrontEvictsOldestUnderMonotoneInserts) {
   EXPECT_EQ(w.wheel.pop_front(w.next_ref()), b);
   EXPECT_EQ(w.wheel.pop_front(w.next_ref()), c);
   EXPECT_EQ(w.wheel.pop_front(w.next_ref()), state::ExpiryWheel::kNil);
+}
+
+// Dues that grow (FlowTable's touch): the owner moves an entry's
+// expiry later without telling the wheel, and expiry_of reports the new
+// value. A grown head of the current slot must not hide the due entries
+// filed behind it, nor hold the watermark at its own new expiry.
+
+TEST(ExpiryWheel, GrownHeadIsRefiledSoTheDueEntryBehindItFires) {
+  WheelHarness w(/*tick=*/10 * kSecond, /*slots=*/64);
+  const uint32_t head = w.schedule(11 * kSecond);
+  const uint32_t behind = w.schedule(12 * kSecond);  // same slot
+  const uint32_t later = w.schedule(25 * kSecond);   // next slot
+  w.entries[head].expires = 35 * kSecond;  // grown past the current tick
+
+  const auto result = w.advance(12 * kSecond);
+  EXPECT_EQ(result.fired, 1u);
+  EXPECT_EQ(w.fired, (std::vector<uint32_t>{behind}));
+  EXPECT_LE(result.next_due_bound, w.min_unfired());
+
+  // Nothing fires before its current expiry, the grown one included.
+  EXPECT_EQ(w.advance(25 * kSecond).fired, 1u);
+  EXPECT_EQ(w.advance(35 * kSecond - 1).fired, 0u);
+  EXPECT_EQ(w.advance(35 * kSecond).fired, 1u);
+  EXPECT_EQ(w.fired, (std::vector<uint32_t>{behind, later, head}));
+  EXPECT_EQ(w.wheel.size(), 0u);
+}
+
+TEST(ExpiryWheel, GrownHeadAloneInTheWheelDoesNotLiftTheWatermark) {
+  // The grown head's slot is the only occupied one: reporting its new
+  // expiry as the bound would gate every purge until then while the
+  // entry behind it is already due.
+  WheelHarness w(/*tick=*/10 * kSecond, /*slots=*/64);
+  const uint32_t head = w.schedule(11 * kSecond);
+  const uint32_t behind = w.schedule(12 * kSecond);
+  w.entries[head].expires = 35 * kSecond;
+
+  const auto result = w.advance(12 * kSecond);
+  EXPECT_EQ(result.fired, 1u);
+  EXPECT_EQ(w.fired, (std::vector<uint32_t>{behind}));
+  EXPECT_LE(result.next_due_bound, w.min_unfired());
+  EXPECT_EQ(w.wheel.size(), 1u);
+  EXPECT_EQ(w.advance(35 * kSecond).fired, 1u);
+  EXPECT_EQ(w.fired, (std::vector<uint32_t>{behind, head}));
 }
 
 // --- DescriptorStore ------------------------------------------------
