@@ -16,6 +16,8 @@
 //                            hot tier keeps midstates for the working
 //                            set, tail hits pay rehydration.
 //                            Acceptance: within 5% of local baseline.
+//                            Also reports hot-tier bytes per resident
+//                            entry (budget: <= 176 B).
 //   state/verify/epoch_churn — same stream while the table epoch flips
 //                            every 64 Ki packets, forcing hot-tier
 //                            revalidation sweeps.
@@ -26,6 +28,7 @@
 //
 // Usage: ablation_state [descriptors] [replay_uuids] [zipf_packets]
 //                       [--json out.json]
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -218,9 +221,14 @@ int main(int argc, char** argv) {
         static_cast<double>(verifier.hot_tier().rehydrations() -
                             warm_rehydrations) /
         static_cast<double>(measured);
+    const nnn::cookies::HotTier& hot = verifier.hot_tier();
+    const double hot_bytes_per_entry =
+        static_cast<double>(hot.memory_bytes()) /
+        static_cast<double>(std::max<size_t>(hot.resident(), 1));
     std::printf("verify/zipf_hot %8.1f ns/verify  overhead %+.1f%% "
-                "(bar: <5%%)  hot %zu resident  cold hits %.2f%%\n",
-                zipf_ns, overhead_pct, verifier.hot_tier().resident(),
+                "(bar: <5%%)  hot %zu resident at %.1f B  cold hits "
+                "%.2f%%\n",
+                zipf_ns, overhead_pct, hot.resident(), hot_bytes_per_entry,
                 cold_share);
     nnn::bench::BenchRecord rec;
     rec.name = "state/verify/zipf_hot";
@@ -229,8 +237,8 @@ int main(int argc, char** argv) {
     rec.config["zipf_s"] = 1.4;
     rec.config["hot_budget"] = static_cast<int64_t>(
         verifier.hot_tier().budget());
-    rec.config["hot_resident"] = static_cast<int64_t>(
-        verifier.hot_tier().resident());
+    rec.config["hot_resident"] = static_cast<int64_t>(hot.resident());
+    rec.config["hot_bytes_per_entry"] = hot_bytes_per_entry;
     rec.config["cold_hit_pct"] = cold_share;
     rec.config["overhead_pct"] = overhead_pct;
     rec.ns_per_op = zipf_ns;

@@ -67,6 +67,14 @@ class DescriptorStore {
     }
   };
 
+  /// Interned service data and attributes, shared by every record
+  /// that references it. expires_at is always nullopt here: expiry
+  /// lives per record.
+  struct Profile {
+    std::string service_data;
+    Attributes attributes;
+  };
+
   /// Insert or replace the descriptor for its id; clears any
   /// revocation tombstone.
   void upsert(const CookieDescriptor& descriptor);
@@ -83,8 +91,13 @@ class DescriptorStore {
   /// The record's HMAC key bytes (inline or spilled).
   util::BytesView key_of(const Record& record) const;
 
-  /// Reconstruct the full control-plane descriptor (checkpointing,
-  /// hot-tier admission, find()). Exact round trip of what upsert saw.
+  /// A live record's interned profile (`record.profile`). The index
+  /// stays valid until clear(); the reference only until the next
+  /// upsert, which may grow the profile vector.
+  const Profile& profile(uint32_t index) const { return profiles_[index]; }
+
+  /// Reconstruct the full control-plane descriptor (TableMirror::live
+  /// snapshots). Exact round trip of what upsert saw.
   CookieDescriptor materialize(const Record& record) const;
 
   /// Visit records in insertion order (erase perturbs order by
@@ -111,11 +124,6 @@ class DescriptorStore {
   }
 
  private:
-  struct Profile {
-    std::string service_data;
-    Attributes attributes;  // expires_at always nullopt here
-  };
-
   static uint64_t hash_id(CookieId id) {
     return state::mix_hash(static_cast<uint64_t>(id));
   }

@@ -1,10 +1,12 @@
 #include "cookies/hot_tier.h"
 
 #include <cassert>
-
-#include "util/bytes.h"
+#include <cstring>
 
 namespace nnn::cookies {
+
+// The header comment quotes this size; keep the two in step.
+static_assert(sizeof(HotTier::Entry) == 144);
 
 void HotTier::begin_burst() {
   if (limbo_.empty()) return;
@@ -29,39 +31,49 @@ const HotTier::Entry* HotTier::admit(const DescriptorStore::Record& record,
                                      const DescriptorStore& store,
                                      uint64_t epoch) {
   assert(!record.revoked && "revoked records are never admitted");
-  const util::BytesView key = store.key_of(record);
-  if (uint32_t* slot = index_.find(hash_id(record.id),
-                                   index_matcher(record.id))) {
-    // Present but stamped with an older epoch: revalidate. The
-    // descriptor metadata is re-materialized (profile or expiry may
-    // have changed); the schedule survives unless the key rotated.
-    Entry& entry = pool_[*slot];
-    const bool same_key = util::equal(util::BytesView(entry.descriptor.key),
-                                      key);
-    entry.descriptor = store.materialize(record);
-    if (!same_key) {
-      entry.schedule = crypto::HmacKeySchedule{key};
-      ++rehydrations_;
-    }
-    entry.epoch = epoch;
-    entry.referenced = true;
-    return &entry;
+  Entry* entry;
+  if (const uint32_t* found = index_.find(hash_id(record.id),
+                                         index_matcher(record.id))) {
+    // Present but stamped with an older epoch: revalidate. Expiry and
+    // profile are re-read below (either may have changed); the
+    // schedule survives unless the key bytes did. A spilled key has no
+    // inline copy to compare, so it is always rebuilt.
+    entry = &pool_[*found];
+    const bool same_key =
+        record.spill == DescriptorStore::kNoSpill &&
+        entry->key_len == record.key_len &&
+        std::memcmp(entry->key, record.key, record.key_len) == 0;
+    if (!same_key) rekey(*entry, record, store);
+  } else {
+    if (live_count_ >= budget_) evict_one();
+    const uint32_t slot = acquire_slot();
+    entry = &pool_[slot];
+    entry->id = record.id;
+    entry->live = true;
+    ++live_count_;
+    index_.find_or_insert(
+        hash_id(record.id), [](const uint32_t&) { return false; },
+        index_hasher(), [&] { return slot; });
+    rekey(*entry, record, store);
   }
-  if (live_count_ >= budget_) evict_one();
-  const uint32_t slot = acquire_slot();
-  Entry& entry = pool_[slot];
-  entry.descriptor = store.materialize(record);
-  entry.schedule = crypto::HmacKeySchedule{key};
-  entry.id = record.id;
-  entry.epoch = epoch;
-  entry.referenced = true;
-  entry.live = true;
+  entry->profile = record.profile;
+  entry->has_expiry = record.has_expiry;
+  entry->expires_at = record.expires_at;
+  entry->epoch = epoch;
+  entry->referenced = true;
+  return entry;
+}
+
+void HotTier::rekey(Entry& entry, const DescriptorStore::Record& record,
+                    const DescriptorStore& store) {
+  entry.schedule = crypto::HmacKeySchedule{store.key_of(record)};
+  if (record.spill == DescriptorStore::kNoSpill) {
+    std::memcpy(entry.key, record.key, record.key_len);
+    entry.key_len = record.key_len;
+  } else {
+    entry.key_len = kSpilledKey;
+  }
   ++rehydrations_;
-  ++live_count_;
-  index_.find_or_insert(
-      hash_id(record.id), [](const uint32_t&) { return false; },
-      index_hasher(), [&] { return slot; });
-  return &entry;
 }
 
 void HotTier::clear() {
@@ -74,14 +86,8 @@ void HotTier::clear() {
 }
 
 size_t HotTier::memory_bytes() const {
-  size_t bytes = pool_.size() * sizeof(Entry) + index_.memory_bytes() +
-                 (free_.capacity() + limbo_.capacity()) * sizeof(uint32_t);
-  for (const Entry& entry : pool_) {
-    if (!entry.live) continue;
-    bytes += entry.descriptor.key.capacity() +
-             entry.descriptor.service_data.capacity();
-  }
-  return bytes;
+  return pool_.size() * sizeof(Entry) + index_.memory_bytes() +
+         (free_.capacity() + limbo_.capacity()) * sizeof(uint32_t);
 }
 
 uint32_t HotTier::acquire_slot() {

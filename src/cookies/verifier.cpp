@@ -125,10 +125,11 @@ bool CookieVerifier::knows(CookieId id) const {
   return table_->find(id) != nullptr;
 }
 
-const CookieDescriptor* CookieVerifier::find(CookieId id) const {
+const DescriptorView* CookieVerifier::find(CookieId id) const {
   const WriterCheck check(*this);
   Resolved match;
-  return resolve(id, match) ? match.descriptor : nullptr;
+  if (!resolve(id, match) || match.revoked) return nullptr;
+  return &found_.emplace(*match.entry, table_->store());
 }
 
 bool CookieVerifier::resolve(CookieId id, Resolved& out) const {
@@ -137,19 +138,18 @@ bool CookieVerifier::resolve(CookieId id, Resolved& out) const {
   // valid (revoked records are never admitted, and a swap or a local
   // edit bumps the epoch, forcing re-resolution below).
   if (const HotTier::Entry* hot = hot_.lookup(id, epoch)) {
-    out = Resolved{&hot->descriptor, &hot->schedule, false};
+    out = Resolved{hot, false};
     return true;
   }
   const DescriptorStore::Record* record = table_->find(id);
   if (record == nullptr) return false;
   if (record->revoked) {
     // Tombstones stay cold: verify_resolved checks `revoked` before
-    // touching descriptor/schedule, so those stay null.
-    out = Resolved{nullptr, nullptr, true};
+    // touching the entry, so it stays null.
+    out = Resolved{nullptr, true};
     return true;
   }
-  const HotTier::Entry* hot = hot_.admit(*record, table_->store(), epoch);
-  out = Resolved{&hot->descriptor, &hot->schedule, false};
+  out = Resolved{hot_.admit(*record, table_->store(), epoch), false};
   return true;
 }
 
@@ -158,23 +158,23 @@ VerifyResult CookieVerifier::verify_resolved(const Resolved& match,
                                              util::Timestamp now) {
   if (match.revoked) {
     status_.inc(VerifyStatus::kDescriptorRevoked);
-    return VerifyResult{VerifyStatus::kDescriptorRevoked, nullptr};
+    return VerifyResult{VerifyStatus::kDescriptorRevoked, std::nullopt};
   }
-  if (match.descriptor->expired(now)) {
+  if (match.entry->expired(now)) {
     status_.inc(VerifyStatus::kDescriptorExpired);
-    return VerifyResult{VerifyStatus::kDescriptorExpired, nullptr};
+    return VerifyResult{VerifyStatus::kDescriptorExpired, std::nullopt};
   }
   // (ii) MAC check, constant-time over the tag, resuming from the
   // entry's precomputed ipad/opad midstates. Run before the
   // timestamp/replay checks so an attacker cannot probe table state
   // with unsigned cookies.
-  const crypto::CookieTag expected = cookie.compute_tag(*match.schedule);
+  const crypto::CookieTag expected = cookie.compute_tag(match.entry->schedule);
   if (!crypto::constant_time_equal(
           util::BytesView(expected.data(), expected.size()),
           util::BytesView(cookie.signature.data(),
                           cookie.signature.size()))) {
     status_.inc(VerifyStatus::kBadSignature);
-    return VerifyResult{VerifyStatus::kBadSignature, nullptr};
+    return VerifyResult{VerifyStatus::kBadSignature, std::nullopt};
   }
   // (iii) |cookie.timestamp - now| <= NCT, at cookie (seconds)
   // resolution, matching Listing 3's abs(cookie.timestamp - now) > NCT.
@@ -183,15 +183,16 @@ VerifyResult CookieVerifier::verify_resolved(const Resolved& match,
       std::abs(now_sec - static_cast<int64_t>(cookie.timestamp));
   if (delta > nct_ / util::kSecond) {
     status_.inc(VerifyStatus::kStaleTimestamp);
-    return VerifyResult{VerifyStatus::kStaleTimestamp, nullptr};
+    return VerifyResult{VerifyStatus::kStaleTimestamp, std::nullopt};
   }
   // (iv) use-once.
   if (!replays_.insert(cookie.uuid, now)) {
     status_.inc(VerifyStatus::kReplayed);
-    return VerifyResult{VerifyStatus::kReplayed, nullptr};
+    return VerifyResult{VerifyStatus::kReplayed, std::nullopt};
   }
   status_.inc(VerifyStatus::kOk);
-  return VerifyResult{VerifyStatus::kOk, match.descriptor};
+  return VerifyResult{VerifyStatus::kOk,
+                      DescriptorView(*match.entry, table_->store())};
 }
 
 VerifyResult CookieVerifier::verify(const Cookie& cookie) {
@@ -200,7 +201,7 @@ VerifyResult CookieVerifier::verify(const Cookie& cookie) {
   Resolved match;
   if (!resolve(cookie.cookie_id, match)) {
     status_.inc(VerifyStatus::kUnknownId);
-    return VerifyResult{VerifyStatus::kUnknownId, nullptr};
+    return VerifyResult{VerifyStatus::kUnknownId, std::nullopt};
   }
   const VerifyResult result = verify_resolved(match, cookie, clock_.now());
   sync_state_metrics();
@@ -247,7 +248,7 @@ void CookieVerifier::verify_batch(std::span<const Cookie> cookies,
     }
     if (!have_match) {
       status_.inc(VerifyStatus::kUnknownId);
-      results[idx] = VerifyResult{VerifyStatus::kUnknownId, nullptr};
+      results[idx] = VerifyResult{VerifyStatus::kUnknownId, std::nullopt};
       continue;
     }
     results[idx] = verify_resolved(match, cookie, now);
@@ -260,7 +261,7 @@ VerifyResult CookieVerifier::verify_wire(util::BytesView wire) {
   const auto cookie = Cookie::decode(wire);
   if (!cookie) {
     status_.inc(VerifyStatus::kMalformed);
-    return VerifyResult{VerifyStatus::kMalformed, nullptr};
+    return VerifyResult{VerifyStatus::kMalformed, std::nullopt};
   }
   return verify(*cookie);
 }
@@ -270,7 +271,7 @@ VerifyResult CookieVerifier::verify_text(std::string_view text) {
   const auto cookie = Cookie::decode_text(text);
   if (!cookie) {
     status_.inc(VerifyStatus::kMalformed);
-    return VerifyResult{VerifyStatus::kMalformed, nullptr};
+    return VerifyResult{VerifyStatus::kMalformed, std::nullopt};
   }
   return verify(*cookie);
 }

@@ -57,6 +57,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
@@ -93,13 +94,38 @@ enum class VerifyStatus : uint8_t {
 // to_string(VerifyStatus) lives in telemetry/labels.h (included above):
 // one header home, std::string_view return, no per-sample allocation.
 
+/// A live descriptor as verify*() and find() hand it out: the id and
+/// key schedule of its hot-tier entry, and the service data and
+/// attributes of the interned profile the entry indexes in the current
+/// table's store. Nothing is copied. The attributes carry no
+/// expires_at: expiry is per record, and the verifier checks it.
+class DescriptorView {
+ public:
+  DescriptorView(const HotTier::Entry& entry, const DescriptorStore& store)
+      : entry_(&entry), store_(&store) {}
+
+  CookieId cookie_id() const { return entry_->id; }
+  const std::string& service_data() const {
+    return store_->profile(entry_->profile).service_data;
+  }
+  const Attributes& attributes() const {
+    return store_->profile(entry_->profile).attributes;
+  }
+  const crypto::HmacKeySchedule& schedule() const { return entry_->schedule; }
+
+ private:
+  const HotTier::Entry* entry_;
+  const DescriptorStore* store_;
+};
+
 struct VerifyResult {
   VerifyStatus status = VerifyStatus::kUnknownId;
   /// Set when status == kOk. Points into the verifier's hot tier and
-  /// is valid until the next verify*, find or set_external_table call
-  /// on that verifier (which may recycle evicted slots or revalidate
-  /// the entry in place). Read it before calling the verifier again.
-  const CookieDescriptor* descriptor = nullptr;
+  /// current table, and is valid until the next verify*, find or
+  /// set_external_table call on that verifier (which may recycle
+  /// evicted slots, revalidate the entry in place, or drop the table).
+  /// Read it before calling the verifier again.
+  std::optional<DescriptorView> descriptor;
 
   bool ok() const { return status == VerifyStatus::kOk; }
 };
@@ -149,9 +175,9 @@ class CookieVerifier {
 
   bool knows(CookieId id) const;
   /// The live descriptor for `id`, or nullptr (unknown or revoked).
-  /// Admits the record into the hot tier; the pointer has
-  /// VerifyResult::descriptor's lifetime.
-  const CookieDescriptor* find(CookieId id) const;
+  /// Admits the record into the hot tier; the view and the pointer to
+  /// it have VerifyResult::descriptor's lifetime.
+  const DescriptorView* find(CookieId id) const;
 
   /// Run the §4.2 checks on a cookie. A kOk result records the uuid in
   /// the replay cache, so verifying the same cookie twice yields
@@ -201,10 +227,9 @@ class CookieVerifier {
 
  private:
   /// A descriptor match: a hot-tier entry backed by a live record of
-  /// the current table, or a tombstone.
+  /// the current table, or a tombstone (null entry).
   struct Resolved {
-    const CookieDescriptor* descriptor = nullptr;
-    const crypto::HmacKeySchedule* schedule = nullptr;
+    const HotTier::Entry* entry = nullptr;
     bool revoked = false;
   };
 
@@ -248,6 +273,8 @@ class CookieVerifier {
   /// Midstate working set over the current table (mutable: find() is
   /// logically const but admits records on a cold hit).
   mutable HotTier hot_;
+  /// What the last find() returned a pointer to.
+  mutable std::optional<DescriptorView> found_;
   /// Verifier-wide use-once memory (see the class comment on replay
   /// scope).
   ReplayCache replays_;

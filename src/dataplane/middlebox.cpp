@@ -45,30 +45,30 @@ net::FlowKey Middlebox::flow_key_for(const net::Packet& packet) {
   return net::FlowKey::from_cid(flow_table_.resolve_cid(q.dcid));
 }
 
-const cookies::CookieDescriptor* Middlebox::apply_verified(
-    const cookies::VerifyResult& result, cookies::Transport transport,
-    const net::FlowKey& key, FlowEntry& entry, util::Timestamp now,
-    Verdict& verdict) {
+bool Middlebox::apply_verified(const cookies::VerifyResult& result,
+                               cookies::Transport transport,
+                               const net::FlowKey& key, FlowEntry& entry,
+                               util::Timestamp now, Verdict& verdict) {
   verdict.verify_status = result.status;
-  if (!result.ok()) return nullptr;
-  const cookies::CookieDescriptor& descriptor = *result.descriptor;
+  if (!result.ok()) return false;
+  const cookies::Attributes& attrs = result.descriptor->attributes();
+  const std::string& service = result.descriptor->service_data();
   // Transport restriction attribute: a descriptor may pin its cookies
   // to specific carriers.
-  if (!descriptor.attributes.allows_transport(transport)) {
+  if (!attrs.allows_transport(transport)) {
     verdict.verify_status = cookies::VerifyStatus::kUnknownId;
-    return nullptr;
+    return false;
   }
-  const auto& attrs = descriptor.attributes;
   if (attrs.granularity == cookies::Granularity::kFlow) {
     const util::Timestamp mapping_expires =
         attrs.mapping_ttl ? now + *attrs.mapping_ttl : 0;
-    flow_table_.map_flow(key, entry, descriptor.service_data, now,
-                         attrs.reverse_flow, mapping_expires);
+    flow_table_.map_flow(key, entry, service, now, attrs.reverse_flow,
+                         mapping_expires);
   }
   verdict.mapped_now = true;
-  verdict.service_data = descriptor.service_data;
-  verdict.action = registry_.lookup(descriptor.service_data);
-  return &descriptor;
+  verdict.service_data = service;
+  verdict.action = registry_.lookup(service);
+  return true;
 }
 
 void Middlebox::finish_verdict(net::Packet& packet, const FlowEntry& entry,
@@ -89,15 +89,16 @@ void Middlebox::apply_stack(net::Packet& packet, const net::FlowKey& key,
   // With a composed stack, apply the first cookie this network can
   // verify (each network consumes its own layer, §4.5).
   for (const cookies::Cookie& cookie : extracted.stack) {
-    const cookies::CookieDescriptor* applied =
-        apply_verified(verifier_.verify(cookie), extracted.transport, key,
-                       entry, now, verdict);
-    if (applied == nullptr) continue;
+    const cookies::VerifyResult result = verifier_.verify(cookie);
+    if (!apply_verified(result, extracted.transport, key, entry, now,
+                        verdict)) {
+      continue;
+    }
     if (config_.delivery_guarantees &&
-        applied->attributes.delivery_guarantee) {
+        result.descriptor->attributes().delivery_guarantee) {
       // The network owes the sender an acknowledgment on the
       // reverse path (§4.3).
-      pending_acks_[packet.tuple.reversed()] = applied->cookie_id;
+      pending_acks_[packet.tuple.reversed()] = cookie.cookie_id;
     }
     break;
   }
@@ -254,8 +255,7 @@ void Middlebox::flush_pending(std::span<net::Packet* const> packets,
 void Middlebox::maybe_attach_ack(net::Packet& packet) {
   const auto it = pending_acks_.find(packet.tuple);
   if (it == pending_acks_.end()) return;
-  const cookies::CookieDescriptor* descriptor =
-      verifier_.find(it->second);
+  const cookies::DescriptorView* descriptor = verifier_.find(it->second);
   if (!descriptor) {
     pending_acks_.erase(it);  // revoked/expired: nothing to ack with
     return;
@@ -264,10 +264,10 @@ void Middlebox::maybe_attach_ack(net::Packet& packet) {
   // carriers this packet supports; if none fits, keep the debt and
   // try the flow's next packet.
   cookies::Cookie ack;
-  ack.cookie_id = descriptor->cookie_id;
+  ack.cookie_id = descriptor->cookie_id();
   ack.uuid = crypto::Uuid::generate(ack_rng_);
   ack.timestamp = cookies::to_cookie_time(clock_.now());
-  ack.signature = ack.compute_tag(util::BytesView(descriptor->key));
+  ack.signature = ack.compute_tag(descriptor->schedule());
   for (const auto transport :
        {cookies::Transport::kIpv6Extension,
         cookies::Transport::kUdpHeader, cookies::Transport::kHttpHeader,

@@ -191,12 +191,12 @@ class Middlebox {
   Verdict process_at(net::Packet& packet, util::Timestamp now);
 
   /// Apply one verify outcome (transport restriction, flow mapping,
-  /// verdict): the one reader of VerifyResult::descriptor. Returns the
-  /// descriptor when applied, else nullptr.
-  const cookies::CookieDescriptor* apply_verified(
-      const cookies::VerifyResult& result, cookies::Transport transport,
-      const net::FlowKey& key, FlowEntry& entry, util::Timestamp now,
-      Verdict& verdict);
+  /// verdict): the one reader of VerifyResult::descriptor. Returns
+  /// whether it applied.
+  bool apply_verified(const cookies::VerifyResult& result,
+                      cookies::Transport transport, const net::FlowKey& key,
+                      FlowEntry& entry, util::Timestamp now,
+                      Verdict& verdict);
 
   /// The verdict's tail: a packet of a mapped flow that did not map it
   /// takes the flow's action, and an action remarks DSCP.

@@ -1,11 +1,11 @@
 #include "runtime/arena.h"
 
-#include "runtime/spsc_ring.h"  // ring_capacity_for
+#include <algorithm>
 
 namespace nnn::runtime {
 
 PacketArena::PacketArena(size_t slots)
-    : slots_(ring_capacity_for(slots)), next_(slots_.size()) {
+    : slots_(std::max<size_t>(slots, 2)), next_(slots_.size()) {
   // Seed the freelist with every slot, linked 0 -> 1 -> ... -> n-1.
   const uint32_t n = static_cast<uint32_t>(slots_.size());
   for (uint32_t i = 0; i + 1 < n; ++i) {

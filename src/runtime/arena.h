@@ -100,8 +100,8 @@ class PacketArena {
   /// in the steady state); flushes splice the whole chain in one CAS.
   static constexpr size_t kChunk = 32;
 
-  /// `slots` is rounded up to a power of two (minimum 2). All packet
-  /// slots are default-constructed up front.
+  /// Exactly `slots` slots (minimum 2), all default-constructed up
+  /// front.
   explicit PacketArena(size_t slots);
   PacketArena(const PacketArena&) = delete;
   PacketArena& operator=(const PacketArena&) = delete;

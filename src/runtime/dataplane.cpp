@@ -3,6 +3,7 @@
 #include <chrono>
 #include <span>
 #include <string>
+#include <utility>
 
 #include "fault/injector.h"
 #include "util/logging.h"
@@ -31,13 +32,17 @@ Dataplane::Config normalize(Dataplane::Config config) {
   if (pool.workers == 0) pool.workers = 1;
   if (pool.batch_size == 0) pool.batch_size = 1;
   if (pool.arena_slots == 0) {
-    // Every ring full + every worker's warm cache + a producer burst
-    // in flight. Exhaustion under this sizing means the producer is
-    // outrunning the rings anyway, and shedding is the right answer.
+    // The most slots that can be outstanding at once. Per worker: a
+    // full ring, the burst it popped, and its release stash (it
+    // splices back at 2*kChunk, so it rests at up to 2*kChunk - 1).
+    // The producer adds its alloc stash and a burst of handles it
+    // holds before ingesting them. Exhaustion under this sizing means
+    // the producer is outrunning the rings anyway, and shedding is
+    // the right answer.
     pool.arena_slots =
         pool.workers * (ring_capacity_for(pool.ring_capacity) +
-                        2 * PacketArena::kChunk) +
-        4 * pool.batch_size;
+                        pool.batch_size + 2 * PacketArena::kChunk - 1) +
+        PacketArena::kChunk + pool.batch_size;
   }
   return config;
 }
@@ -162,27 +167,39 @@ bool Dataplane::submit(PacketHandle&& handle, bool blocking) {
 
 void Dataplane::add_descriptor(const cookies::CookieDescriptor& descriptor) {
   if (publisher_ != &tables_) return;  // descriptor state owned by sync
-  staged_.upsert(descriptor);
-  edits_pending_ = true;
+  stage().upsert(descriptor);
 }
 
 void Dataplane::revoke(cookies::CookieId id) {
   if (publisher_ != &tables_) return;  // descriptor state owned by sync
-  staged_.revoke(id);
-  edits_pending_ = true;
+  stage().revoke(id);
+}
+
+cookies::DescriptorStore& Dataplane::stage() {
+  if (!edits_pending_) {
+    // Copy on write: the published table holds every descriptor, and
+    // staged_ was moved into it.
+    if (const cookies::DescriptorTable* current = tables_.peek()) {
+      staged_ = current->store();
+    }
+    edits_pending_ = true;
+  }
+  return staged_;
 }
 
 void Dataplane::publish_edits() {
   // Version 0: no DescriptorLog stands behind it, and the registry
   // sums nnn_controlplane_table_version over publishers.
-  tables_.publish(std::make_unique<cookies::DescriptorTable>(0, staged_));
+  tables_.publish(std::make_unique<cookies::DescriptorTable>(
+      0, std::exchange(staged_, {})));
   edits_pending_ = false;
 }
 
 void Dataplane::bind_table_publisher(
     controlplane::TablePublisher& publisher) {
   publisher_ = &publisher;
-  edits_pending_ = false;  // the sync channel owns descriptor state
+  staged_ = {};  // the sync channel owns descriptor state
+  edits_pending_ = false;
   for (auto& worker : workers_) {
     worker->table_reader = publisher.register_reader();
   }

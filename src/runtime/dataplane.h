@@ -125,9 +125,10 @@ class Dataplane {
     size_t batch_size = 32;
     /// Capacity of the shared verdict ring; 0 disables collection.
     size_t verdict_capacity = 0;
-    /// Packet-arena slots backing the rings. 0 = auto: enough for
-    /// every ring to be full plus per-thread caches and a producer
-    /// burst in flight.
+    /// Packet-arena slots backing the rings. 0 = auto: the most that
+    /// can be outstanding at once — every ring full, plus each
+    /// worker's popped burst and release stash, plus the producer's
+    /// stash and a burst in flight.
     size_t arena_slots = 0;
     dataplane::Middlebox::Config middlebox{};
   };
@@ -250,7 +251,11 @@ class Dataplane {
   /// (`blocking`) waiting for space.
   bool submit(PacketHandle&& handle, bool blocking);
 
-  /// Publish the staged descriptor store through tables_.
+  /// The store the next edit goes to: staged_, first refilled from
+  /// the published table if a publish emptied it.
+  cookies::DescriptorStore& stage();
+  /// Move the staged descriptor store into a table and publish it
+  /// through tables_.
   void publish_edits();
 
   /// The balancer step: learn the packet's CID steering state
@@ -273,6 +278,9 @@ class Dataplane {
   PacketArena arena_;
   /// Declared before workers_, so they outlive the workers' readers.
   controlplane::TablePublisher tables_;
+  /// Edits not yet published, over a copy of the published table;
+  /// empty while no edit is pending, so a plane holds each descriptor
+  /// once.
   cookies::DescriptorStore staged_;
   /// The publisher the workers read: tables_ unless one is bound.
   controlplane::TablePublisher* publisher_ = &tables_;
@@ -283,7 +291,8 @@ class Dataplane {
   bool running_ = false;
   /// Producer-side alloc stash (single producer thread).
   PacketArena::Cache cache_;
-  /// staged_ holds edits the workers cannot see yet.
+  /// staged_ holds edits the workers cannot see yet (and, with them,
+  /// the rest of the published table).
   bool edits_pending_ = false;
   /// CID -> steering-key state for the encrypted transport, learned on
   /// the ingest path (handshakes bind the cookie id, rotation markers

@@ -64,10 +64,23 @@ TEST(SteeringHash, SequentialIdsBalanceAcrossShards) {
 
 // --- Arena basics ---------------------------------------------------
 
-TEST(PacketArena, CapacityRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(PacketArena(5).capacity(), 8u);
+TEST(PacketArena, CapacityIsExactlyTheSlotsAsked) {
+  // No rounding up: Dataplane asks for the bound on outstanding slots,
+  // and every slot beyond it would be a 224-byte Packet never used.
+  EXPECT_EQ(PacketArena(5).capacity(), 5u);
   EXPECT_EQ(PacketArena(64).capacity(), 64u);
+  EXPECT_EQ(PacketArena(33022).capacity(), 33022u);
   EXPECT_EQ(PacketArena(1).capacity(), 2u);
+  EXPECT_EQ(PacketArena(0).capacity(), 2u);
+  // Every slot is allocatable, and not one more.
+  PacketArena arena(5);
+  std::vector<PacketHandle> held;
+  for (int i = 0; i < 5; ++i) {
+    held.push_back(arena.try_alloc());
+    ASSERT_TRUE(held.back()) << i;
+  }
+  EXPECT_FALSE(arena.try_alloc());
+  EXPECT_EQ(arena.alloc_failures(), 1u);
 }
 
 TEST(PacketArena, AllocExhaustReleaseRecycle) {

@@ -4,6 +4,7 @@
 // This suite is the primary target of the TSan CI job.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <map>
 #include <thread>
 #include <vector>
@@ -470,8 +471,19 @@ TEST(Runtime, ShedLedgerReconcilesWhenStopRacesQueuePressure) {
     }
   });
   // Stop while the producer is (very likely) still submitting — the
-  // race under test. Correctness must not depend on the timing.
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  // race under test. Correctness must not depend on the timing, but
+  // the pressure check below needs the producer to have reached the
+  // injector before stop() sheds everything ahead of it, and the
+  // pause needs to have begun. So wait for both, bounded, instead of
+  // guessing with a fixed sleep.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while ((accepted.load() + rejected.load() == 0 ||
+          injector.injected(fault::FaultKind::kQueuePressure) == 0 ||
+          fx.clock.now() < now + 2 * util::kMillisecond) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
   fx.plane.stop();
   producer.join();
 
@@ -484,6 +496,55 @@ TEST(Runtime, ShedLedgerReconcilesWhenStopRacesQueuePressure) {
   // The pause + pressure made the valve actually operate.
   EXPECT_GT(totals.shed, 0u);
   EXPECT_GT(injector.injected(fault::FaultKind::kQueuePressure), 0u);
+}
+
+/// The default arena holds every slot that can be outstanding at once:
+/// with every worker paused and every ring full, the producer still
+/// gets a full burst of slots.
+TEST(Runtime, DefaultArenaLeavesAProducerBurstOverFullRings) {
+  constexpr size_t kWorkers = 2;
+  constexpr size_t kRing = 64;
+  Dataplane::Config config = plane_config(DispatchPolicy::kFlowHash, kWorkers);
+  config.pool.ring_capacity = kRing;
+  PlaneFixture fx(config);
+
+  fault::Injector injector;
+  fault::FaultPlan plan;
+  plan.add({fault::FaultKind::kPause, fx.clock.now(), 60 * util::kSecond,
+            1.0, 0, fault::kAllTargets});
+  injector.arm(plan, 7);
+  fx.plane.set_fault_injector(&injector);
+  fx.plane.start();
+
+  // Fill every ring through ingest(), steering by route().
+  std::vector<size_t> queued(kWorkers, 0);
+  uint32_t flow = 0;
+  for (size_t filled = 0; filled < kWorkers; ++flow) {
+    net::Packet packet = flow_packet(flow, flow);
+    const size_t worker = fx.plane.route(packet);
+    if (queued[worker] == kRing) continue;
+    ASSERT_TRUE(fx.ingest(std::move(packet))) << "flow " << flow;
+    if (++queued[worker] == kRing) ++filled;
+  }
+  for (size_t worker = 0; worker < kWorkers; ++worker) {
+    net::Packet packet = flow_packet(flow, flow);
+    while (fx.plane.route(packet) != worker) {
+      ++flow;
+      packet = flow_packet(flow, flow);
+    }
+    EXPECT_FALSE(fx.ingest(std::move(packet))) << "ring " << worker
+                                               << " is not full";
+  }
+
+  std::vector<PacketHandle> burst;
+  for (size_t i = 0; i < config.pool.batch_size; ++i) {
+    burst.push_back(fx.plane.make_packet());
+    EXPECT_TRUE(burst.back()) << "slot " << i << " of the burst";
+  }
+  EXPECT_EQ(fx.plane.arena().alloc_failures(), 0u);
+  burst.clear();
+  fx.plane.stop();
+  EXPECT_EQ(fx.plane.arena().outstanding(), 0u) << "slots leaked";
 }
 
 TEST(Runtime, LifecycleIsIdempotent) {

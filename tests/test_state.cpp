@@ -368,7 +368,14 @@ TEST(HotTier, LookupTrustsOnlyCurrentEpoch) {
   EXPECT_EQ(tier.lookup(1, /*epoch=*/1), nullptr);
   const auto* admitted = tier.admit(*store.find(1), store, /*epoch=*/1);
   ASSERT_NE(admitted, nullptr);
-  EXPECT_EQ(admitted->descriptor, make_descriptor(1));
+  const auto descriptor = make_descriptor(1);
+  EXPECT_EQ(admitted->id, 1u);
+  EXPECT_EQ(admitted->schedule,
+            crypto::HmacKeySchedule(util::BytesView(descriptor.key)));
+  EXPECT_EQ(store.profile(admitted->profile).service_data,
+            descriptor.service_data);
+  EXPECT_EQ(store.profile(admitted->profile).attributes,
+            descriptor.attributes);
   EXPECT_EQ(tier.rehydrations(), 1u);
 
   EXPECT_NE(tier.lookup(1, 1), nullptr);
@@ -393,7 +400,8 @@ TEST(HotTier, KeyRotationRebuildsSchedule) {
   store.upsert(rotated);
   const auto* entry = tier.admit(*store.find(1), store, 2);
   EXPECT_EQ(tier.rehydrations(), 2u);
-  EXPECT_EQ(entry->descriptor.key, rotated.key);
+  EXPECT_EQ(entry->schedule,
+            crypto::HmacKeySchedule(util::BytesView(rotated.key)));
 }
 
 TEST(HotTier, BudgetBoundsResidencyViaClockEviction) {
@@ -424,8 +432,8 @@ TEST(HotTier, EvictedEntryStaysReadableUntilNextBurst) {
   // VerifyResult still pointing at it reads intact data.
   const auto* second = tier.admit(*store.find(2), store, 1);
   ASSERT_NE(first, second);
-  EXPECT_EQ(first->descriptor.cookie_id, 1u);
-  EXPECT_EQ(second->descriptor.cookie_id, 2u);
+  EXPECT_EQ(first->id, 1u);
+  EXPECT_EQ(second->id, 2u);
   EXPECT_EQ(tier.resident(), 1u);
   // Next burst releases the limbo slot for reuse.
   tier.begin_burst();

@@ -1,13 +1,17 @@
 // CookieVerifier: the four checks of §4.2 plus revocation/expiry.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "controlplane/table_mirror.h"
 #include "cookies/generator.h"
 #include "cookies/verifier.h"
 #include "util/clock.h"
+#include "util/rng.h"
 
 namespace nnn::cookies {
 namespace {
@@ -38,8 +42,8 @@ TEST_F(VerifierTest, ValidCookieVerifies) {
   auto gen = install(1);
   const auto result = verifier_.verify(gen.generate());
   EXPECT_TRUE(result.ok());
-  ASSERT_NE(result.descriptor, nullptr);
-  EXPECT_EQ(result.descriptor->service_data, "Boost");
+  ASSERT_TRUE(result.descriptor.has_value());
+  EXPECT_EQ(result.descriptor->service_data(), "Boost");
   EXPECT_EQ(verifier_.stats().count(VerifyStatus::kOk), 1u);
 }
 
@@ -210,14 +214,14 @@ TEST_F(VerifierTest, BatchMatchesSequentialOnMixedBurst) {
   for (size_t i = 0; i < burst.size(); ++i) {
     const VerifyResult expected = reference.verify(burst[i]);
     EXPECT_EQ(batched[i].status, expected.status) << "cookie " << i;
-    // Descriptor pointers come from different verifiers; compare what
-    // they point at.
-    ASSERT_EQ(batched[i].descriptor != nullptr,
-              expected.descriptor != nullptr)
+    // The views come from different verifiers; compare what they
+    // show.
+    ASSERT_EQ(batched[i].descriptor.has_value(),
+              expected.descriptor.has_value())
         << "cookie " << i;
-    if (expected.descriptor != nullptr) {
-      EXPECT_EQ(batched[i].descriptor->cookie_id,
-                expected.descriptor->cookie_id);
+    if (expected.descriptor.has_value()) {
+      EXPECT_EQ(batched[i].descriptor->cookie_id(),
+                expected.descriptor->cookie_id());
     }
   }
   EXPECT_EQ(verifier_.stats(), reference.stats());
@@ -482,6 +486,261 @@ TEST_F(ExternalVerifierTest, BatchMatchesSequentialInExternalMode) {
     EXPECT_EQ(results[i].status, expected[i].status) << "cookie " << i;
   }
   EXPECT_EQ(verifier_.stats(), sequential.stats());
+}
+
+// --- Hot tier against a reference model -----------------------------
+
+/// Random operation sequences over a few ids, checked against a
+/// std::map of what the current table holds (nullopt = tombstone).
+/// Edits keep the key, rotate it, spill it past the 32 inline bytes, or
+/// change the profile or the expiry; revocations, erases, publishes,
+/// clock steps, budget evictions and burst boundaries come between the
+/// verifies and finds. Whatever the hot tier serves must be the current
+/// table's: a kOk only for a known, unrevoked, unexpired id, a tag from
+/// the current key, and the current profile's service data and
+/// attributes. Runs against published tables and against the
+/// verifier's own table, whose profile vector grows under live views.
+class HotTierModel {
+ public:
+  HotTierModel(bool own_table, uint64_t seed)
+      : own_(own_table), rng_(seed), clock_(1'000'000 * util::kSecond),
+        verifier_(clock_) {
+    verifier_.set_hot_budget(3);  // fewer than kIds: evictions happen
+  }
+
+  void run(size_t steps) {
+    for (size_t step = 0; step < steps; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      const CookieId id = 1 + rng_.next_u64(kIds);
+      switch (rng_.next_u64(12)) {
+        case 0: edit(id, Change::kNothing); break;
+        case 1: edit(id, Change::kKey); break;
+        case 2: edit(id, Change::kSpilledKey); break;
+        case 3: edit(id, Change::kProfile); break;
+        case 4: edit(id, Change::kExpiry); break;
+        case 5: revoke(id); break;
+        case 6: erase(id); break;
+        case 7: publish(); break;
+        case 8: clock_.advance(util::kSecond); break;
+        case 9: verify_burst(); break;
+        case 10: find(id); break;
+        default: verify_one(id); break;
+      }
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    // The sequence reached every verdict and evicted under the budget.
+    for (const VerifyStatus status :
+         {VerifyStatus::kOk, VerifyStatus::kUnknownId,
+          VerifyStatus::kBadSignature, VerifyStatus::kDescriptorExpired,
+          VerifyStatus::kDescriptorRevoked}) {
+      EXPECT_GT(verifier_.stats().count(status), 0u) << to_string(status);
+    }
+    EXPECT_GT(verifier_.hot_tier().evictions(), 0u);
+  }
+
+ private:
+  static constexpr CookieId kIds = 5;
+  enum class Change { kNothing, kKey, kSpilledKey, kProfile, kExpiry };
+  using Table = std::map<CookieId, std::optional<CookieDescriptor>>;
+
+  util::Bytes random_key(size_t length) {
+    util::Bytes key(length);
+    for (uint8_t& byte : key) byte = static_cast<uint8_t>(rng_.next_u32());
+    return key;
+  }
+
+  void random_profile(CookieDescriptor& d) {
+    static const char* const kServices[] = {"Boost", "Video", "Zero"};
+    d.service_data = kServices[rng_.next_u64(3)];
+    d.attributes.reverse_flow = rng_.next_u64(2) == 0;
+    d.attributes.transports.clear();
+    if (rng_.next_u64(2) == 0) {
+      d.attributes.transports.push_back(Transport::kUdpHeader);
+    }
+    // A fresh extra now and then interns a new profile (and grows the
+    // own table's profile vector).
+    d.attributes.extra["tier"] = std::to_string(rng_.next_u64(8));
+  }
+
+  void random_expiry(CookieDescriptor& d) {
+    switch (rng_.next_u64(3)) {
+      case 0: d.attributes.expires_at.reset(); break;
+      case 1: d.attributes.expires_at = clock_.now() - util::kSecond; break;
+      default:
+        d.attributes.expires_at =
+            clock_.now() + static_cast<util::Timestamp>(1 + rng_.next_u64(3)) *
+                               util::kSecond;
+    }
+  }
+
+  void edit(CookieId id, Change change) {
+    const auto it = staged_.find(id);
+    const bool live = it != staged_.end() && it->second.has_value();
+    CookieDescriptor d;
+    if (live) {
+      d = *it->second;
+    } else {
+      d.cookie_id = id;
+      d.key = random_key(32);
+      random_profile(d);
+    }
+    switch (change) {
+      case Change::kNothing: break;
+      case Change::kKey: d.key = random_key(32); break;
+      case Change::kSpilledKey: d.key = random_key(48); break;
+      case Change::kProfile: random_profile(d); break;
+      case Change::kExpiry: random_expiry(d); break;
+    }
+    if (live && it->second->key != d.key) old_keys_[id] = it->second->key;
+    staged_[id] = d;
+    if (own_) {
+      verifier_.add_descriptor(d);
+      current_ = staged_;
+    } else {
+      store_.upsert(d);
+    }
+  }
+
+  void revoke(CookieId id) {
+    staged_[id] = std::nullopt;
+    if (own_) {
+      verifier_.revoke(id);
+      current_ = staged_;
+    } else {
+      store_.revoke(id);
+    }
+  }
+
+  void erase(CookieId id) {
+    staged_.erase(id);
+    if (own_) {
+      verifier_.remove(id);
+      current_ = staged_;
+    } else {
+      store_.erase(id);
+    }
+  }
+
+  void publish() {
+    if (own_) return;  // own-table edits are current at once
+    auto table = std::make_unique<DescriptorTable>(++epoch_, store_);
+    table->set_epoch(epoch_);
+    verifier_.set_external_table(table.get());
+    table_ = std::move(table);  // the old table dies after the switch
+    current_ = staged_;
+  }
+
+  /// A fresh cookie for `id`, signed with its current key, a stale key
+  /// or (for ids the table does not hold) a random one.
+  Cookie mint(CookieId id, util::Bytes& key) {
+    const auto it = current_.find(id);
+    const bool live = it != current_.end() && it->second.has_value();
+    if (live && (rng_.next_u64(4) != 0 || old_keys_.count(id) == 0)) {
+      key = it->second->key;
+    } else if (old_keys_.count(id) != 0) {
+      key = old_keys_[id];
+    } else {
+      key = random_key(32);
+    }
+    Cookie cookie;
+    cookie.cookie_id = id;
+    cookie.uuid = crypto::Uuid::generate(rng_);
+    cookie.timestamp = to_cookie_time(clock_.now());
+    cookie.signature = cookie.compute_tag(util::BytesView(key));
+    return cookie;
+  }
+
+  VerifyStatus expected(CookieId id, const util::Bytes& key) const {
+    const auto it = current_.find(id);
+    if (it == current_.end()) return VerifyStatus::kUnknownId;
+    if (!it->second.has_value()) return VerifyStatus::kDescriptorRevoked;
+    if (it->second->expired(clock_.now())) {
+      return VerifyStatus::kDescriptorExpired;
+    }
+    if (it->second->key != key) return VerifyStatus::kBadSignature;
+    return VerifyStatus::kOk;
+  }
+
+  /// What a served view shows must be the current descriptor's.
+  void check_view(const DescriptorView& view, CookieId id) {
+    const auto it = current_.find(id);
+    ASSERT_TRUE(it != current_.end() && it->second.has_value())
+        << "served id " << id << " is unknown or revoked";
+    const CookieDescriptor& d = *it->second;
+    EXPECT_EQ(view.cookie_id(), id);
+    Cookie probe;
+    probe.cookie_id = id;
+    probe.uuid = crypto::Uuid::generate(rng_);
+    EXPECT_EQ(probe.compute_tag(view.schedule()),
+              probe.compute_tag(util::BytesView(d.key)))
+        << "id " << id << " served a schedule of an old key";
+    EXPECT_EQ(view.service_data(), d.service_data);
+    Attributes shared = d.attributes;
+    shared.expires_at.reset();
+    EXPECT_EQ(view.attributes(), shared);
+  }
+
+  void check_result(const VerifyResult& result, CookieId id,
+                    const util::Bytes& key) {
+    EXPECT_EQ(result.status, expected(id, key)) << "id " << id;
+    EXPECT_EQ(result.descriptor.has_value(), result.ok());
+    if (result.descriptor.has_value()) check_view(*result.descriptor, id);
+  }
+
+  void verify_one(CookieId id) {
+    util::Bytes key;
+    const Cookie cookie = mint(id, key);
+    const VerifyResult result = verifier_.verify(cookie);
+    // A local edit of another id may grow the own table's profile
+    // vector under the view; the view must still read its profile.
+    if (own_ && rng_.next_u64(2) == 0) edit(id % kIds + 1, Change::kProfile);
+    check_result(result, id, key);
+  }
+
+  /// One burst over several ids: entries evicted mid-burst must still
+  /// read intact until the burst ends.
+  void verify_burst() {
+    const size_t n = 2 + rng_.next_u64(6);
+    std::vector<Cookie> cookies;
+    std::vector<util::Bytes> keys(n);
+    for (size_t i = 0; i < n; ++i) {
+      cookies.push_back(mint(1 + rng_.next_u64(kIds), keys[i]));
+    }
+    std::vector<VerifyResult> results(n);
+    verifier_.verify_batch(cookies, results);
+    for (size_t i = 0; i < n; ++i) {
+      check_result(results[i], cookies[i].cookie_id, keys[i]);
+    }
+  }
+
+  void find(CookieId id) {
+    const DescriptorView* view = verifier_.find(id);
+    const auto it = current_.find(id);
+    const bool live = it != current_.end() && it->second.has_value();
+    ASSERT_EQ(view != nullptr, live) << "id " << id;
+    if (view != nullptr) check_view(*view, id);
+  }
+
+  const bool own_;
+  util::Rng rng_;
+  util::ManualClock clock_;
+  CookieVerifier verifier_;
+  Table staged_;   // edits so far
+  Table current_;  // what the verifier's current table holds
+  std::map<CookieId, util::Bytes> old_keys_;
+  DescriptorStore store_;
+  std::unique_ptr<DescriptorTable> table_;
+  uint64_t epoch_ = 0;
+};
+
+TEST(HotTierModel, ServesOnlyTheCurrentTable) {
+  for (const bool own_table : {false, true}) {
+    for (uint64_t seed = 1; seed <= 20; ++seed) {
+      SCOPED_TRACE(std::string(own_table ? "own" : "published") +
+                   " table, seed " + std::to_string(seed));
+      HotTierModel(own_table, seed).run(400);
+    }
+  }
 }
 
 }  // namespace
