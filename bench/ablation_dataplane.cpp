@@ -384,12 +384,12 @@ void BM_FlowTableTouch(benchmark::State& state) {
   const size_t flows = static_cast<size_t>(state.range(0));
   for (size_t i = 0; i < flows; ++i) {
     nnn::net::Packet p = plain_packet(static_cast<uint32_t>(i));
-    table.bind(nnn::net::FlowKey::from_tuple(p.tuple), 512, 0);
+    table.bind(nnn::net::FlowKey::from_tuple(p.tuple), 0);
   }
   nnn::net::Packet probe = plain_packet(static_cast<uint32_t>(flows / 2));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        table.bind(nnn::net::FlowKey::from_tuple(probe.tuple), 512, 1));
+        table.bind(nnn::net::FlowKey::from_tuple(probe.tuple), 1));
   }
 }
 BENCHMARK(BM_FlowTableTouch)
@@ -421,10 +421,9 @@ void BM_FlowTableChurn(benchmark::State& state) {
     t.src_port = 40000;
     t.dst_port = 443;
     const auto key = nnn::net::FlowKey::from_tuple(t);
-    auto bound = table.bind(key, 512, now);
-    table.map_flow(key, *bound.value().entry, service, now,
-                   /*include_reverse=*/true);
-    benchmark::DoNotOptimize(bound);
+    nnn::dataplane::FlowEntry& entry = table.bind(key, now);
+    table.map_flow(key, entry, service, now, /*include_reverse=*/true);
+    benchmark::DoNotOptimize(entry);
     now += idle / live;
   };
   for (nnn::util::Timestamp i = 0; i < 2 * live; ++i) churn();

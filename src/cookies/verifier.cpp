@@ -128,7 +128,10 @@ bool CookieVerifier::knows(CookieId id) const {
 const DescriptorView* CookieVerifier::find(CookieId id) const {
   const WriterCheck check(*this);
   Resolved match;
-  if (!resolve(id, match) || match.revoked) return nullptr;
+  if (!resolve(id, match) || match.revoked ||
+      match.entry->expired(clock_.now())) {
+    return nullptr;
+  }
   return &found_.emplace(*match.entry, table_->store());
 }
 

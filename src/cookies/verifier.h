@@ -174,7 +174,8 @@ class CookieVerifier {
   bool remove(CookieId id);
 
   bool knows(CookieId id) const;
-  /// The live descriptor for `id`, or nullptr (unknown or revoked).
+  /// The live descriptor for `id`, or nullptr (unknown, revoked or
+  /// expired at the clock's now).
   /// Admits the record into the hot tier; the view and the pointer to
   /// it have VerifyResult::descriptor's lifetime.
   const DescriptorView* find(CookieId id) const;

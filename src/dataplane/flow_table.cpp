@@ -4,18 +4,14 @@ namespace nnn::dataplane {
 
 namespace {
 
-constexpr Error kOverloadError{ErrorDomain::kFlow, ErrorCode::kOverload,
-                               "flow table at max_flows"};
 constexpr Error kUnknownFlowError{ErrorDomain::kFlow, ErrorCode::kUnknownId,
                                   "flow unknown"};
 
 }  // namespace
 
-FlowTable::FlowTable(uint32_t sniff_window, util::Timestamp idle_timeout,
-                     size_t max_flows)
+FlowTable::FlowTable(uint32_t sniff_window, util::Timestamp idle_timeout)
     : sniff_window_(sniff_window),
       idle_timeout_(idle_timeout),
-      max_flows_(max_flows),
       aliases_(quic::CidAliasConfig{.max_connections = 0}) {
   // Seated at 0; the first create reseats the drained wheel at its
   // own time.
@@ -35,22 +31,7 @@ net::FlowKey FlowTable::canonical(const net::FlowKey& key) const {
   return canon == key.cid() ? key : net::FlowKey::from_cid(canon);
 }
 
-std::optional<uint32_t> FlowTable::obtain(const net::FlowKey& key,
-                                          bool& created,
-                                          util::Timestamp now) {
-  if (max_flows_ != 0 && index_.size() >= max_flows_) {
-    // At capacity: the insert below may be a pure find (fine) or a
-    // create (blocked). Probe first so finds never pay for fullness.
-    if (index_.find(hash_key(key), index_matcher(key)) == nullptr) {
-      // One forced sweep — idle flows should lose to live traffic
-      // before any packet is refused an entry.
-      expire_idle(now);
-      if (index_.size() >= max_flows_) {
-        created = false;
-        return std::nullopt;
-      }
-    }
-  }
+uint32_t FlowTable::obtain(const net::FlowKey& key, util::Timestamp now) {
   const auto [slot_entry, inserted] = index_.find_or_insert(
       hash_key(key), index_matcher(key), index_hasher(), [&] {
         uint32_t slot;
@@ -67,7 +48,6 @@ std::optional<uint32_t> FlowTable::obtain(const net::FlowKey& key,
         return slot;
       });
   const uint32_t slot = *slot_entry;
-  created = inserted;
   if (inserted) {
     // File the new flow once, at its due; later touches only move the
     // due on, and the wheel re-files it when it gets there.
@@ -75,28 +55,16 @@ std::optional<uint32_t> FlowTable::obtain(const net::FlowKey& key,
     const util::Timestamp due = now + idle_timeout_ + 1;
     wheel_.schedule(slot, due, wheel_next());
     if (due < watermark_) watermark_ = due;
+    stats_.cell<&FlowTableStats::flows_created>().inc();
+    active_flows_.set(static_cast<int64_t>(index_.size()));
   }
   return slot;
 }
 
-Expected<FlowTable::Binding> FlowTable::bind(const net::FlowKey& key,
-                                             uint32_t bytes,
-                                             util::Timestamp now) {
-  stats_.cell<&FlowTableStats::lookups>().inc();
+FlowEntry& FlowTable::bind(const net::FlowKey& key, util::Timestamp now) {
   if (now >= watermark_) expire_idle(now);
-  bool created = false;
-  const std::optional<uint32_t> slot = obtain(canonical(key), created, now);
-  if (!slot) {
-    stats_.cell<&FlowTableStats::overloads>().inc();
-    return unexpected(kOverloadError);
-  }
-  FlowEntry& entry = pool_[*slot].entry;
-  if (created) {
-    stats_.cell<&FlowTableStats::flows_created>().inc();
-    active_flows_.set(static_cast<int64_t>(index_.size()));
-  }
+  FlowEntry& entry = pool_[obtain(canonical(key), now)].entry;
   ++entry.packets_seen;
-  entry.bytes += bytes;
   entry.last_seen = now;
   if (entry.state == FlowState::kSniffing &&
       entry.packets_seen > sniff_window_) {
@@ -112,7 +80,7 @@ Expected<FlowTable::Binding> FlowTable::bind(const net::FlowKey& key,
     entry.service_data.clear();
     entry.mapping_expires = 0;
   }
-  return Binding{&entry, created};
+  return entry;
 }
 
 void FlowTable::map_entry(FlowEntry& entry, const std::string& service_data,
@@ -131,20 +99,8 @@ void FlowTable::map_flow(const net::FlowKey& key, FlowEntry& entry,
   map_entry(entry, service_data, now, mapping_expires);
   const net::FlowKey reverse = key.reversed();
   if (!include_reverse || reverse == key) return;
-  // The forward mapping stands even if the reverse create is what hits
-  // max_flows — fail-open per direction.
-  bool created = false;
-  const std::optional<uint32_t> slot =
-      obtain(canonical(reverse), created, now);
-  if (!slot) {
-    stats_.cell<&FlowTableStats::overloads>().inc();
-    return;
-  }
-  if (created) {
-    stats_.cell<&FlowTableStats::flows_created>().inc();
-    active_flows_.set(static_cast<int64_t>(index_.size()));
-  }
-  map_entry(pool_[*slot].entry, service_data, now, mapping_expires);
+  map_entry(pool_[obtain(canonical(reverse), now)].entry, service_data, now,
+            mapping_expires);
 }
 
 Expected<const FlowEntry*> FlowTable::lookup(const net::FlowKey& key) const {
@@ -200,13 +156,6 @@ size_t FlowTable::expire_idle(util::Timestamp now) {
   stats_.cell<&FlowTableStats::flows_expired>().inc(result.fired);
   active_flows_.set(static_cast<int64_t>(index_.size()));
   return result.fired;
-}
-
-size_t FlowTable::memory_bytes() const {
-  size_t bytes = index_.memory_bytes() + pool_.size() * sizeof(Slot) +
-                 free_.capacity() * sizeof(uint32_t) + wheel_.memory_bytes();
-  for (const Slot& s : pool_) bytes += s.entry.service_data.capacity();
-  return bytes;
 }
 
 }  // namespace nnn::dataplane

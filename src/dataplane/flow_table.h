@@ -22,7 +22,7 @@
 // writes only last_seen, so a due only grows; the wheel re-files a
 // flow it reaches before its due. bind() advances the wheel only once
 // `now` reaches its watermark (the wheel's next-due bound);
-// expire_idle() and the max_flows admission advance it every time.
+// expire_idle() advances it every time.
 // Nothing walks the slot pool, so flow state costs O(1) amortized per
 // packet. The contract, for times that never decrease per table:
 //   - a flow is never evicted before its due;
@@ -46,18 +46,18 @@
 // out, its whole alias set is evicted with it — a dead connection
 // cannot leak alias-table entries.
 //
-// ## API (PR 10 redesign)
+// ## API
 //
-// The interface speaks Expected<...> in the PR 5 error taxonomy
-// (domain kFlow): bind() is the touch-or-create entry point (kOverload
-// once `max_flows` is hit), lookup() reports an absent flow
-// (kUnknownId), add_alias() reports an unlinkable rotation
-// (kUnknownId). A 5-tuple caller keys through FlowKey::from_tuple().
+// bind() is the touch-or-create entry point and cannot fail: the table
+// has no admission cap, idle expiry is what bounds it. lookup() and
+// add_alias() speak Expected<...> in util/error.h's taxonomy (domain
+// kFlow): lookup() reports an absent flow (kUnknownId), add_alias() an
+// unlinkable rotation (kUnknownId). A 5-tuple caller keys through
+// FlowKey::from_tuple().
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -80,7 +80,6 @@ struct FlowEntry {
   /// service_data of the verified cookie when state == kMapped.
   std::string service_data;
   util::Timestamp last_seen = 0;
-  uint64_t bytes = 0;
   /// When a mapped flow reverts to best effort; 0 = never (the flow's
   /// lifetime). Set from the descriptor's mapping_ttl attribute.
   util::Timestamp mapping_expires = 0;
@@ -89,12 +88,9 @@ struct FlowEntry {
 struct FlowTableStats {
   uint64_t flows_created = 0;
   uint64_t flows_expired = 0;
-  uint64_t lookups = 0;
   /// CID rotations recorded against live flows (add_alias calls that
   /// linked a CID not linked before).
   uint64_t aliases_added = 0;
-  /// bind() rejections because max_flows was reached.
-  uint64_t overloads = 0;
 
   friend bool operator==(const FlowTableStats&,
                          const FlowTableStats&) = default;
@@ -114,15 +110,9 @@ struct ViewTraits<dataplane::FlowTableStats> {
       ViewField<S>{&S::flows_expired, MetricType::kCounter,
                    "nnn_flows_expired_total",
                    "Flow-table entries evicted by idle timeout", "", ""},
-      ViewField<S>{&S::lookups, MetricType::kCounter,
-                   "nnn_flow_lookups_total", "Flow-table touch operations",
-                   "", ""},
       ViewField<S>{&S::aliases_added, MetricType::kCounter,
                    "nnn_flow_aliases_total",
                    "CID rotations recorded against live flows", "", ""},
-      ViewField<S>{&S::overloads, MetricType::kCounter,
-                   "nnn_flow_overload_total",
-                   "Flow creations rejected at max_flows", "", ""},
   };
 };
 
@@ -136,28 +126,19 @@ class FlowTable {
   static constexpr util::Timestamp kDefaultIdleTimeout =
       60 * util::kSecond;
 
-  /// `max_flows` == 0 means unbounded.
   explicit FlowTable(uint32_t sniff_window = kDefaultSniffWindow,
-                     util::Timestamp idle_timeout = kDefaultIdleTimeout,
-                     size_t max_flows = 0);
+                     util::Timestamp idle_timeout = kDefaultIdleTimeout);
   /// Pinned: the stats view registers a collector holding `this`.
   FlowTable(const FlowTable&) = delete;
   FlowTable& operator=(const FlowTable&) = delete;
 
-  /// bind()'s success alternative: the entry (stable across later
-  /// inserts; the pool never moves) and whether this call created it.
-  struct Binding {
-    FlowEntry* entry = nullptr;
-    bool created = false;
-  };
-
-  /// Touch-or-create the flow `key` names: bump packet/byte counters,
-  /// advance kSniffing -> kBestEffort when the window is exhausted,
-  /// lapse expired mappings. CID keys are canonicalized through the
-  /// alias table first. Fails with kOverload when the flow would be
-  /// new and the table is at max_flows (after one forced idle sweep).
-  Expected<Binding> bind(const net::FlowKey& key, uint32_t bytes,
-                         util::Timestamp now);
+  /// Touch-or-create the flow `key` names: count the packet, advance
+  /// kSniffing -> kBestEffort when the window is exhausted, lapse
+  /// expired mappings. CID keys are canonicalized through the alias
+  /// table first. Advances the expiry wheel first once `now` reaches
+  /// its watermark. The entry is stable across later inserts (the pool
+  /// never moves) until the flow idles out.
+  FlowEntry& bind(const net::FlowKey& key, util::Timestamp now);
 
   /// Bind the flow — and, when `include_reverse`, its reverse — to a
   /// service (a cookie verified on this flow). `entry` is the forward
@@ -165,8 +146,7 @@ class FlowTable {
   /// place, and only the reverse is looked up (created if absent).
   /// `mapping_expires` (0 = never) bounds how long the mapping holds.
   /// A CID key is its own reverse (direction-insensitive), so
-  /// include_reverse is a no-op there. A reverse create refused at
-  /// max_flows counts an overload; the forward mapping stands.
+  /// include_reverse is a no-op there.
   void map_flow(const net::FlowKey& key, FlowEntry& entry,
                 const std::string& service_data, util::Timestamp now,
                 bool include_reverse, util::Timestamp mapping_expires = 0);
@@ -192,20 +172,16 @@ class FlowTable {
   size_t expire_idle(util::Timestamp now);
 
   size_t size() const { return index_.size(); }
-  uint32_t sniff_window() const { return sniff_window_; }
-  size_t max_flows() const { return max_flows_; }
   /// CIDs resolvable through the embedded alias table.
   size_t alias_cids() const { return aliases_.cids(); }
   /// Materialized from the live telemetry cells (by value).
   FlowTableStats stats() const { return stats_.snapshot(); }
-  /// Bytes held by the index, slot pool, free list, and expiry wheel.
-  size_t memory_bytes() const;
 
  private:
   /// Flows live in a stable pool (deque + free list) behind a flat
   /// open-addressing index of slot handles — same state-layer shape as
   /// the descriptor store. Handle indirection is what preserves the
-  /// contract the middlebox relies on: the FlowEntry* bind() returns
+  /// contract the middlebox relies on: the FlowEntry& bind() returns
   /// stays valid across later inserts in the same burst (the index
   /// rehashes; the pool never moves an entry). A live slot is on the
   /// expiry wheel exactly once, chained through `wheel_next`; a free
@@ -234,10 +210,9 @@ class FlowTable {
   }
   /// Canonicalize a CID key through the alias table.
   net::FlowKey canonical(const net::FlowKey& key) const;
-  /// Find-or-create; sets `created`. Returns the slot handle, or
-  /// nullopt when max_flows blocks the create.
-  std::optional<uint32_t> obtain(const net::FlowKey& key, bool& created,
-                                 util::Timestamp now);
+  /// Find-or-create the slot of canonical `key`. A create files the
+  /// flow on the wheel and counts it.
+  uint32_t obtain(const net::FlowKey& key, util::Timestamp now);
   static void map_entry(FlowEntry& entry, const std::string& service_data,
                         util::Timestamp now,
                         util::Timestamp mapping_expires);
@@ -249,7 +224,6 @@ class FlowTable {
 
   uint32_t sniff_window_;
   util::Timestamp idle_timeout_;
-  size_t max_flows_;
   state::FlatTable<uint32_t> index_;  // pool slot by canonical FlowKey
   std::deque<Slot> pool_;
   std::vector<uint32_t> free_;

@@ -24,7 +24,10 @@ Middlebox::Middlebox(const util::Clock& clock,
     : Middlebox(clock, verifier, registry, Config{}) {}
 
 Verdict Middlebox::process(net::Packet& packet) {
-  return process_at(packet, clock_.now());
+  net::Packet* const burst[] = {&packet};
+  Verdict verdict;
+  process_batch(burst, std::span<Verdict>(&verdict, 1));
+  return verdict;
 }
 
 net::FlowKey Middlebox::flow_key_for(const net::Packet& packet) {
@@ -104,43 +107,6 @@ void Middlebox::apply_stack(net::Packet& packet, const net::FlowKey& key,
   }
 }
 
-Verdict Middlebox::process_at(net::Packet& packet, util::Timestamp now) {
-  stats_.cell<&MiddleboxStats::packets>().inc();
-  stats_.cell<&MiddleboxStats::bytes>().inc(packet.size());
-
-  const net::FlowKey key = flow_key_for(packet);
-  FlowEntry& entry = *flow_table_.bind(key, packet.size(), now).value().entry;
-  if (packet.is_quic() && packet.quic->long_header) {
-    // Register the server's handshake CID against the entry that now
-    // exists, so reverse-direction short headers resolve to it too.
-    flow_table_.add_alias(packet.quic->dcid, packet.quic->scid);
-  }
-  Verdict verdict;
-
-  const bool inspect =
-      entry.state == FlowState::kSniffing ||
-      (config_.mid_flow_cookies && entry.state != FlowState::kMapped);
-  if (inspect) {
-    // Task (i)/(ii): inspect this packet for a cookie on any carrier.
-    const auto extracted = cookies::extract(packet);
-    if (!extracted) {
-      stats_.cell<&MiddleboxStats::task_search>().inc();
-    } else {
-      stats_.cell<&MiddleboxStats::task_search_and_verify>().inc();
-      apply_stack(packet, key, entry, *extracted, now, verdict);
-    }
-  } else {
-    // Task (iii): established flow, just map.
-    stats_.cell<&MiddleboxStats::task_map_only>().inc();
-  }
-
-  finish_verdict(packet, entry, verdict);
-  if (config_.delivery_guarantees && !pending_acks_.empty()) {
-    maybe_attach_ack(packet);
-  }
-  return verdict;
-}
-
 bool Middlebox::key_has_pending(const net::FlowKey& key) const {
   const uint64_t hash = std::hash<net::FlowKey>{}(key);
   for (const PendingVerify& p : pending_info_) {
@@ -160,14 +126,6 @@ bool Middlebox::key_has_pending(const net::FlowKey& key) const {
 void Middlebox::process_batch(std::span<net::Packet* const> packets,
                               std::span<Verdict> verdicts) {
   assert(verdicts.size() >= packets.size());
-  if (config_.delivery_guarantees) {
-    // Ack debts attach to whichever later packet can carry them, an
-    // inherently per-packet interleaving; take the sequential path.
-    for (size_t i = 0; i < packets.size(); ++i) {
-      verdicts[i] = process(*packets[i]);
-    }
-    return;
-  }
   // One clock read per burst (the verifier batches under the same
   // timestamp; see CookieVerifier::verify_batch on why that is sound).
   const util::Timestamp now = clock_.now();
@@ -176,8 +134,8 @@ void Middlebox::process_batch(std::span<net::Packet* const> packets,
 
   for (size_t i = 0; i < packets.size(); ++i) {
     net::Packet& packet = *packets[i];
-    // Alias learning happens here too (flow_key_for mutates the alias
-    // table); linking names never changes a pending entry pointer.
+    // flow_key_for learns CID aliases as it keys; linking names never
+    // changes a pending entry pointer.
     const net::FlowKey key = flow_key_for(packet);
     // A queued cookie may remap this packet's flow; settle it before
     // this packet observes the flow state.
@@ -186,9 +144,10 @@ void Middlebox::process_batch(std::span<net::Packet* const> packets,
     }
     stats_.cell<&MiddleboxStats::packets>().inc();
     stats_.cell<&MiddleboxStats::bytes>().inc(packet.size());
-    FlowEntry& entry =
-        *flow_table_.bind(key, packet.size(), now).value().entry;
+    FlowEntry& entry = flow_table_.bind(key, now);
     if (packet.is_quic() && packet.quic->long_header) {
+      // Register the server's handshake CID against the entry that now
+      // exists, so reverse-direction short headers resolve to it too.
       flow_table_.add_alias(packet.quic->dcid, packet.quic->scid);
     }
     Verdict verdict;
@@ -197,12 +156,13 @@ void Middlebox::process_batch(std::span<net::Packet* const> packets,
         entry.state == FlowState::kSniffing ||
         (config_.mid_flow_cookies && entry.state != FlowState::kMapped);
     if (inspect) {
+      // Task (i)/(ii): inspect this packet for a cookie on any carrier.
       const auto extracted = cookies::extract(packet);
       if (!extracted) {
         stats_.cell<&MiddleboxStats::task_search>().inc();
       } else {
         stats_.cell<&MiddleboxStats::task_search_and_verify>().inc();
-        if (extracted->stack.size() == 1) {
+        if (extracted->stack.size() == 1 && !config_.delivery_guarantees) {
           // The common case: defer the MAC into the batched verify.
           // (FlowTable hands out references into a stable slot pool —
           // later inserts rehash only the handle index — and never
@@ -217,16 +177,22 @@ void Middlebox::process_batch(std::span<net::Packet* const> packets,
               hasher(key), hasher(key.reversed()), &entry});
           continue;  // verdict written by flush_pending
         }
-        // Composed stack: entries are tried in order with early exit —
-        // inherently sequential. Settle the queue, then run it now.
+        // A composed stack tries its entries in order with early exit,
+        // and a delivery guarantee records an ack debt that a later
+        // packet of this burst may pay: both are sequential. Settle the
+        // queue, then verify now.
         flush_pending(packets, verdicts, now);
         apply_stack(packet, key, entry, *extracted, now, verdict);
       }
     } else {
+      // Task (iii): established flow, just map.
       stats_.cell<&MiddleboxStats::task_map_only>().inc();
     }
 
     finish_verdict(packet, entry, verdict);
+    if (config_.delivery_guarantees && !pending_acks_.empty()) {
+      maybe_attach_ack(packet);
+    }
     verdicts[i] = verdict;
   }
   flush_pending(packets, verdicts, now);

@@ -125,23 +125,26 @@ class Middlebox {
   Middlebox(const Middlebox&) = delete;
   Middlebox& operator=(const Middlebox&) = delete;
 
-  /// Process one packet on the forwarding path. May mutate the packet
-  /// (DSCP remark in remark mode).
+  /// Process one packet on the forwarding path: a burst of one through
+  /// process_batch. May mutate the packet (DSCP remark in remark mode,
+  /// an ack cookie attached under delivery guarantees).
   Verdict process(net::Packet& packet);
 
   /// Process a burst, filling verdicts[i] for packets[i]
-  /// (verdicts.size() >= packets.size()). Semantically equivalent to
-  /// calling process() on each packet in order — the flow-table and
-  /// replay state machines are order-sensitive, so the batch path
-  /// defers only what is provably independent: single-cookie
-  /// verifications on flows no earlier in-flight cookie can touch.
-  /// Those route through CookieVerifier::verify_batch (one clock read,
-  /// descriptor-grouped MACs); everything else — composed stacks,
-  /// packets whose flow (or its reverse) has a cookie pending, and the
-  /// whole burst when delivery guarantees are on — falls back to the
-  /// sequential path at the right point in the order. packets[i]
-  /// point into a PacketArena (or anywhere stable for the call);
-  /// nothing is moved or copied.
+  /// (verdicts.size() >= packets.size()). The one classify loop: it
+  /// gives each packet the verdict process() would give it in order.
+  /// The flow-table and replay state machines are order-sensitive, so
+  /// the loop defers only what is provably independent: with delivery
+  /// guarantees off, single-cookie verifications on flows no earlier
+  /// in-flight cookie can touch. Those route through
+  /// CookieVerifier::verify_batch (descriptor-grouped MACs); a packet
+  /// whose flow (or its reverse) has a cookie pending waits for it.
+  /// Composed stacks, and with delivery guarantees on every cookie,
+  /// verify in order inside the loop; an owed ack attaches right after
+  /// each packet's verdict. The clock is read once per burst, as the
+  /// flow table's and the batched verify's `now`. packets[i] point
+  /// into a PacketArena (or anywhere stable for the call); nothing is
+  /// moved or copied.
   void process_batch(std::span<net::Packet* const> packets,
                      std::span<Verdict> verdicts);
 
@@ -186,9 +189,6 @@ class Middlebox {
   /// returned CANONICALIZED so two packets of one connection always
   /// compare equal (key_has_pending depends on that).
   net::FlowKey flow_key_for(const net::Packet& packet);
-
-  /// process() body with the clock read hoisted.
-  Verdict process_at(net::Packet& packet, util::Timestamp now);
 
   /// Apply one verify outcome (transport restriction, flow mapping,
   /// verdict): the one reader of VerifyResult::descriptor. Returns

@@ -40,11 +40,15 @@ bool CidAliasTable::bind(uint64_t canonical, uint64_t steer) {
   ++conn.gen;
   index_.find_or_insert(hash_cid(canonical), index_matcher(canonical),
                         index_hasher(), [&] { return Entry{canonical, slot}; });
-  fifo_.push_back(FifoEntry{slot, conn.gen});
   connections_.add();
   cids_.set(static_cast<int64_t>(index_.size()));
   stats_.cell<&CidAliasStats::connections_bound>().inc();
-  enforce_capacity();
+  if (config_.max_connections != 0) {
+    // Only a bounded table evicts in bind order; an unbounded one would
+    // queue every connection it ever bound, live or not.
+    fifo_.push_back(FifoEntry{slot, conn.gen});
+    enforce_capacity();
+  }
   return true;
 }
 
@@ -152,7 +156,6 @@ uint64_t steer_key_for(const CidAliasTable& table, const net::Packet& packet) {
 }
 
 void CidAliasTable::enforce_capacity() {
-  if (config_.max_connections == 0) return;
   while (connections() > config_.max_connections && !fifo_.empty()) {
     const FifoEntry head = fifo_.front();
     fifo_.pop_front();

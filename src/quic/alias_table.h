@@ -189,8 +189,9 @@ class CidAliasTable {
   state::FlatTable<Entry> index_;  // cid -> pool slot
   std::deque<Conn> pool_;
   std::vector<uint32_t> free_;
-  /// Bind-order queue for FIFO capacity eviction (lazily skips slots
-  /// already evicted explicitly or since rebound).
+  /// Bind-order queue for FIFO capacity eviction, kept by a bounded
+  /// table only (lazily skips slots already evicted explicitly or
+  /// since rebound).
   struct FifoEntry {
     uint32_t slot;
     uint64_t gen;

@@ -100,12 +100,10 @@ TEST(FlowTable, SniffWindowProgression) {
   t.src_port = 1;
   const net::FlowKey key = net::FlowKey::from_tuple(t);
   for (int i = 1; i <= 3; ++i) {
-    EXPECT_EQ(table.bind(key, 100, clock.now()).value().entry->state,
-              FlowState::kSniffing)
+    EXPECT_EQ(table.bind(key, clock.now()).state, FlowState::kSniffing)
         << "packet " << i;
   }
-  EXPECT_EQ(table.bind(key, 100, clock.now()).value().entry->state,
-            FlowState::kBestEffort);
+  EXPECT_EQ(table.bind(key, clock.now()).state, FlowState::kBestEffort);
 }
 
 TEST(FlowTable, MapFlowCoversReverse) {
@@ -114,10 +112,9 @@ TEST(FlowTable, MapFlowCoversReverse) {
   net::FiveTuple t;
   t.src_port = 10;
   t.dst_port = 20;
-  const auto bound = table.bind(net::FlowKey::from_tuple(t), 100, 0);
-  ASSERT_TRUE(bound.has_value());
-  table.map_flow(net::FlowKey::from_tuple(t), *bound.value().entry, "Boost",
-                 0, /*include_reverse=*/true);
+  FlowEntry& entry = table.bind(net::FlowKey::from_tuple(t), 0);
+  table.map_flow(net::FlowKey::from_tuple(t), entry, "Boost", 0,
+                 /*include_reverse=*/true);
   const auto forward = table.lookup(net::FlowKey::from_tuple(t));
   ASSERT_TRUE(forward.has_value());
   EXPECT_EQ(forward.value()->state, FlowState::kMapped);
@@ -131,7 +128,7 @@ TEST(FlowTable, IdleExpiry) {
   net::FiveTuple t;
   t.src_port = 5;
   const net::FlowKey key = net::FlowKey::from_tuple(t);
-  table.bind(key, 100, 0);
+  table.bind(key, 0);
   EXPECT_EQ(table.expire_idle(5 * kSecond), 0u);
   EXPECT_EQ(table.expire_idle(11 * kSecond), 1u);
   const auto gone = table.lookup(key);
@@ -154,12 +151,12 @@ TEST(FlowTable, IdleFlowBehindATouchedFlowGoesWithinATick) {
     t.src_port = port;
     return net::FlowKey::from_tuple(t);
   };
-  table.bind(key(1), 100, 0);                        // A
-  table.bind(key(2), 100, util::kMillisecond);       // B
-  table.bind(key(1), 100, 5 * kSecond);              // touch A
+  table.bind(key(1), 0);                        // A
+  table.bind(key(2), util::kMillisecond);       // B
+  table.bind(key(1), 5 * kSecond);              // touch A
   const util::Timestamp c_time = 10 * kSecond + 100 * util::kMillisecond;
-  table.bind(key(3), 100, c_time);                   // C
-  table.bind(key(3), 100, c_time + tick);
+  table.bind(key(3), c_time);                   // C
+  table.bind(key(3), c_time + tick);
   EXPECT_FALSE(table.lookup(key(2)).has_value()) << "B outlived its due";
   EXPECT_TRUE(table.lookup(key(1)).has_value()) << "A evicted early";
   EXPECT_EQ(table.stats().flows_expired, 1u);
@@ -182,16 +179,15 @@ struct FlowKeyLess {
 ///  - no flow is evicted before its due (last_seen + idle_timeout + 1);
 ///  - after any bind() or expire_idle() no flow is live at or after its
 ///    due plus one wheel tick;
-///  - size(), flows_created, flows_expired, overloads and alias_cids()
-///    agree with the reference.
+///  - size(), flows_created, flows_expired and alias_cids() agree with
+///    the reference.
 /// A flow the table may evict (due passed, less than a tick ago) is
 /// followed wherever the table took it.
 class FlowTableModel {
  public:
   static constexpr util::Timestamp kIdle = 10 * kSecond;
 
-  FlowTableModel(uint64_t seed, size_t max_flows)
-      : rng_(seed), max_flows_(max_flows), table_(3, kIdle, max_flows) {
+  explicit FlowTableModel(uint64_t seed) : rng_(seed), table_(3, kIdle) {
     for (uint16_t i = 0; i < 12; ++i) {
       net::FiveTuple t;
       t.src_ip = net::IpAddress::v4(10, 0, 0, 1);
@@ -222,7 +218,6 @@ class FlowTableModel {
     }
   }
 
-  uint64_t overloads() const { return overloads_; }
   uint64_t expired() const { return expired_; }
 
  private:
@@ -285,31 +280,20 @@ class FlowTableModel {
     const FlowTableStats stats = table_.stats();
     EXPECT_EQ(stats.flows_created, created_);
     EXPECT_EQ(stats.flows_expired, expired_);
-    EXPECT_EQ(stats.overloads, overloads_);
     EXPECT_EQ(table_.alias_cids(), alias_cids_);
-    if (max_flows_ != 0) {
-      EXPECT_LE(table_.size(), max_flows_);
-    }
     return gone.size();
   }
 
-  /// bind() plus the reference's view of it; the entry, or null when
-  /// max_flows refused the flow.
-  FlowEntry* bind(const net::FlowKey& key) {
+  /// bind() plus the reference's view of it. The table's creation
+  /// count says whether this bind created the flow.
+  FlowEntry& bind(const net::FlowKey& key) {
     const net::FlowKey before = canonical(key);
     const bool known = flows_.contains(before);
-    const auto bound = table_.bind(key, 100, now_);
-    if (!bound.has_value()) {
-      EXPECT_NE(max_flows_, 0u);
-      EXPECT_FALSE(known && table_.lookup(before).has_value())
-          << "a resident flow was refused";
-      EXPECT_EQ(bound.error().code, ErrorCode::kOverload);
-      ++overloads_;
-      settle(/*advanced=*/true);
-      EXPECT_GE(table_.size(), max_flows_);
-      return nullptr;
-    }
-    if (bound.value().created) {
+    const uint64_t creations = table_.stats().flows_created;
+    FlowEntry& entry = table_.bind(key, now_);
+    const uint64_t created = table_.stats().flows_created - creations;
+    EXPECT_LE(created, 1u);
+    if (created != 0) {
       // Known but created anew: this very bind evicted it first (and,
       // for an alias, its set, so the key now names a flow of its own).
       if (known) evicted(before);
@@ -320,28 +304,23 @@ class FlowTableModel {
     }
     flows_[canonical(key)].last_seen = now_;
     settle(/*advanced=*/true);
-    return bound.value().entry;
+    return entry;
   }
 
   void map(const net::FlowKey& key) {
-    FlowEntry* entry = bind(key);
-    if (entry == nullptr) return;
+    FlowEntry& entry = bind(key);
     const bool include_reverse = rng_.chance(0.7);
     const net::FlowKey reverse = key.reversed();
     const bool reverse_known = flows_.contains(reverse);
-    table_.map_flow(key, *entry, "svc", now_, include_reverse);
-    EXPECT_EQ(entry->state, FlowState::kMapped);
+    table_.map_flow(key, entry, "svc", now_, include_reverse);
+    EXPECT_EQ(entry.state, FlowState::kMapped);
     if (include_reverse && !(reverse == key)) {
-      if (table_.lookup(reverse).has_value()) {
-        if (!reverse_known) {
-          ++created_;
-          flows_[reverse] = Flow{};
-        }
-        flows_[reverse].last_seen = now_;
-      } else {
-        ++overloads_;  // refused at max_flows
-        EXPECT_NE(max_flows_, 0u);
+      ASSERT_TRUE(table_.lookup(reverse).has_value()) << reverse.to_string();
+      if (!reverse_known) {
+        ++created_;
+        flows_[reverse] = Flow{};
       }
+      flows_[reverse].last_seen = now_;
     }
     settle(/*advanced=*/false);
   }
@@ -379,7 +358,6 @@ class FlowTableModel {
   }
 
   util::Rng rng_;
-  size_t max_flows_;
   FlowTable table_;
   const util::Timestamp tick_ = state::ExpiryWheel::tick_for(kIdle);
   util::Timestamp now_ = 0;
@@ -392,25 +370,14 @@ class FlowTableModel {
   size_t alias_cids_ = 0;
   uint64_t created_ = 0;
   uint64_t expired_ = 0;
-  uint64_t overloads_ = 0;
 };
 
 TEST(FlowTable, WheelExpiryMatchesReferenceModel) {
   for (uint64_t seed = 1; seed <= 4; ++seed) {
     SCOPED_TRACE(seed);
-    FlowTableModel model(seed, /*max_flows=*/0);
+    FlowTableModel model(seed);
     model.run(5000);
     EXPECT_GT(model.expired(), 0u);
-  }
-}
-
-TEST(FlowTable, WheelExpiryMatchesReferenceModelAtMaxFlows) {
-  for (uint64_t seed = 1; seed <= 4; ++seed) {
-    SCOPED_TRACE(seed);
-    FlowTableModel model(seed, /*max_flows=*/10);
-    model.run(5000);
-    EXPECT_GT(model.expired(), 0u);
-    EXPECT_GT(model.overloads(), 0u);
   }
 }
 
@@ -536,7 +503,10 @@ TEST_F(MiddleboxTest, ReplayedCookieDoesNotMapSecondFlow) {
 TEST_F(MiddleboxTest, ProcessBatchMatchesSequential) {
   // Differential: a burst through process_batch must produce the same
   // verdicts, stats, and flow states as process() one packet at a
-  // time. Two inputs run through both boxes in turn.
+  // time. process() is a burst of one through the same loop, and a
+  // burst of one has nothing to defer past a later packet, so it runs
+  // in sequential order: this compares one burst against N bursts of
+  // one. Two inputs run through both boxes in turn.
   cookies::CookieVerifier verifier_seq(clock_);
   verifier_seq.add_descriptor(descriptor_);
   Middlebox sequential(clock_, verifier_seq, registry_);
@@ -637,7 +607,9 @@ TEST_F(MiddleboxTest, ProcessBatchReadsEachDescriptorBeforeEviction) {
   // descriptors, each with an attribute that changes the verdict, are
   // interleaved with their flows' later and reverse packets in one
   // burst: process_batch on the budget-1 box must give the verdicts
-  // process() gives packet by packet on a default-budget twin.
+  // process() gives packet by packet on a default-budget twin. Each
+  // process() is a burst of one, which has nothing to defer past a
+  // later packet and so runs in sequential order.
   std::vector<cookies::CookieDescriptor> descriptors(4);
   for (size_t i = 0; i < descriptors.size(); ++i) {
     descriptors[i].cookie_id = 10 + i;

@@ -343,6 +343,84 @@ TEST_F(DeliveryGuaranteeTest, AckDebtSurvivesUncarryablePackets) {
   EXPECT_EQ(middlebox_->pending_acks(), 0u);
 }
 
+TEST_F(DeliveryGuaranteeTest, NoAckFromAnExpiredDescriptor) {
+  // The descriptor expires while its ack is owed: verify() of its id
+  // now reports kDescriptorExpired, so there is nothing to ack with.
+  auto expiring = make_descriptor(9);
+  expiring.attributes.delivery_guarantee = true;
+  expiring.attributes.expires_at = clock_.now() + kSecond;
+  verifier_.add_descriptor(expiring);
+  cookies::CookieGenerator generator(expiring, clock_, 13);
+  net::Packet request = cookie_udp_packet(45005, generator.generate());
+  ASSERT_TRUE(middlebox_->process(request).mapped_now);
+  ASSERT_EQ(middlebox_->pending_acks(), 1u);
+
+  clock_.advance(2 * kSecond);
+  net::Packet response;
+  response.tuple = request.tuple.reversed();
+  response.payload = {0x01};
+  middlebox_->process(response);
+  EXPECT_FALSE(cookies::extract(response).has_value())
+      << "ack minted from an expired descriptor";
+  EXPECT_EQ(middlebox_->pending_acks(), 0u);
+}
+
+TEST_F(DeliveryGuaranteeTest, BurstGivesTheAcksOfPacketByPacket) {
+  // One burst through process_batch against the same packets through
+  // process() one at a time on a twin (its own verifier, the same ack
+  // seed). The ack owed after packet 1 must ride packet 3, the first
+  // reverse packet after the cookie, not packet 0 before it.
+  const auto plain = make_descriptor(8);  // delivery_guarantee = false
+  verifier_.add_descriptor(plain);
+  cookies::CookieVerifier twin_verifier(clock_);
+  twin_verifier.add_descriptor(descriptor_);
+  twin_verifier.add_descriptor(plain);
+  dataplane::Middlebox::Config config;
+  config.delivery_guarantees = true;
+  dataplane::Middlebox twin(clock_, twin_verifier, registry_, config);
+
+  cookies::CookieGenerator acked(descriptor_, clock_, 14);
+  cookies::CookieGenerator unacked(plain, clock_, 15);
+  const net::Packet a = cookie_udp_packet(45006, acked.generate());
+  const net::Packet b = cookie_udp_packet(45007, unacked.generate());
+  const auto reverse = [](const net::Packet& forward) {
+    net::Packet p;
+    p.tuple = forward.tuple.reversed();
+    p.payload = {0x01};
+    return p;
+  };
+  std::vector<net::Packet> burst = {reverse(a), a,          b,
+                                    reverse(a), reverse(b), reverse(a)};
+  std::vector<net::Packet> sequential = burst;
+  std::vector<dataplane::Verdict> expected;
+  for (net::Packet& packet : sequential) {
+    expected.push_back(twin.process(packet));
+  }
+
+  std::vector<net::Packet*> pointers;
+  for (net::Packet& packet : burst) pointers.push_back(&packet);
+  std::vector<dataplane::Verdict> verdicts(burst.size());
+  middlebox_->process_batch(pointers, verdicts);
+
+  for (size_t i = 0; i < burst.size(); ++i) {
+    SCOPED_TRACE("packet " + std::to_string(i));
+    EXPECT_EQ(verdicts[i].verify_status, expected[i].verify_status);
+    EXPECT_EQ(verdicts[i].action, expected[i].action);
+    EXPECT_EQ(verdicts[i].mapped_now, expected[i].mapped_now);
+    EXPECT_EQ(burst[i].l3_cookie, sequential[i].l3_cookie);
+    EXPECT_EQ(burst[i].l4_cookie, sequential[i].l4_cookie);
+    EXPECT_EQ(burst[i].payload, sequential[i].payload);
+  }
+  for (const size_t i : {0u, 3u, 4u, 5u}) {
+    EXPECT_EQ(cookies::extract(burst[i]).has_value(), i == 3)
+        << "reverse packet " << i;
+  }
+  EXPECT_TRUE(verdicts[1].mapped_now);
+  EXPECT_TRUE(verdicts[2].mapped_now);
+  EXPECT_EQ(middlebox_->pending_acks(), 0u);
+  EXPECT_EQ(twin.pending_acks(), 0u);
+}
+
 TEST(AckMonitor, IgnoresWrongDescriptorAndWrongFlow) {
   util::ManualClock clock(1000 * kSecond);
   cookies::AckMonitor monitor(clock, kSecond);

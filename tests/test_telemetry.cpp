@@ -420,16 +420,15 @@ TEST(Telemetry, FlowTableAndQosViewsMatchAccessors) {
   dataplane::FlowTable table(3, 10 * util::kSecond);
   net::FiveTuple t;
   t.src_port = 5;
-  table.bind(net::FlowKey::from_tuple(t), 100, clock.now());
+  table.bind(net::FlowKey::from_tuple(t), clock.now());
   net::FiveTuple t2;
   t2.src_port = 6;
-  table.bind(net::FlowKey::from_tuple(t2), 100, clock.now());
+  table.bind(net::FlowKey::from_tuple(t2), clock.now());
   table.expire_idle(3600 * util::kSecond);
 
   const dataplane::FlowTableStats fs = table.stats();
   EXPECT_EQ(fs.flows_created, 2u);
   EXPECT_EQ(fs.flows_expired, 2u);
-  EXPECT_EQ(fs.lookups, 2u);
 
   dataplane::PriorityQueueSet queues(2, 250);
   net::Packet p;
@@ -443,7 +442,6 @@ TEST(Telemetry, FlowTableAndQosViewsMatchAccessors) {
   const Snapshot snap = Registry::global().snapshot();
   EXPECT_EQ(snap.counter_total("nnn_flows_created_total"), fs.flows_created);
   EXPECT_EQ(snap.counter_total("nnn_flows_expired_total"), fs.flows_expired);
-  EXPECT_EQ(snap.counter_total("nnn_flow_lookups_total"), fs.lookups);
 
   const LabelSet band0{{"band", "0"}};
   const LabelSet band1{{"band", "1"}};

@@ -716,7 +716,9 @@ class HotTierModel {
   void find(CookieId id) {
     const DescriptorView* view = verifier_.find(id);
     const auto it = current_.find(id);
-    const bool live = it != current_.end() && it->second.has_value();
+    // An expired descriptor is not live: find() serves no ack key.
+    const bool live = it != current_.end() && it->second.has_value() &&
+                      !it->second->expired(clock_.now());
     ASSERT_EQ(view != nullptr, live) << "id " << id;
     if (view != nullptr) check_view(*view, id);
   }
