@@ -389,7 +389,7 @@ void BM_FlowTableTouch(benchmark::State& state) {
   nnn::net::Packet probe = plain_packet(static_cast<uint32_t>(flows / 2));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        table.bind(nnn::net::FlowKey::from_tuple(probe.tuple), 1));
+        *table.bind(nnn::net::FlowKey::from_tuple(probe.tuple), 1));
   }
 }
 BENCHMARK(BM_FlowTableTouch)
@@ -399,9 +399,11 @@ BENCHMARK(BM_FlowTableTouch)
     ->Arg(1000000);
 
 /// Flow churn in the cookie_storm shape: every iteration binds a fresh
-/// five-tuple and maps it with its reverse, two entries per new flow.
-/// The clock steps idle_timeout / `live` per flow, so about `live`
-/// flows stay resident while the oldest idle out. Time per iteration is
+/// five-tuple and maps it with its reverse, which fills both halves of
+/// one connection slot. The clock steps idle_timeout / `live` per flow,
+/// so about `live` connections stay resident while the oldest idle
+/// out; the `entries` counter reads that live set (about `live`; twice
+/// that would mean a slot per direction again). Time per iteration is
 /// ns per new flow; flow state that costs O(1) keeps it flat across
 /// live-set sizes. A fixed iteration count keeps the warm-up (two
 /// idle timeouts of churn) to one run per size.
@@ -411,7 +413,7 @@ void BM_FlowTableChurn(benchmark::State& state) {
       nnn::dataplane::FlowTable::kDefaultIdleTimeout;
   nnn::dataplane::FlowTable table(
       nnn::dataplane::FlowTable::kDefaultSniffWindow, idle);
-  const std::string service = "Boost";
+  const nnn::dataplane::ServiceId service = 1;
   nnn::util::Timestamp now = 0;
   uint32_t next = 1;
   const auto churn = [&] {
@@ -421,9 +423,9 @@ void BM_FlowTableChurn(benchmark::State& state) {
     t.src_port = 40000;
     t.dst_port = 443;
     const auto key = nnn::net::FlowKey::from_tuple(t);
-    nnn::dataplane::FlowEntry& entry = table.bind(key, now);
-    table.map_flow(key, entry, service, now, /*include_reverse=*/true);
-    benchmark::DoNotOptimize(entry);
+    const auto flow = table.bind(key, now);
+    table.map_flow(flow, service, now, /*include_reverse=*/true);
+    benchmark::DoNotOptimize(*flow);
     now += idle / live;
   };
   for (nnn::util::Timestamp i = 0; i < 2 * live; ++i) churn();

@@ -75,7 +75,7 @@ int main() {
   const auto verdict = middlebox.process(request);
   std::printf("verdict: %s (service '%s')\n",
               verdict.action ? "fast lane" : "best effort",
-              verdict.service_data.c_str());
+              registry.name(verdict.service).c_str());
 
   net::Packet data;
   data.tuple = request.tuple;

@@ -8,15 +8,14 @@ AnyLinkProxy::AnyLinkProxy(const util::Clock& clock,
 
 void AnyLinkProxy::add_profile(const std::string& service_data,
                                LinkProfile profile) {
-  registry_.bind(service_data,
-                 dataplane::RateLimitAction{profile.rate_bps, 0});
-  profiles_[service_data] = std::move(profile);
+  const auto id = registry_.bind(
+      service_data, dataplane::RateLimitAction{profile.rate_bps, 0});
+  if (id) profiles_[*id] = std::move(profile);
 }
 
 std::optional<LinkProfile> AnyLinkProxy::process(net::Packet& packet) {
   const dataplane::Verdict verdict = middlebox_.process(packet);
-  if (verdict.service_data.empty()) return std::nullopt;
-  const auto it = profiles_.find(verdict.service_data);
+  const auto it = profiles_.find(verdict.service);
   if (it == profiles_.end()) return std::nullopt;
   return it->second;
 }

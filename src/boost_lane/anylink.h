@@ -36,7 +36,8 @@ class AnyLinkProxy {
  public:
   AnyLinkProxy(const util::Clock& clock, cookies::CookieVerifier& verifier);
 
-  /// Register a profile and the service_data tag selecting it.
+  /// Register a profile and the service_data tag selecting it (no-op
+  /// once the registry has no service id left to give the tag).
   void add_profile(const std::string& service_data, LinkProfile profile);
 
   /// Result of pushing one packet through the proxy: the profile to
@@ -46,7 +47,7 @@ class AnyLinkProxy {
  private:
   dataplane::ServiceRegistry registry_;
   dataplane::Middlebox middlebox_;
-  std::map<std::string, LinkProfile> profiles_;
+  std::map<dataplane::ServiceId, LinkProfile> profiles_;
 };
 
 }  // namespace nnn::boost_lane

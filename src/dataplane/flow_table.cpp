@@ -20,15 +20,21 @@ FlowTable::FlowTable(uint32_t sniff_window, util::Timestamp idle_timeout)
   registration_ = telemetry::Registry::global().add_collector(
       [this](telemetry::SampleBuilder& builder) {
         stats_.collect(builder);
-        builder.gauge("nnn_flows_active", "Flow-table entries resident",
+        builder.gauge("nnn_flows_active", "Flow-table connections resident",
                       {}, active_flows_.value());
       });
 }
 
-net::FlowKey FlowTable::canonical(const net::FlowKey& key) const {
-  if (!key.is_cid()) return key;
+net::FlowKey::DirectionFree FlowTable::connection(
+    const net::FlowKey& key) const {
+  if (!key.is_cid()) return key.direction_free();
   const uint64_t canon = aliases_.resolve(key.cid());
-  return canon == key.cid() ? key : net::FlowKey::from_cid(canon);
+  return {canon == key.cid() ? key : net::FlowKey::from_cid(canon), false};
+}
+
+const FlowTable::Slot* FlowTable::find(const net::FlowKey& key) const {
+  const uint32_t* slot = index_.find(hash_key(key), index_matcher(key));
+  return slot == nullptr ? nullptr : &pool_[*slot];
 }
 
 uint32_t FlowTable::obtain(const net::FlowKey& key, util::Timestamp now) {
@@ -43,14 +49,14 @@ uint32_t FlowTable::obtain(const net::FlowKey& key, util::Timestamp now) {
           slot = static_cast<uint32_t>(pool_.size() - 1);
         }
         Slot& s = pool_[slot];
+        s = Slot{};
         s.key = key;
-        s.entry = FlowEntry{};
         return slot;
       });
   const uint32_t slot = *slot_entry;
   if (inserted) {
-    // File the new flow once, at its due; later touches only move the
-    // due on, and the wheel re-files it when it gets there.
+    // File the new connection once, at its due; later touches only
+    // move the due on, and the wheel re-files it when it gets there.
     if (wheel_.size() == 0) wheel_.reseat(now);
     const util::Timestamp due = now + idle_timeout_ + 1;
     wheel_.schedule(slot, due, wheel_next());
@@ -61,11 +67,13 @@ uint32_t FlowTable::obtain(const net::FlowKey& key, util::Timestamp now) {
   return slot;
 }
 
-FlowEntry& FlowTable::bind(const net::FlowKey& key, util::Timestamp now) {
+FlowTable::Ref FlowTable::bind(const net::FlowKey& key, util::Timestamp now) {
   if (now >= watermark_) expire_idle(now);
-  FlowEntry& entry = pool_[obtain(canonical(key), now)].entry;
+  const auto [conn, reverse] = connection(key);
+  Slot& slot = pool_[obtain(conn, now)];
+  slot.last_seen = now;
+  FlowEntry& entry = slot.halves[reverse];
   ++entry.packets_seen;
-  entry.last_seen = now;
   if (entry.state == FlowState::kSniffing &&
       entry.packets_seen > sniff_window_) {
     entry.state = FlowState::kBestEffort;
@@ -77,37 +85,60 @@ FlowEntry& FlowTable::bind(const net::FlowKey& key, util::Timestamp now) {
     // would need a new flow, matching how Boost's one-hour expiry
     // behaves for long-lived flows).
     entry.state = FlowState::kBestEffort;
-    entry.service_data.clear();
+    entry.service = kNoService;
     entry.mapping_expires = 0;
   }
-  return entry;
+  return Ref(slot, reverse);
 }
 
-void FlowTable::map_entry(FlowEntry& entry, const std::string& service_data,
-                          util::Timestamp now,
-                          util::Timestamp mapping_expires) {
-  entry.state = FlowState::kMapped;
-  entry.service_data = service_data;
-  entry.last_seen = now;
-  entry.mapping_expires = mapping_expires;
-}
-
-void FlowTable::map_flow(const net::FlowKey& key, FlowEntry& entry,
-                         const std::string& service_data,
-                         util::Timestamp now, bool include_reverse,
+void FlowTable::map_flow(Ref flow, ServiceId service, util::Timestamp now,
+                         bool include_reverse,
                          util::Timestamp mapping_expires) {
-  map_entry(entry, service_data, now, mapping_expires);
-  const net::FlowKey reverse = key.reversed();
-  if (!include_reverse || reverse == key) return;
-  map_entry(pool_[obtain(canonical(reverse), now)].entry, service_data, now,
-            mapping_expires);
+  Slot& slot = *flow.slot_;
+  slot.last_seen = now;
+  const auto map = [&](FlowEntry& entry) {
+    entry.state = FlowState::kMapped;
+    entry.service = service;
+    entry.mapping_expires = mapping_expires;
+  };
+  map(*flow);
+  if (include_reverse && !slot.key.is_cid()) {
+    map(slot.halves[!flow.reverse_]);
+  }
 }
 
 Expected<const FlowEntry*> FlowTable::lookup(const net::FlowKey& key) const {
-  const net::FlowKey canon = canonical(key);
-  const uint32_t* slot = index_.find(hash_key(canon), index_matcher(canon));
+  const auto [conn, reverse] = connection(key);
+  const Slot* slot = find(conn);
   if (slot == nullptr) return unexpected(kUnknownFlowError);
-  return const_cast<const FlowEntry*>(&pool_[*slot].entry);
+  return &slot->halves[reverse];
+}
+
+Expected<util::Timestamp> FlowTable::last_seen(
+    const net::FlowKey& key) const {
+  const Slot* slot = find(connection(key).key);
+  if (slot == nullptr) return unexpected(kUnknownFlowError);
+  return slot->last_seen;
+}
+
+void FlowTable::owe_ack(Ref flow, AckDebt debt) {
+  Slot& slot = *flow.slot_;
+  if (slot.ack_payer == kNoAck) ++acks_owed_;
+  slot.ack_cookie = debt.cookie_id;
+  slot.ack_payer = debt.reverse;
+}
+
+std::optional<AckDebt> FlowTable::owed_ack(Ref flow) const {
+  const Slot& slot = *flow.slot_;
+  if (slot.ack_payer == kNoAck) return std::nullopt;
+  return AckDebt{slot.ack_cookie, slot.ack_payer != 0};
+}
+
+void FlowTable::settle_ack(Ref flow) {
+  Slot& slot = *flow.slot_;
+  if (slot.ack_payer == kNoAck) return;
+  slot.ack_payer = kNoAck;
+  --acks_owed_;
 }
 
 Expected<uint64_t> FlowTable::add_alias(uint64_t fresh_cid,
@@ -137,7 +168,7 @@ size_t FlowTable::expire_idle(util::Timestamp now) {
   const auto result = wheel_.advance(
       now, wheel_next(),
       [this](uint32_t slot) {
-        return pool_[slot].entry.last_seen + idle_timeout_ + 1;
+        return pool_[slot].last_seen + idle_timeout_ + 1;
       },
       [this](uint32_t slot) {
         Slot& s = pool_[slot];
@@ -149,7 +180,8 @@ size_t FlowTable::expire_idle(util::Timestamp now) {
           // exists.
           aliases_.evict(s.key.cid());
         }
-        s.entry.service_data.clear();
+        // An ack nobody carried goes with its connection.
+        if (s.ack_payer != kNoAck) --acks_owed_;
         free_.push_back(slot);
       });
   watermark_ = result.next_due_bound;

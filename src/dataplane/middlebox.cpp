@@ -50,58 +50,58 @@ net::FlowKey Middlebox::flow_key_for(const net::Packet& packet) {
 
 bool Middlebox::apply_verified(const cookies::VerifyResult& result,
                                cookies::Transport transport,
-                               const net::FlowKey& key, FlowEntry& entry,
-                               util::Timestamp now, Verdict& verdict) {
+                               FlowTable::Ref flow, util::Timestamp now,
+                               Verdict& verdict) {
   verdict.verify_status = result.status;
   if (!result.ok()) return false;
   const cookies::Attributes& attrs = result.descriptor->attributes();
-  const std::string& service = result.descriptor->service_data();
   // Transport restriction attribute: a descriptor may pin its cookies
   // to specific carriers.
   if (!attrs.allows_transport(transport)) {
     verdict.verify_status = cookies::VerifyStatus::kUnknownId;
     return false;
   }
+  const ServiceId service = registry_.id(result.descriptor->service_data());
   if (attrs.granularity == cookies::Granularity::kFlow) {
     const util::Timestamp mapping_expires =
         attrs.mapping_ttl ? now + *attrs.mapping_ttl : 0;
-    flow_table_.map_flow(key, entry, service, now, attrs.reverse_flow,
+    flow_table_.map_flow(flow, service, now, attrs.reverse_flow,
                          mapping_expires);
   }
   verdict.mapped_now = true;
-  verdict.service_data = service;
-  verdict.action = registry_.lookup(service);
+  verdict.service = service;
+  verdict.action = registry_.action(service);
   return true;
 }
 
 void Middlebox::finish_verdict(net::Packet& packet, const FlowEntry& entry,
                                Verdict& verdict) const {
   if (!verdict.mapped_now && entry.state == FlowState::kMapped) {
-    verdict.service_data = entry.service_data;
-    verdict.action = registry_.lookup(entry.service_data);
+    verdict.service = entry.service;
+    verdict.action = registry_.action(entry.service);
   }
   if (verdict.action && config_.remark_dscp) {
     packet.dscp = *config_.remark_dscp;
   }
 }
 
-void Middlebox::apply_stack(net::Packet& packet, const net::FlowKey& key,
-                            FlowEntry& entry,
+void Middlebox::apply_stack(net::Packet& packet, FlowTable::Ref flow,
                             const cookies::ExtractedCookie& extracted,
                             util::Timestamp now, Verdict& verdict) {
   // With a composed stack, apply the first cookie this network can
   // verify (each network consumes its own layer, §4.5).
   for (const cookies::Cookie& cookie : extracted.stack) {
     const cookies::VerifyResult result = verifier_.verify(cookie);
-    if (!apply_verified(result, extracted.transport, key, entry, now,
-                        verdict)) {
+    if (!apply_verified(result, extracted.transport, flow, now, verdict)) {
       continue;
     }
     if (config_.delivery_guarantees &&
         result.descriptor->attributes().delivery_guarantee) {
-      // The network owes the sender an acknowledgment on the
-      // reverse path (§4.3).
-      pending_acks_[packet.tuple.reversed()] = cookie.cookie_id;
+      // The network owes the sender an acknowledgment on the reverse
+      // path (§4.3): a packet of this connection travelling the other
+      // way carries it.
+      flow_table_.owe_ack(
+          flow, AckDebt{cookie.cookie_id, !packet.tuple.sorts_reversed()});
     }
     break;
   }
@@ -110,15 +110,14 @@ void Middlebox::apply_stack(net::Packet& packet, const net::FlowKey& key,
 bool Middlebox::key_has_pending(const net::FlowKey& key) const {
   const uint64_t hash = std::hash<net::FlowKey>{}(key);
   for (const PendingVerify& p : pending_info_) {
-    // The pending cookie may map p.key and (reverse_flow attribute, on
-    // by default) its reverse; either way this packet must not observe
-    // flow state from before that mapping lands. Keys are canonical
-    // (flow_key_for), so two CIDs of one connection compare equal.
-    // Equal keys hash equal, so the hash filter keeps the check exact.
-    if ((p.hash == hash && p.key == key) ||
-        (p.reverse_hash == hash && p.key.reversed() == key)) {
-      return true;
-    }
+    // The pending cookie may map p.key's connection in one direction or
+    // (reverse_flow attribute, on by default) both; either way this
+    // packet must not observe flow state from before that mapping
+    // lands. Keys are canonical (flow_key_for), so two CIDs of one
+    // connection compare equal, and the hash is direction-free, so
+    // both directions of a tuple flow meet here. Equal keys hash equal,
+    // so the hash filter keeps the check exact.
+    if (p.hash == hash && p.key == key.direction_free().key) return true;
   }
   return false;
 }
@@ -144,7 +143,8 @@ void Middlebox::process_batch(std::span<net::Packet* const> packets,
     }
     stats_.cell<&MiddleboxStats::packets>().inc();
     stats_.cell<&MiddleboxStats::bytes>().inc(packet.size());
-    FlowEntry& entry = flow_table_.bind(key, now);
+    const FlowTable::Ref flow = flow_table_.bind(key, now);
+    const FlowEntry& entry = *flow;
     if (packet.is_quic() && packet.quic->long_header) {
       // Register the server's handshake CID against the entry that now
       // exists, so reverse-direction short headers resolve to it too.
@@ -164,17 +164,17 @@ void Middlebox::process_batch(std::span<net::Packet* const> packets,
         stats_.cell<&MiddleboxStats::task_search_and_verify>().inc();
         if (extracted->stack.size() == 1 && !config_.delivery_guarantees) {
           // The common case: defer the MAC into the batched verify.
-          // (FlowTable hands out references into a stable slot pool —
-          // later inserts rehash only the handle index — and never
-          // evicts a flow before its due. This entry was touched at
-          // `now`, so it is due no sooner than now + idle_timeout + 1,
-          // and every wheel advance in this burst runs at `now`:
-          // holding &entry until the flush is safe.)
-          const std::hash<net::FlowKey> hasher;
+          // (FlowTable hands out Refs into a stable slot pool — later
+          // inserts rehash only the handle index — and never evicts a
+          // connection before its due. This one was touched at `now`,
+          // so it is due no sooner than now + idle_timeout + 1, and
+          // every wheel advance in this burst runs at `now`: holding
+          // the Ref until the flush is safe.)
           pending_cookies_.push_back(extracted->stack.front());
           pending_info_.push_back(PendingVerify{
-              static_cast<uint32_t>(i), extracted->transport, key,
-              hasher(key), hasher(key.reversed()), &entry});
+              static_cast<uint32_t>(i), extracted->transport,
+              key.direction_free().key, std::hash<net::FlowKey>{}(key),
+              flow});
           continue;  // verdict written by flush_pending
         }
         // A composed stack tries its entries in order with early exit,
@@ -182,7 +182,7 @@ void Middlebox::process_batch(std::span<net::Packet* const> packets,
         // packet of this burst may pay: both are sequential. Settle the
         // queue, then verify now.
         flush_pending(packets, verdicts, now);
-        apply_stack(packet, key, entry, *extracted, now, verdict);
+        apply_stack(packet, flow, *extracted, now, verdict);
       }
     } else {
       // Task (iii): established flow, just map.
@@ -190,8 +190,8 @@ void Middlebox::process_batch(std::span<net::Packet* const> packets,
     }
 
     finish_verdict(packet, entry, verdict);
-    if (config_.delivery_guarantees && !pending_acks_.empty()) {
-      maybe_attach_ack(packet);
+    if (config_.delivery_guarantees && flow_table_.acks_owed() != 0) {
+      maybe_attach_ack(packet, flow);
     }
     verdicts[i] = verdict;
   }
@@ -209,21 +209,20 @@ void Middlebox::flush_pending(std::span<net::Packet* const> packets,
     const PendingVerify& p = pending_info_[k];
     net::Packet& packet = *packets[p.index];
     Verdict verdict;
-    apply_verified(pending_results_[k], p.transport, p.key, *p.entry, now,
-                   verdict);
-    finish_verdict(packet, *p.entry, verdict);
+    apply_verified(pending_results_[k], p.transport, p.flow, now, verdict);
+    finish_verdict(packet, *p.flow, verdict);
     verdicts[p.index] = verdict;
   }
   pending_cookies_.clear();
   pending_info_.clear();
 }
 
-void Middlebox::maybe_attach_ack(net::Packet& packet) {
-  const auto it = pending_acks_.find(packet.tuple);
-  if (it == pending_acks_.end()) return;
-  const cookies::DescriptorView* descriptor = verifier_.find(it->second);
+void Middlebox::maybe_attach_ack(net::Packet& packet, FlowTable::Ref flow) {
+  const std::optional<AckDebt> owed = flow_table_.owed_ack(flow);
+  if (!owed || owed->reverse != packet.tuple.sorts_reversed()) return;
+  const cookies::DescriptorView* descriptor = verifier_.find(owed->cookie_id);
   if (!descriptor) {
-    pending_acks_.erase(it);  // revoked/expired: nothing to ack with
+    flow_table_.settle_ack(flow);  // revoked/expired: nothing to ack with
     return;
   }
   // Mint a fresh ack cookie from the same descriptor and try the
@@ -239,7 +238,7 @@ void Middlebox::maybe_attach_ack(net::Packet& packet) {
         cookies::Transport::kUdpHeader, cookies::Transport::kHttpHeader,
         cookies::Transport::kTlsExtension}) {
     if (cookies::attach(packet, ack, transport)) {
-      pending_acks_.erase(it);
+      flow_table_.settle_ack(flow);
       return;
     }
   }

@@ -3,9 +3,10 @@
 // This is the NFV-style box the paper benchmarks in Fig. 4: it sits on
 // the forwarding path, runs the flow-table state machine, searches the
 // first packets of each flow for a cookie on any transport, verifies
-// cookies through the CookieVerifier, resolves service_data through
-// the ServiceRegistry, and reports a per-packet verdict the forwarding
-// element (sim link, zero-rating ledger, DSCP domain) acts on.
+// cookies through the CookieVerifier, resolves service_data to a
+// ServiceId through the ServiceRegistry once per verified cookie, and
+// reports a per-packet verdict the forwarding element (sim link,
+// zero-rating ledger, DSCP domain) acts on.
 //
 // Failure semantics are the paper's: anything that goes wrong —
 // unknown id, bad MAC, stale timestamp, replay, malformed blob — just
@@ -15,8 +16,6 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cookies/transport.h"
@@ -36,8 +35,10 @@ struct Verdict {
   /// Action resolved from the flow's service mapping; nullopt =
   /// best-effort/default handling.
   std::optional<ServiceAction> action;
-  /// service_data string backing `action` (for accounting/tests).
-  std::string service_data;
+  /// The service the flow is mapped to (for accounting/tests; the
+  /// registry names it): kNoService when unmapped, or when the
+  /// descriptor's service_data was never bound.
+  ServiceId service = kNoService;
   /// True when this very packet carried the cookie that (newly)
   /// mapped the flow.
   bool mapped_now = false;
@@ -138,7 +139,8 @@ class Middlebox {
   /// guarantees off, single-cookie verifications on flows no earlier
   /// in-flight cookie can touch. Those route through
   /// CookieVerifier::verify_batch (descriptor-grouped MACs); a packet
-  /// whose flow (or its reverse) has a cookie pending waits for it.
+  /// whose connection (either direction) has a cookie pending waits
+  /// for it.
   /// Composed stacks, and with delivery guarantees on every cookie,
   /// verify in order inside the loop; an owed ack attaches right after
   /// each packet's verdict. The clock is read once per burst, as the
@@ -159,25 +161,27 @@ class Middlebox {
   MiddleboxStats stats() const { return stats_.snapshot(); }
   const FlowTable& flows() const { return flow_table_; }
   cookies::CookieVerifier& verifier() { return verifier_; }
-  /// Flows with a delivery-guarantee ack still owed.
-  size_t pending_acks() const { return pending_acks_.size(); }
+  /// Connections with a delivery-guarantee ack still owed: a count
+  /// the flow table keeps as debts are recorded, paid, dropped, or
+  /// expire with their connection.
+  size_t pending_acks() const { return flow_table_.acks_owed(); }
 
  private:
   /// One queued single-cookie verification in a batch.
   struct PendingVerify {
     uint32_t index;  // packet position in the burst
     cookies::Transport transport;
-    /// Canonical flow key the cookie will map (flow_key_for output).
+    /// The connection the cookie will map: flow_key_for's canonical key
+    /// in direction-free form.
     net::FlowKey key;
-    /// std::hash of `key` and of its reverse, taken once when the
-    /// cookie is queued: key_has_pending compares whole keys only on a
-    /// hash match.
+    /// std::hash of `key` (direction-free, so either direction's key
+    /// hashes alike), taken once when the cookie is queued:
+    /// key_has_pending compares whole keys only on a hash match.
     uint64_t hash;
-    uint64_t reverse_hash;
-    /// Flow entry touched in pass 1. Stable until the flush: the slot
-    /// pool never moves entries, and FlowTable never evicts a flow
+    /// The flow touched in pass 1. Stable until the flush: the slot
+    /// pool never moves slots, and FlowTable never evicts a connection
     /// before its due (see process_batch).
-    FlowEntry* entry;
+    FlowTable::Ref flow;
   };
 
   /// The flow key this packet's state lives under — and the ONE place
@@ -191,35 +195,36 @@ class Middlebox {
   net::FlowKey flow_key_for(const net::Packet& packet);
 
   /// Apply one verify outcome (transport restriction, flow mapping,
-  /// verdict): the one reader of VerifyResult::descriptor. Returns
-  /// whether it applied.
+  /// verdict): the one reader of VerifyResult::descriptor, and the one
+  /// place service_data resolves to a ServiceId. Returns whether it
+  /// applied.
   bool apply_verified(const cookies::VerifyResult& result,
-                      cookies::Transport transport, const net::FlowKey& key,
-                      FlowEntry& entry, util::Timestamp now,
-                      Verdict& verdict);
+                      cookies::Transport transport, FlowTable::Ref flow,
+                      util::Timestamp now, Verdict& verdict);
 
   /// The verdict's tail: a packet of a mapped flow that did not map it
-  /// takes the flow's action, and an action remarks DSCP.
+  /// takes the flow's action (by id), and an action remarks DSCP.
   void finish_verdict(net::Packet& packet, const FlowEntry& entry,
                       Verdict& verdict) const;
 
-  /// Apply a verified-cookie stack to a flow entry (the §4.5 loop).
-  void apply_stack(net::Packet& packet, const net::FlowKey& key,
-                   FlowEntry& entry,
+  /// Apply a verified-cookie stack to a flow (the §4.5 loop); a
+  /// delivery-guarantee cookie leaves an ack debt on its connection.
+  void apply_stack(net::Packet& packet, FlowTable::Ref flow,
                    const cookies::ExtractedCookie& extracted,
                    util::Timestamp now, Verdict& verdict);
 
-  /// True when `key` (or its reverse) belongs to a packet with a
-  /// cookie still pending in the current batch. Hashes `key` once and
-  /// compares it against each pending cookie's two stored hashes.
+  /// True when `key`'s connection belongs to a packet with a cookie
+  /// still pending in the current batch. Hashes `key` once and
+  /// compares it against each pending cookie's stored hash.
   bool key_has_pending(const net::FlowKey& key) const;
 
   /// Verify all pending cookies and apply their outcomes in order.
   void flush_pending(std::span<net::Packet* const> packets,
                      std::span<Verdict> verdicts, util::Timestamp now);
 
-  /// Attach an owed ack cookie to a reverse-path packet if possible.
-  void maybe_attach_ack(net::Packet& packet);
+  /// Attach the ack `flow`'s connection owes to this packet if it
+  /// travels the way the debt says and a carrier fits.
+  void maybe_attach_ack(net::Packet& packet, FlowTable::Ref flow);
 
   const util::Clock& clock_;
   cookies::CookieVerifier& verifier_;
@@ -228,8 +233,6 @@ class Middlebox {
   FlowTable flow_table_;
   telemetry::View<MiddleboxStats> stats_;
   util::Rng ack_rng_;
-  /// reverse-flow tuple -> descriptor owing an ack.
-  std::unordered_map<net::FiveTuple, cookies::CookieId> pending_acks_;
   /// Batch scratch (parallel vectors; no per-burst allocation once
   /// warm): queued cookies, their packet/transport info, and verdicts.
   std::vector<cookies::Cookie> pending_cookies_;

@@ -1,5 +1,7 @@
 #include "dataplane/service_registry.h"
 
+#include <limits>
+
 #include "util/fmt.h"
 
 namespace nnn::dataplane {
@@ -18,19 +20,32 @@ std::string to_string(const ServiceAction& action) {
   return util::fmt("rate-limit({}bps)", r.rate_bps);
 }
 
-void ServiceRegistry::bind(std::string service_data, ServiceAction action) {
-  actions_[std::move(service_data)] = action;
+Expected<ServiceId> ServiceRegistry::bind(std::string service_data,
+                                          ServiceAction action) {
+  auto it = ids_.find(service_data);
+  if (it == ids_.end()) {
+    if (services_.size() > std::numeric_limits<ServiceId>::max()) {
+      return unexpected(Error{ErrorDomain::kFlow, ErrorCode::kQuotaExceeded,
+                              "service ids exhausted"});
+    }
+    const auto id = static_cast<ServiceId>(services_.size());
+    services_.push_back(Service{service_data, std::nullopt});
+    it = ids_.emplace(std::move(service_data), id).first;
+  }
+  services_[it->second].action = action;
+  return it->second;
 }
 
 bool ServiceRegistry::unbind(const std::string& service_data) {
-  return actions_.erase(service_data) > 0;
+  std::optional<ServiceAction>& action = services_[id(service_data)].action;
+  if (!action) return false;
+  action.reset();
+  return true;
 }
 
-std::optional<ServiceAction> ServiceRegistry::lookup(
-    const std::string& service_data) const {
-  const auto it = actions_.find(service_data);
-  if (it == actions_.end()) return std::nullopt;
-  return it->second;
+ServiceId ServiceRegistry::id(std::string_view service_data) const {
+  const auto it = ids_.find(service_data);
+  return it == ids_.end() ? kNoService : it->second;
 }
 
 }  // namespace nnn::dataplane

@@ -20,11 +20,4 @@ std::string FiveTuple::to_string() const {
                      dst_port);
 }
 
-BidiFlowKey::BidiFlowKey(const FiveTuple& t) : canonical(t) {
-  // Order endpoints deterministically so both directions coincide.
-  const auto lhs = std::tie(t.src_ip, t.src_port);
-  const auto rhs = std::tie(t.dst_ip, t.dst_port);
-  if (rhs < lhs) canonical = t.reversed();
-}
-
 }  // namespace nnn::net

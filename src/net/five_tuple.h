@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <tuple>
 
 #include "net/ip.h"
 
@@ -31,20 +32,16 @@ struct FiveTuple {
     return FiveTuple{dst_ip, src_ip, dst_port, src_port, proto};
   }
 
+  /// True when the destination endpoint (ip, port) sorts before the
+  /// source: the order net::FlowKey::direction_free() swaps, so both
+  /// directions of a flow coincide.
+  bool sorts_reversed() const {
+    return std::tie(dst_ip, dst_port) < std::tie(src_ip, src_port);
+  }
+
   std::string to_string() const;
 
   friend auto operator<=>(const FiveTuple&, const FiveTuple&) = default;
-};
-
-/// Direction-insensitive flow key: a flow and its reverse map to the
-/// same key, so one table entry covers both directions (the paper's
-/// daemon adds "this and the reverse flow to the fast lane").
-struct BidiFlowKey {
-  FiveTuple canonical;
-
-  explicit BidiFlowKey(const FiveTuple& t);
-
-  friend auto operator<=>(const BidiFlowKey&, const BidiFlowKey&) = default;
 };
 
 }  // namespace nnn::net
@@ -59,12 +56,5 @@ struct std::hash<nnn::net::FiveTuple> {
     h = h * 31 + t.dst_port;
     h = h * 31 + static_cast<size_t>(t.proto);
     return h;
-  }
-};
-
-template <>
-struct std::hash<nnn::net::BidiFlowKey> {
-  size_t operator()(const nnn::net::BidiFlowKey& k) const noexcept {
-    return std::hash<nnn::net::FiveTuple>()(k.canonical);
   }
 };

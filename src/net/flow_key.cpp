@@ -24,12 +24,13 @@ uint64_t FlowKey::steer_key() const {
     // applies its own mix64 on top.
     return cid_;
   }
-  const uint64_t ports =
-      (static_cast<uint64_t>(tuple_.src_port) << 32) |
-      (static_cast<uint64_t>(tuple_.dst_port) << 16) |
-      static_cast<uint64_t>(tuple_.proto);
-  return util::mix64(stable_hash(tuple_.src_ip) ^
-                     util::mix64(stable_hash(tuple_.dst_ip) ^ ports));
+  // Hash the direction-free form, so both directions steer alike.
+  const FiveTuple t = tuple_.sorts_reversed() ? tuple_.reversed() : tuple_;
+  const uint64_t ports = (static_cast<uint64_t>(t.src_port) << 32) |
+                         (static_cast<uint64_t>(t.dst_port) << 16) |
+                         static_cast<uint64_t>(t.proto);
+  return util::mix64(stable_hash(t.src_ip) ^
+                     util::mix64(stable_hash(t.dst_ip) ^ ports));
 }
 
 std::string FlowKey::to_string() const {

@@ -20,9 +20,19 @@
 // sharded by this value, and "which worker owns flow X" must not
 // drift across platforms or standard libraries.
 //
-// CID keys are direction-insensitive by construction (both directions
-// of a connection resolve to the same canonical CID — see
-// quic::CidAliasTable), so reversed() is the identity for them.
+// ## Direction
+//
+// A connection is one flow seen from two directions; the paper's
+// daemon "adds this and the reverse flow to the fast lane" (§5.2).
+// direction_free() names the connection: a tuple key with the endpoint
+// (ip, port) that sorts first as its source, plus whether the packet's
+// tuple is the reverse of that form. CID keys are direction-free by
+// construction (both directions of a connection resolve to the same
+// canonical CID — see quic::CidAliasTable), so reversed() and
+// direction_free() are the identity for them. steer_key() and
+// std::hash hash the direction-free form, so both directions of a
+// flow reach one shard and one hash bucket; operator== still tells
+// the two directions apart.
 #pragma once
 
 #include <compare>
@@ -71,9 +81,17 @@ class FlowKey {
     return is_cid() ? *this : from_tuple(tuple_.reversed());
   }
 
+  /// A key in direction-free form, and which way its packet travels.
+  struct DirectionFree;
+
+  /// The connection this key's flow belongs to, named alike from both
+  /// directions (see the file comment).
+  DirectionFree direction_free() const;
+
   /// Platform-stable 64-bit key for steering (util::steer_shard) and
-  /// FlatTable probing. No std::hash anywhere in the chain; fixed
-  /// vectors are pinned in tests/test_quic.cpp.
+  /// FlatTable probing, taken over the direction-free form. No
+  /// std::hash anywhere in the chain; fixed vectors are pinned in
+  /// tests/test_quic.cpp.
   uint64_t steer_key() const;
 
   std::string to_string() const;
@@ -88,6 +106,18 @@ class FlowKey {
   FiveTuple tuple_{};
   uint64_t cid_ = 0;
 };
+
+struct FlowKey::DirectionFree {
+  /// Both directions of one connection give the same key.
+  FlowKey key;
+  /// The packet's tuple is `key`'s tuple reversed (never for a CID).
+  bool reverse = false;
+};
+
+inline FlowKey::DirectionFree FlowKey::direction_free() const {
+  if (is_cid() || !tuple_.sorts_reversed()) return {*this, false};
+  return {from_tuple(tuple_.reversed()), true};
+}
 
 /// Platform-stable address hash feeding FlowKey::steer_key (exposed
 /// for the steering tests' fixed vectors).

@@ -100,10 +100,13 @@ TEST(FlowTable, SniffWindowProgression) {
   t.src_port = 1;
   const net::FlowKey key = net::FlowKey::from_tuple(t);
   for (int i = 1; i <= 3; ++i) {
-    EXPECT_EQ(table.bind(key, clock.now()).state, FlowState::kSniffing)
+    EXPECT_EQ(table.bind(key, clock.now())->state, FlowState::kSniffing)
         << "packet " << i;
   }
-  EXPECT_EQ(table.bind(key, clock.now()).state, FlowState::kBestEffort);
+  EXPECT_EQ(table.bind(key, clock.now())->state, FlowState::kBestEffort);
+  // The other direction has a window of its own.
+  EXPECT_EQ(table.bind(key.reversed(), clock.now())->state,
+            FlowState::kSniffing);
 }
 
 TEST(FlowTable, MapFlowCoversReverse) {
@@ -112,15 +115,37 @@ TEST(FlowTable, MapFlowCoversReverse) {
   net::FiveTuple t;
   t.src_port = 10;
   t.dst_port = 20;
-  FlowEntry& entry = table.bind(net::FlowKey::from_tuple(t), 0);
-  table.map_flow(net::FlowKey::from_tuple(t), entry, "Boost", 0,
-                 /*include_reverse=*/true);
+  const ServiceId boost = 7;
+  const FlowTable::Ref flow = table.bind(net::FlowKey::from_tuple(t), 0);
+  table.map_flow(flow, boost, 0, /*include_reverse=*/true);
   const auto forward = table.lookup(net::FlowKey::from_tuple(t));
   ASSERT_TRUE(forward.has_value());
   EXPECT_EQ(forward.value()->state, FlowState::kMapped);
   const auto reverse = table.lookup(net::FlowKey::from_tuple(t.reversed()));
   ASSERT_TRUE(reverse.has_value());
-  EXPECT_EQ(reverse.value()->service_data, "Boost");
+  EXPECT_EQ(reverse.value()->state, FlowState::kMapped);
+  EXPECT_EQ(reverse.value()->service, boost);
+  // The reverse mapping is a write into the connection's one slot.
+  EXPECT_EQ(table.size(), 1u);
+  EXPECT_EQ(table.stats().flows_created, 1u);
+}
+
+TEST(FlowTable, QuietDirectionOfALiveConnectionKeepsItsMapping) {
+  // A connection idles out only when neither direction has been seen
+  // for idle_timeout: a mapped download whose reverse direction goes
+  // quiet for longer than that keeps its service while the forward
+  // direction runs.
+  FlowTable table(3, 10 * kSecond);
+  net::FiveTuple t;
+  t.src_port = 10;
+  t.dst_port = 20;
+  const net::FlowKey forward = net::FlowKey::from_tuple(t);
+  table.map_flow(table.bind(forward, 0), 1, 0, /*include_reverse=*/true);
+  for (const util::Timestamp at : {5 * kSecond, 10 * kSecond, 15 * kSecond}) {
+    table.bind(forward, at);
+  }
+  EXPECT_EQ(table.bind(forward.reversed(), 15 * kSecond)->state,
+            FlowState::kMapped);
 }
 
 TEST(FlowTable, IdleExpiry) {
@@ -174,23 +199,32 @@ struct FlowKeyLess {
 
 /// Drives a FlowTable with seeded random bind / map_flow / add_alias /
 /// expire_idle / lookup operations and a clock that takes small steps
-/// with jumps past idle_timeout, over tuple and CID keys, and checks it
-/// against a std::map reference of canonical key -> last_seen:
-///  - no flow is evicted before its due (last_seen + idle_timeout + 1);
-///  - after any bind() or expire_idle() no flow is live at or after its
-///    due plus one wheel tick;
+/// with jumps past idle_timeout, over tuple keys in both directions and
+/// CID keys, and checks it against a std::map reference keyed on
+/// connections (a tuple and its reverse, or a CID and its aliases),
+/// each holding last_seen and one record per direction:
+///  - no connection is evicted before its due (last_seen, the latest
+///    packet in either direction, + idle_timeout + 1);
+///  - after any bind() or expire_idle() no connection is live at or
+///    after its due plus one wheel tick;
 ///  - size(), flows_created, flows_expired and alias_cids() agree with
-///    the reference.
-/// A flow the table may evict (due passed, less than a tick ago) is
-/// followed wherever the table took it.
+///    the reference;
+///  - each direction's state, service and packet count agree with the
+///    reference's sniff window and mapping lapse, run per direction.
+/// A connection the table may evict (due passed, less than a tick ago)
+/// is followed wherever the table took it.
 class FlowTableModel {
  public:
   static constexpr util::Timestamp kIdle = 10 * kSecond;
+  static constexpr uint32_t kWindow = 3;
 
-  explicit FlowTableModel(uint64_t seed) : rng_(seed), table_(3, kIdle) {
+  explicit FlowTableModel(uint64_t seed)
+      : rng_(seed), table_(kWindow, kIdle) {
     for (uint16_t i = 0; i < 12; ++i) {
       net::FiveTuple t;
-      t.src_ip = net::IpAddress::v4(10, 0, 0, 1);
+      // Half the tuples name their connection's first endpoint as the
+      // source, half as the destination.
+      t.src_ip = net::IpAddress::v4(10, 0, 0, i % 2 == 0 ? 1 : 3);
       t.dst_ip = net::IpAddress::v4(10, 0, 0, 2);
       t.src_port = static_cast<uint16_t>(1000 + i);
       t.dst_port = 443;
@@ -221,8 +255,21 @@ class FlowTableModel {
   uint64_t expired() const { return expired_; }
 
  private:
+  /// One direction of a connection.
+  struct Direction {
+    FlowState state = FlowState::kSniffing;
+    ServiceId service = kNoService;
+    uint32_t packets = 0;
+    util::Timestamp mapping_expires = 0;
+  };
   struct Flow {
     util::Timestamp last_seen = 0;
+    Direction directions[2];
+  };
+  /// A key's connection and which of its directions the key travels.
+  struct Connection {
+    net::FlowKey key;
+    size_t direction = 0;
   };
 
   void step_clock() {
@@ -243,14 +290,22 @@ class FlowTableModel {
     return pick == 0 ? key : key.reversed();
   }
 
-  net::FlowKey canonical(const net::FlowKey& key) const {
-    if (!key.is_cid()) return key;
-    const auto it = canon_of_.find(key.cid());
-    return it == canon_of_.end() ? key : net::FlowKey::from_cid(it->second);
+  /// A tuple's connection is the tuple whose source endpoint is the
+  /// smaller one; a CID's is its canonical CID, with one direction.
+  Connection connection(const net::FlowKey& key) const {
+    if (key.is_cid()) {
+      const auto it = canon_of_.find(key.cid());
+      return {it == canon_of_.end() ? key : net::FlowKey::from_cid(it->second),
+              0};
+    }
+    const net::FiveTuple& t = key.tuple();
+    const bool against = std::make_pair(t.dst_ip, t.dst_port) <
+                         std::make_pair(t.src_ip, t.src_port);
+    return {against ? key.reversed() : key, against ? 1u : 0u};
   }
 
-  /// The reference's record of the flow `canon` ending: checks that the
-  /// table did not evict it early, and drops its alias set.
+  /// The reference's record of the connection `canon` ending: checks
+  /// that the table did not evict it early, and drops its alias set.
   void evicted(const net::FlowKey& canon) {
     const util::Timestamp due = flows_.at(canon).last_seen + kIdle + 1;
     EXPECT_LE(due, now_) << canon.to_string() << " evicted before its due";
@@ -264,7 +319,7 @@ class FlowTableModel {
   }
 
   /// Follow the table's evictions and check the contract and counters.
-  /// Returns how many flows the reference saw go.
+  /// Returns how many connections the reference saw go.
   size_t settle(bool advanced) {
     std::vector<net::FlowKey> gone;
     for (const auto& [key, flow] : flows_) {
@@ -284,43 +339,78 @@ class FlowTableModel {
     return gone.size();
   }
 
+  void expect_direction(const FlowEntry& entry, const Direction& expected,
+                        const net::FlowKey& key) const {
+    EXPECT_EQ(entry.state, expected.state) << key.to_string();
+    EXPECT_EQ(entry.service, expected.service) << key.to_string();
+    EXPECT_EQ(entry.packets_seen, expected.packets) << key.to_string();
+    EXPECT_EQ(entry.mapping_expires, expected.mapping_expires)
+        << key.to_string();
+  }
+
   /// bind() plus the reference's view of it. The table's creation
-  /// count says whether this bind created the flow.
-  FlowEntry& bind(const net::FlowKey& key) {
-    const net::FlowKey before = canonical(key);
+  /// count says whether this bind created the connection.
+  FlowTable::Ref bind(const net::FlowKey& key) {
+    const net::FlowKey before = connection(key).key;
     const bool known = flows_.contains(before);
     const uint64_t creations = table_.stats().flows_created;
-    FlowEntry& entry = table_.bind(key, now_);
+    const FlowTable::Ref flow = table_.bind(key, now_);
     const uint64_t created = table_.stats().flows_created - creations;
     EXPECT_LE(created, 1u);
+    // Known but created anew: this very bind evicted it first (and, for
+    // an alias, its set, so the key now names a connection of its own).
+    if (created != 0 && known) evicted(before);
+    const Connection conn = connection(key);
     if (created != 0) {
-      // Known but created anew: this very bind evicted it first (and,
-      // for an alias, its set, so the key now names a flow of its own).
-      if (known) evicted(before);
       ++created_;
-      flows_[canonical(key)] = Flow{};
+      flows_[conn.key] = Flow{};
     } else {
       EXPECT_TRUE(known) << key.to_string() << " bound without a record";
     }
-    flows_[canonical(key)].last_seen = now_;
+    Flow& record = flows_[conn.key];
+    record.last_seen = now_;
+    Direction& d = record.directions[conn.direction];
+    ++d.packets;
+    if (d.state == FlowState::kSniffing && d.packets > kWindow) {
+      d.state = FlowState::kBestEffort;
+    }
+    if (d.state == FlowState::kMapped && d.mapping_expires != 0 &&
+        now_ >= d.mapping_expires) {
+      d = Direction{FlowState::kBestEffort, kNoService, d.packets, 0};
+    }
+    expect_direction(*flow, d, key);
+    EXPECT_EQ(table_.last_seen(key).value(), now_);
     settle(/*advanced=*/true);
-    return entry;
+    return flow;
   }
 
   void map(const net::FlowKey& key) {
-    FlowEntry& entry = bind(key);
+    const FlowTable::Ref flow = bind(key);
     const bool include_reverse = rng_.chance(0.7);
-    const net::FlowKey reverse = key.reversed();
-    const bool reverse_known = flows_.contains(reverse);
-    table_.map_flow(key, entry, "svc", now_, include_reverse);
-    EXPECT_EQ(entry.state, FlowState::kMapped);
-    if (include_reverse && !(reverse == key)) {
-      ASSERT_TRUE(table_.lookup(reverse).has_value()) << reverse.to_string();
-      if (!reverse_known) {
-        ++created_;
-        flows_[reverse] = Flow{};
+    const auto service = static_cast<ServiceId>(1 + rng_.next_u64(3));
+    const util::Timestamp expires =
+        rng_.chance(0.3) ? now_ + static_cast<util::Timestamp>(rng_.next_u64(
+                                      static_cast<uint64_t>(kIdle)))
+                         : 0;
+    table_.map_flow(flow, service, now_, include_reverse, expires);
+    const Connection conn = connection(key);
+    Flow& record = flows_.at(conn.key);
+    record.last_seen = now_;
+    for (size_t direction = 0; direction < 2; ++direction) {
+      if (direction != conn.direction && (!include_reverse || key.is_cid())) {
+        continue;
       }
-      flows_[reverse].last_seen = now_;
+      Direction& d = record.directions[direction];
+      d.state = FlowState::kMapped;
+      d.service = service;
+      d.mapping_expires = expires;
+    }
+    expect_direction(*flow, record.directions[conn.direction], key);
+    if (include_reverse && key.is_tuple()) {
+      const auto reverse = table_.lookup(key.reversed());
+      ASSERT_TRUE(reverse.has_value()) << key.reversed().to_string();
+      expect_direction(*reverse.value(),
+                       record.directions[1 - conn.direction], key.reversed());
     }
     settle(/*advanced=*/false);
   }
@@ -328,7 +418,8 @@ class FlowTableModel {
   void add_alias() {
     const uint64_t existing = cids_[rng_.next_u64(cids_.size())];
     const uint64_t fresh = next_fresh_cid_++;
-    const net::FlowKey canon = canonical(net::FlowKey::from_cid(existing));
+    const net::FlowKey canon =
+        connection(net::FlowKey::from_cid(existing)).key;
     const auto linked = table_.add_alias(fresh, existing);
     if (!flows_.contains(canon)) {
       EXPECT_FALSE(linked.has_value());
@@ -350,10 +441,14 @@ class FlowTableModel {
 
   void lookup(const net::FlowKey& key) {
     const auto found = table_.lookup(key);
-    const auto it = flows_.find(canonical(key));
+    const Connection conn = connection(key);
+    const auto it = flows_.find(conn.key);
     ASSERT_EQ(found.has_value(), it != flows_.end()) << key.to_string();
+    ASSERT_EQ(table_.last_seen(key).has_value(), found.has_value());
     if (found.has_value()) {
-      EXPECT_EQ(found.value()->last_seen, it->second.last_seen);
+      EXPECT_EQ(table_.last_seen(key).value(), it->second.last_seen);
+      expect_direction(*found.value(), it->second.directions[conn.direction],
+                       key);
     }
   }
 
@@ -364,7 +459,7 @@ class FlowTableModel {
   std::vector<net::FiveTuple> tuples_;
   std::vector<uint64_t> cids_;
   uint64_t next_fresh_cid_ = 1000;
-  std::map<net::FlowKey, Flow, FlowKeyLess> flows_;
+  std::map<net::FlowKey, Flow, FlowKeyLess> flows_;  // by connection
   std::map<uint64_t, uint64_t> canon_of_;  // aliased CID -> canonical CID
   std::map<uint64_t, size_t> alias_sets_;  // canonical CID -> CIDs linked
   size_t alias_cids_ = 0;
@@ -527,7 +622,7 @@ TEST_F(MiddleboxTest, ProcessBatchMatchesSequential) {
       EXPECT_EQ(batched[i].action.has_value(),
                 expected[i].action.has_value())
           << "packet " << i;
-      EXPECT_EQ(batched[i].service_data, expected[i].service_data)
+      EXPECT_EQ(batched[i].service, expected[i].service)
           << "packet " << i;
       EXPECT_EQ(batched[i].mapped_now, expected[i].mapped_now)
           << "packet " << i;
@@ -578,8 +673,9 @@ TEST_F(MiddleboxTest, ProcessBatchMatchesSequential) {
     // 32 packets of one-packet cookie flows (every packet queues a
     // cookie), with two packets that must wait for a pending mapping:
     // the reverse of the first flow behind its cookie (a hit on a
-    // pending cookie's reverse hash) and, after 15 more cookies, a
-    // repeat of the last flow's tuple (a hit on the forward hash).
+    // pending cookie's direction-free hash from the other direction)
+    // and, after 15 more cookies, a repeat of the last flow's tuple (a
+    // hit from the same direction).
     std::vector<net::Packet> burst;
     for (uint16_t i = 0; i < 15; ++i) {
       burst.push_back(cookie_packet(static_cast<uint16_t>(6000 + i), gen));
@@ -669,7 +765,7 @@ TEST_F(MiddleboxTest, ProcessBatchReadsEachDescriptorBeforeEviction) {
     EXPECT_EQ(batched[i].verify_status, expected[i].verify_status)
         << "packet " << i;
     EXPECT_EQ(batched[i].action, expected[i].action) << "packet " << i;
-    EXPECT_EQ(batched[i].service_data, expected[i].service_data)
+    EXPECT_EQ(batched[i].service, expected[i].service)
         << "packet " << i;
     EXPECT_EQ(batched[i].mapped_now, expected[i].mapped_now)
         << "packet " << i;
@@ -713,7 +809,13 @@ TEST_F(MiddleboxTest, UnboundServiceDataYieldsNoAction) {
   const Verdict verdict = middlebox_.process(p);
   EXPECT_TRUE(verdict.mapped_now);  // cookie verified...
   EXPECT_FALSE(verdict.action.has_value());  // ...but no policy bound
-  EXPECT_EQ(verdict.service_data, "UnknownService");
+  EXPECT_EQ(verdict.service, kNoService);
+  EXPECT_EQ(registry_.id("UnknownService"), kNoService);
+  // The flow is mapped all the same, with no action.
+  net::Packet data = flow_packet(4005);
+  const Verdict next = middlebox_.process(data);
+  EXPECT_FALSE(next.action.has_value());
+  EXPECT_EQ(middlebox_.stats().task_map_only, 1u);
 }
 
 TEST_F(MiddleboxTest, DscpRemarkMode) {
@@ -805,6 +907,46 @@ TEST(ServiceRegistry, BindLookupUnbind) {
   // Rebinding replaces.
   registry.bind("Slow", DscpRemarkAction{10});
   EXPECT_TRUE(std::holds_alternative<DscpRemarkAction>(*registry.lookup("Slow")));
+}
+
+TEST(ServiceRegistry, IdsAreDenseAndOutliveRebindAndUnbind) {
+  ServiceRegistry registry;
+  const auto boost = registry.bind("Boost", PriorityAction{0});
+  const auto slow = registry.bind("Slow", RateLimitAction{1e6, 1500});
+  ASSERT_TRUE(boost.has_value());
+  ASSERT_TRUE(slow.has_value());
+  EXPECT_EQ(boost.value(), 1u);
+  EXPECT_EQ(slow.value(), 2u);
+  EXPECT_EQ(registry.id("Slow"), slow.value());
+  EXPECT_EQ(registry.name(slow.value()), "Slow");
+  EXPECT_EQ(registry.id("Missing"), kNoService);
+  EXPECT_FALSE(registry.action(kNoService).has_value());
+
+  // Rebinding replaces the action under the same id; unbind keeps the
+  // id with no action, and a later bind brings the action back to it.
+  EXPECT_EQ(registry.bind("Slow", DscpRemarkAction{10}).value(), slow.value());
+  EXPECT_TRUE(
+      std::holds_alternative<DscpRemarkAction>(*registry.action(slow.value())));
+  EXPECT_TRUE(registry.unbind("Boost"));
+  EXPECT_EQ(registry.id("Boost"), boost.value());
+  EXPECT_FALSE(registry.action(boost.value()).has_value());
+  EXPECT_EQ(registry.bind("Boost", ZeroRateAction{}).value(), boost.value());
+  EXPECT_TRUE(registry.action(boost.value()).has_value());
+}
+
+TEST(ServiceRegistry, RefusesANewNameOnceEveryIdIsTaken) {
+  ServiceRegistry registry;
+  for (uint32_t i = 1; i <= 65'535; ++i) {
+    const auto id = registry.bind("s" + std::to_string(i), PriorityAction{0});
+    ASSERT_TRUE(id.has_value()) << i;
+    ASSERT_EQ(id.value(), i);
+  }
+  const auto refused = registry.bind("one-too-many", PriorityAction{0});
+  ASSERT_FALSE(refused.has_value());
+  EXPECT_EQ(refused.error().code, ErrorCode::kQuotaExceeded);
+  EXPECT_EQ(registry.id("one-too-many"), kNoService);
+  // A name that already has an id still rebinds.
+  EXPECT_EQ(registry.bind("s1", ZeroRateAction{}).value(), 1u);
 }
 
 TEST(ServiceRegistry, ActionToString) {

@@ -421,6 +421,33 @@ TEST_F(DeliveryGuaranteeTest, BurstGivesTheAcksOfPacketByPacket) {
   EXPECT_EQ(twin.pending_acks(), 0u);
 }
 
+TEST_F(DeliveryGuaranteeTest, AckDebtExpiresWithItsFlow) {
+  // An ack whose reverse packet never crosses the box is owed by a
+  // connection, and goes when the connection idles out: 50,000
+  // one-packet delivery-guarantee flows with no reverse traffic, then
+  // the clock moves past the idle timeout and one more packet runs.
+  dataplane::Middlebox::Config config;
+  config.delivery_guarantees = true;
+  config.flow_idle_timeout = kSecond;
+  dataplane::Middlebox box(clock_, verifier_, registry_, config);
+  cookies::CookieGenerator generator(descriptor_, clock_, 16);
+  constexpr uint32_t kFlows = 50'000;
+  for (uint32_t i = 0; i < kFlows; ++i) {
+    net::Packet request = cookie_udp_packet(45100, generator.generate());
+    request.tuple.src_ip = net::IpAddress::v4(0x0a000000u | i);
+    ASSERT_TRUE(box.process(request).mapped_now) << "flow " << i;
+  }
+  EXPECT_EQ(box.pending_acks(), kFlows);
+
+  clock_.advance(60 * kSecond);
+  net::Packet later;
+  later.tuple.src_port = 45101;
+  later.tuple.proto = net::L4Proto::kUdp;
+  box.process(later);
+  EXPECT_EQ(box.flows().size(), 1u);
+  EXPECT_EQ(box.pending_acks(), 0u);
+}
+
 TEST(AckMonitor, IgnoresWrongDescriptorAndWrongFlow) {
   util::ManualClock clock(1000 * kSecond);
   cookies::AckMonitor monitor(clock, kSecond);

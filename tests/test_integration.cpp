@@ -233,10 +233,10 @@ TEST(EndToEnd, CompositionAcrossTwoNetworks) {
 
   const auto verdict_a = box_a.process(packet);
   EXPECT_TRUE(verdict_a.action.has_value());
-  EXPECT_EQ(verdict_a.service_data, "boost-a");
+  EXPECT_EQ(registry_a.name(verdict_a.service), "boost-a");
   const auto verdict_b = box_b.process(packet);
   EXPECT_TRUE(verdict_b.action.has_value());
-  EXPECT_EQ(verdict_b.service_data, "boost-b");
+  EXPECT_EQ(registry_b.name(verdict_b.service), "boost-b");
 }
 
 }  // namespace

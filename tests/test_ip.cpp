@@ -4,6 +4,7 @@
 #include <unordered_set>
 
 #include "net/five_tuple.h"
+#include "net/flow_key.h"
 #include "net/ip.h"
 
 namespace nnn::net {
@@ -95,11 +96,15 @@ TEST(FiveTuple, ReversedSwapsEndpoints) {
 }
 
 TEST(FiveTuple, BidiKeyIsDirectionless) {
+  // FlowKey's direction-free form: both directions name one connection.
   const FiveTuple t = make_tuple();
-  EXPECT_EQ(BidiFlowKey(t), BidiFlowKey(t.reversed()));
-  std::unordered_set<BidiFlowKey> set;
-  set.insert(BidiFlowKey(t));
-  set.insert(BidiFlowKey(t.reversed()));
+  const FlowKey forward = FlowKey::from_tuple(t).direction_free().key;
+  const FlowKey backward =
+      FlowKey::from_tuple(t.reversed()).direction_free().key;
+  EXPECT_EQ(forward, backward);
+  std::unordered_set<FlowKey> set;
+  set.insert(forward);
+  set.insert(backward);
   EXPECT_EQ(set.size(), 1u);
 }
 

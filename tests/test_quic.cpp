@@ -49,12 +49,17 @@ net::FiveTuple quic_tuple() {
 // Fixed vectors: steer_key feeds shard assignment (util::steer_shard)
 // and FlatTable probing, so its value is wire-adjacent state — a
 // platform or refactor that changes it reassigns every flow to a new
-// worker. Pin it like the mix64 vectors in test_arena.
+// worker. Pin it like the mix64 vectors in test_arena. It hashes the
+// direction-free form, so both directions of a flow share one value,
+// one shard and one std::hash.
 TEST(FlowKey, SteerKeyFixedVectors) {
   const net::FlowKey tuple_key = net::FlowKey::from_tuple(quic_tuple());
   EXPECT_EQ(tuple_key.steer_key(), 0xb4e29ab30a33c264ull);
-  EXPECT_EQ(tuple_key.reversed().steer_key(), 0x249c799f26b1a23eull);
+  EXPECT_EQ(tuple_key.reversed().steer_key(), 0xb4e29ab30a33c264ull);
   EXPECT_EQ(util::steer_shard(tuple_key.steer_key(), 8), 5u);
+  EXPECT_EQ(util::steer_shard(tuple_key.reversed().steer_key(), 8), 5u);
+  EXPECT_EQ(std::hash<net::FlowKey>{}(tuple_key),
+            std::hash<net::FlowKey>{}(tuple_key.reversed()));
 
   // A CID is already a uniform 64-bit name: steer_key is the identity
   // (steer_shard applies its own mix64 on top).
@@ -186,12 +191,12 @@ TEST(CidAliasTable, CapacityFifoSkipsReboundSlots) {
 TEST(FlowTable, CidRotationKeepsOneEntry) {
   dataplane::FlowTable table;
   const dataplane::FlowEntry& first =
-      table.bind(net::FlowKey::from_cid(100), 0);
+      *table.bind(net::FlowKey::from_cid(100), 0);
   ASSERT_EQ(table.stats().flows_created, 1u);
 
   ASSERT_EQ(table.add_alias(200, 100).value(), 100u);
   const dataplane::FlowEntry& rotated =
-      table.bind(net::FlowKey::from_cid(200), kMillisecond);
+      *table.bind(net::FlowKey::from_cid(200), kMillisecond);
   EXPECT_EQ(table.stats().flows_created, 1u);
   EXPECT_EQ(&rotated, &first);
   EXPECT_EQ(rotated.packets_seen, 2u);
@@ -227,7 +232,7 @@ TEST(FlowTable, IdleExpiryEvictsAliasSetWithTheFlow) {
   EXPECT_EQ(table.resolve_cid(300), 300u);
 
   // The CID can start a brand-new flow afterwards.
-  EXPECT_EQ(table.bind(net::FlowKey::from_cid(300), kSecond).packets_seen,
+  EXPECT_EQ(table.bind(net::FlowKey::from_cid(300), kSecond)->packets_seen,
             1u);
   EXPECT_EQ(table.stats().flows_created, 2u);
 }

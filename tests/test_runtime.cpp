@@ -250,6 +250,56 @@ TEST(Runtime, PerFlowOrderingPreserved) {
   EXPECT_EQ(next_seq.size(), kFlows);
 }
 
+/// Flow hashing steers a tuple flow by its direction-free key, so the
+/// reverse direction reaches the shard that holds the flow's mapping:
+/// Boost's downloads are the reverse direction of the request that
+/// carried the cookie. Each flow gets one UDP-shim cookie, then nine
+/// cookie-less reverse packets, with the plane drained in between.
+TEST(Runtime, ReversePacketsReachTheirMappingUnderFlowHash) {
+  constexpr uint32_t kFlows = 256;
+  constexpr uint32_t kReverse = 9;
+  for (const size_t workers : {size_t{1}, size_t{2}, size_t{4}}) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    Dataplane::Config config = plane_config(DispatchPolicy::kFlowHash, workers);
+    config.pool.verdict_capacity = 1 << 12;
+    PlaneFixture fx(config);
+    const cookies::CookieDescriptor descriptor = make_descriptor(5);
+    fx.plane.add_descriptor(descriptor);
+    cookies::CookieGenerator generator(descriptor, fx.clock, 5);
+    fx.plane.start();
+    for (uint32_t flow = 0; flow < kFlows; ++flow) {
+      net::Packet p = flow_packet(flow, 0);
+      cookies::attach(p, generator.generate(), cookies::Transport::kUdpHeader);
+      fx.ingest_blocking(std::move(p));
+    }
+    fx.plane.drain();
+    for (uint32_t seq = 1; seq <= kReverse; ++seq) {
+      for (uint32_t flow = 0; flow < kFlows; ++flow) {
+        net::Packet p = flow_packet(flow, seq);
+        p.tuple = p.tuple.reversed();
+        fx.ingest_blocking(std::move(p));
+      }
+      fx.plane.drain();
+    }
+    fx.plane.stop();
+
+    std::vector<VerdictRecord> verdicts;
+    fx.plane.drain_verdicts(verdicts);
+    ASSERT_EQ(verdicts.size(), size_t{kFlows} * (1 + kReverse));
+    size_t mapped = 0, reverse = 0, carried = 0;
+    for (const VerdictRecord& v : verdicts) {
+      if (v.seq == 0) {
+        mapped += v.mapped_now ? 1 : 0;
+        continue;
+      }
+      ++reverse;
+      carried += v.has_action ? 1 : 0;
+    }
+    EXPECT_EQ(mapped, kFlows);
+    EXPECT_EQ(carried, reverse) << "reverse packets that missed the mapping";
+  }
+}
+
 // --- Concurrent double-spend (§4.6) --------------------------------
 
 /// Mint ONE cookie and replay it on tuples spread across flows while
