@@ -43,13 +43,6 @@ void DpiEngine::add_rule(DpiRule rule) {
   rules_.push_back(std::move(rule));
 }
 
-std::vector<std::string> DpiEngine::known_apps() const {
-  std::vector<std::string> out;
-  out.reserve(rules_.size());
-  for (const auto& rule : rules_) out.push_back(rule.app);
-  return out;
-}
-
 bool DpiEngine::knows_app(const std::string& app) const {
   return std::any_of(rules_.begin(), rules_.end(),
                      [&](const DpiRule& r) { return r.app == app; });

@@ -91,8 +91,6 @@ class DpiEngine {
   void add_rule(DpiRule rule);
   size_t rule_count() const { return rules_.size(); }
 
-  /// Names of all applications the catalog can recognize.
-  std::vector<std::string> known_apps() const;
   bool knows_app(const std::string& app) const;
 
   /// Classify one packet. Consults the flow cache first; on a cache

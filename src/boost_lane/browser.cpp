@@ -1,26 +1,11 @@
 #include "boost_lane/browser.h"
 
-#include <algorithm>
-
 namespace nnn::boost_lane {
 
 Browser::Browser(util::Rng& rng, net::IpAddress client_ip)
     : rng_(rng), generator_(rng, client_ip) {}
 
-TabId Browser::open_tab() {
-  const TabId tab = next_tab_++;
-  open_tabs_.push_back(tab);
-  return tab;
-}
-
-void Browser::close_tab(TabId tab) {
-  std::erase(open_tabs_, tab);
-}
-
-bool Browser::tab_open(TabId tab) const {
-  return std::find(open_tabs_.begin(), open_tabs_.end(), tab) !=
-         open_tabs_.end();
-}
+TabId Browser::open_tab() { return next_tab_++; }
 
 TabPageLoad Browser::navigate(TabId tab,
                               const workload::WebsiteProfile& site) {

@@ -50,8 +50,6 @@ class Browser {
 
   /// Open a tab (returns its id).
   TabId open_tab();
-  void close_tab(TabId tab);
-  bool tab_open(TabId tab) const;
 
   /// Navigate `tab` to `site`, producing the page load's flows with
   /// browser attribution.
@@ -60,7 +58,6 @@ class Browser {
  private:
   util::Rng& rng_;
   workload::PageLoadGenerator generator_;
-  std::vector<TabId> open_tabs_;
   TabId next_tab_ = 1;
 };
 

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "json/json.h"
+#include "net/packet.h"
 #include "util/bytes.h"
 #include "util/clock.h"
 
@@ -27,18 +28,10 @@ using CookieId = uint64_t;
 enum class Granularity : uint8_t { kFlow = 0, kPacket = 1 };
 
 /// Transports a cookie may be carried over (§4.2 "where to add the
-/// cookie"). Used both as an attribute (which carriers the network
+/// cookie"): the packet model's one carrier enum, named for the cookie
+/// layer. Used both as an attribute (which carriers the network
 /// accepts) and by the transport codec.
-enum class Transport : uint8_t {
-  kHttpHeader = 0,   // X-Network-Cookie request header
-  kTlsExtension = 1, // ClientHello extension
-  kIpv6Extension = 2,// hop-by-hop option
-  kUdpHeader = 3,    // custom UDP payload prefix
-  kTcpOption = 4,    // TCP long option (EDO-extended header)
-  /// QUIC handshake transport parameter (appended last: the values
-  /// above ride the descriptor sync wire format and must not move).
-  kQuicTransportParam = 5,
-};
+using Transport = net::CookieCarrier;
 
 std::string to_string(Transport t);
 std::optional<Transport> transport_from_string(std::string_view s);

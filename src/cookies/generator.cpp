@@ -15,12 +15,4 @@ Cookie CookieGenerator::generate() {
   return c;
 }
 
-bool CookieGenerator::descriptor_expired() const {
-  return descriptor_.expired(clock_.now());
-}
-
-void CookieGenerator::renew(CookieDescriptor descriptor) {
-  descriptor_ = std::move(descriptor);
-}
-
 }  // namespace nnn::cookies

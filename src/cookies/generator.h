@@ -23,14 +23,7 @@ class CookieGenerator {
   /// Mint a fresh cookie: new uuid, current timestamp, valid signature.
   Cookie generate();
 
-  /// True once the underlying descriptor has expired; callers should
-  /// renew the descriptor from the cookie server (§4.1).
-  bool descriptor_expired() const;
-
   const CookieDescriptor& descriptor() const { return descriptor_; }
-
-  /// Replace the descriptor (renewal) keeping clock and RNG state.
-  void renew(CookieDescriptor descriptor);
 
  private:
   CookieDescriptor descriptor_;

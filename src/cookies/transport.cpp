@@ -2,7 +2,6 @@
 
 #include "net/http.h"
 #include "net/tls.h"
-#include "util/base64.h"
 #include "util/bytes.h"
 
 namespace nnn::cookies {
@@ -53,7 +52,7 @@ bool attach_udp(net::Packet& packet, const std::vector<Cookie>& cookies) {
   const Bytes stack = encode_stack(cookies);
   Bytes shim;
   util::ByteWriter w(shim);
-  w.raw(BytesView(kUdpShimMagic, 4));
+  w.raw(BytesView(net::kCookieShimMagic, 4));
   w.u16(static_cast<uint16_t>(stack.size()));
   w.raw(BytesView(stack));
   shim.insert(shim.end(), packet.payload.begin(), packet.payload.end());
@@ -70,70 +69,6 @@ bool attach_quic_tp(net::Packet& packet,
   packet.quic->tp_cookie = encode_stack(cookies);
   packet.wire_size = 0;
   return true;
-}
-
-std::optional<ExtractedCookie> extract_quic_tp(const net::Packet& packet) {
-  if (!packet.quic || !packet.quic->long_header ||
-      packet.quic->tp_cookie.empty()) {
-    return std::nullopt;
-  }
-  auto stack = decode_stack(BytesView(packet.quic->tp_cookie));
-  if (!stack) return std::nullopt;
-  return ExtractedCookie{std::move(*stack), Transport::kQuicTransportParam};
-}
-
-std::optional<ExtractedCookie> extract_http(const net::Packet& packet) {
-  if (packet.payload.empty()) return std::nullopt;
-  const std::string text(packet.payload.begin(), packet.payload.end());
-  const auto request = net::http::Request::parse(text);
-  if (!request) return std::nullopt;
-  const auto header = request->header(net::http::kCookieHeader);
-  if (!header) return std::nullopt;
-  auto stack = decode_stack_text(*header);
-  if (!stack) return std::nullopt;
-  return ExtractedCookie{std::move(*stack), Transport::kHttpHeader};
-}
-
-std::optional<ExtractedCookie> extract_tls(const net::Packet& packet) {
-  const auto hello =
-      net::tls::ClientHello::parse_record(BytesView(packet.payload));
-  if (!hello) return std::nullopt;
-  const auto blob = hello->cookie();
-  if (!blob) return std::nullopt;
-  auto stack = decode_stack(BytesView(*blob));
-  if (!stack) return std::nullopt;
-  return ExtractedCookie{std::move(*stack), Transport::kTlsExtension};
-}
-
-std::optional<ExtractedCookie> extract_ipv6(const net::Packet& packet) {
-  if (!packet.l3_cookie) return std::nullopt;
-  auto stack = decode_stack(BytesView(*packet.l3_cookie));
-  if (!stack) return std::nullopt;
-  return ExtractedCookie{std::move(*stack), Transport::kIpv6Extension};
-}
-
-std::optional<ExtractedCookie> extract_tcp_option(
-    const net::Packet& packet) {
-  if (!packet.l4_cookie) return std::nullopt;
-  auto stack = decode_stack(BytesView(*packet.l4_cookie));
-  if (!stack) return std::nullopt;
-  return ExtractedCookie{std::move(*stack), Transport::kTcpOption};
-}
-
-std::optional<ExtractedCookie> extract_udp(const net::Packet& packet) {
-  if (!packet.is_udp() || packet.payload.size() < 6) return std::nullopt;
-  if (!util::equal(BytesView(packet.payload.data(), 4),
-                   BytesView(kUdpShimMagic, 4))) {
-    return std::nullopt;
-  }
-  util::ByteReader r(BytesView(packet.payload));
-  r.skip(4);
-  const auto len = r.u16();
-  if (!len || *len > r.remaining()) return std::nullopt;
-  const auto blob = r.view(*len);
-  auto stack = decode_stack(*blob);
-  if (!stack) return std::nullopt;
-  return ExtractedCookie{std::move(*stack), Transport::kUdpHeader};
 }
 
 }  // namespace
@@ -162,43 +97,6 @@ bool attach(net::Packet& packet, const Cookie& cookie, Transport transport) {
   return attach(packet, std::vector<Cookie>{cookie}, transport);
 }
 
-std::optional<ExtractedCookie> extract(const net::Packet& packet,
-                                       Transport transport) {
-  switch (transport) {
-    case Transport::kHttpHeader:
-      return extract_http(packet);
-    case Transport::kTlsExtension:
-      return extract_tls(packet);
-    case Transport::kIpv6Extension:
-      return extract_ipv6(packet);
-    case Transport::kUdpHeader:
-      return extract_udp(packet);
-    case Transport::kTcpOption:
-      return extract_tcp_option(packet);
-    case Transport::kQuicTransportParam:
-      return extract_quic_tp(packet);
-  }
-  return std::nullopt;
-}
-
-Transport to_transport(net::CookieCarrier carrier) {
-  switch (carrier) {
-    case net::CookieCarrier::kIpv6Option:
-      return Transport::kIpv6Extension;
-    case net::CookieCarrier::kTcpOption:
-      return Transport::kTcpOption;
-    case net::CookieCarrier::kQuicTransportParam:
-      return Transport::kQuicTransportParam;
-    case net::CookieCarrier::kUdpShim:
-      return Transport::kUdpHeader;
-    case net::CookieCarrier::kTlsExtension:
-      return Transport::kTlsExtension;
-    case net::CookieCarrier::kHttpHeader:
-      return Transport::kHttpHeader;
-  }
-  return Transport::kHttpHeader;
-}
-
 std::optional<ExtractedCookie> extract(const net::Packet& packet) {
   // The carrier precedence (cheapest first) is owned by
   // net::Packet::cookie_bytes — one search shared with the hardware
@@ -207,55 +105,7 @@ std::optional<ExtractedCookie> extract(const net::Packet& packet) {
   if (!raw) return std::nullopt;
   auto stack = decode_stack(raw->bytes());
   if (!stack) return std::nullopt;
-  return ExtractedCookie{std::move(*stack), to_transport(raw->carrier)};
-}
-
-bool strip(net::Packet& packet) {
-  bool removed = false;
-  if (packet.l3_cookie) {
-    packet.l3_cookie.reset();
-    removed = true;
-  }
-  if (packet.l4_cookie) {
-    packet.l4_cookie.reset();
-    removed = true;
-  }
-  if (packet.quic && !packet.quic->tp_cookie.empty()) {
-    packet.quic->tp_cookie.clear();
-    packet.wire_size = 0;
-    removed = true;
-  }
-  if (packet.is_udp() && packet.payload.size() >= 6 &&
-      util::equal(BytesView(packet.payload.data(), 4),
-                  BytesView(kUdpShimMagic, 4))) {
-    util::ByteReader r(BytesView(packet.payload));
-    r.skip(4);
-    const auto len = r.u16();
-    if (len && *len <= r.remaining()) {
-      packet.payload.erase(packet.payload.begin(),
-                           packet.payload.begin() + 6 + *len);
-      packet.wire_size = 0;
-      removed = true;
-    }
-  }
-  if (auto hello =
-          net::tls::ClientHello::parse_record(BytesView(packet.payload))) {
-    if (hello->clear_cookie()) {
-      packet.payload = hello->serialize_record();
-      packet.wire_size = 0;
-      removed = true;
-    }
-  }
-  const std::string text(packet.payload.begin(), packet.payload.end());
-  if (auto request = net::http::Request::parse(text)) {
-    if (request->remove_header(net::http::kCookieHeader) > 0) {
-      const std::string out = request->serialize();
-      packet.payload.assign(out.begin(), out.end());
-      packet.wire_size = 0;
-      removed = true;
-    }
-  }
-  return removed;
+  return ExtractedCookie{std::move(*stack), raw->carrier};
 }
 
 }  // namespace nnn::cookies

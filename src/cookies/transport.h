@@ -6,8 +6,8 @@
 // (... a custom UDP-based header); or at the network layer (IPv6
 // extension header)."
 //
-// Each carrier here is implemented against the real codec for that
-// layer:
+// attach() is the one writer of cookie carriers, each against the real
+// codec for its layer:
 //   kHttpHeader    -> X-Network-Cookie header in the HTTP/1.1 request
 //   kTlsExtension  -> network-cookie extension in the TLS ClientHello
 //   kIpv6Extension -> hop-by-hop option in the IPv6 header
@@ -20,9 +20,10 @@
 //   kQuicTransportParam -> transport parameter in the QUIC long-header
 //                     handshake (net::QuicHeader::tp_cookie) — the
 //                     encrypted-transport carrier, readable on path
-//                     like a real Initial flight (PR 10, DESIGN §5i)
-// attach() mutates the packet; extract() is what a middlebox runs on
-// the wire and must tolerate arbitrary payloads.
+//                     like a real Initial flight (DESIGN §5i)
+// The one reader is net::Packet::cookie_bytes; extract() decodes what
+// it finds. extract() is what a middlebox runs on the wire and must
+// tolerate arbitrary payloads.
 #pragma once
 
 #include <optional>
@@ -32,17 +33,6 @@
 #include "net/packet.h"
 
 namespace nnn::cookies {
-
-/// Magic prefix for the UDP payload shim. The constant itself is wire
-/// format and lives with the packet model (net::kCookieShimMagic, so
-/// net::Packet::cookie_bytes can find the shim without a cookies
-/// dependency); this alias keeps existing call sites working.
-inline constexpr auto& kUdpShimMagic = net::kCookieShimMagic;
-
-/// Carrier <-> transport mapping: net::Packet::cookie_bytes reports
-/// where it found the blob in packet-model terms; the cookie layer
-/// names the same five carriers Transport.
-Transport to_transport(net::CookieCarrier carrier);
 
 /// Where a cookie was found in a packet.
 struct ExtractedCookie {
@@ -61,17 +51,10 @@ bool attach(net::Packet& packet, const std::vector<Cookie>& cookies,
 bool attach(net::Packet& packet, const Cookie& cookie, Transport transport);
 
 /// Search the packet for a cookie on any carrier (the middlebox path:
-/// "search for a potential cookie"). Checks carriers from cheapest to
-/// most expensive: IPv6 option, UDP shim, TLS extension, HTTP header.
+/// "search for a potential cookie") and decode it. The search is
+/// net::Packet::cookie_bytes; extract decodes the stack on the first
+/// carrier it found and reports that carrier. A stack that fails to
+/// decode yields nullopt: later carriers are not tried.
 std::optional<ExtractedCookie> extract(const net::Packet& packet);
-
-/// Extract from a specific carrier only.
-std::optional<ExtractedCookie> extract(const net::Packet& packet,
-                                       Transport transport);
-
-/// Remove any cookie the packet carries (all carriers). Returns true
-/// if something was removed. Used to model middleboxes that strip
-/// unknown headers, and by tests.
-bool strip(net::Packet& packet);
 
 }  // namespace nnn::cookies

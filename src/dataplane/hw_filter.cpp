@@ -2,8 +2,6 @@
 
 #include <cstdlib>
 
-#include "cookies/transport.h"
-
 namespace nnn::dataplane {
 
 HardwareFilter::HardwareFilter(const util::Clock& clock,
@@ -20,10 +18,6 @@ HardwareFilter::HardwareFilter(const util::Clock& clock,
 
 void HardwareFilter::learn_id(cookies::CookieId id) {
   ids_.insert(id);
-}
-
-void HardwareFilter::forget_id(cookies::CookieId id) {
-  ids_.erase(id);
 }
 
 HwDecision HardwareFilter::classify(const net::Packet& packet) {
@@ -48,20 +42,16 @@ HwDecision HardwareFilter::classify(const net::Packet& packet) {
 
   const cookies::Cookie& cookie = stack->front();
   // Stage (ii): id table.
-  if (config_.check_id && !ids_.contains(cookie.cookie_id)) {
+  if (!ids_.contains(cookie.cookie_id)) {
     return record(HwDecision::kRejectUnknownId);
   }
   // Stage (iii): timestamp window (seconds resolution, like the
   // software check — no MAC, so this is advisory only).
-  if (config_.check_timestamp) {
-    const int64_t now_sec =
-        static_cast<int64_t>(cookies::to_cookie_time(clock_.now()));
-    const int64_t delta =
-        std::llabs(now_sec - static_cast<int64_t>(cookie.timestamp));
-    if (delta > nct_ / util::kSecond) {
-      return record(HwDecision::kRejectStale);
-    }
-  }
+  const int64_t now_sec =
+      static_cast<int64_t>(cookies::to_cookie_time(clock_.now()));
+  const int64_t delta =
+      std::llabs(now_sec - static_cast<int64_t>(cookie.timestamp));
+  if (delta > nct_ / util::kSecond) return record(HwDecision::kRejectStale);
   return record(HwDecision::kToSoftware);
 }
 

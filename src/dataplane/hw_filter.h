@@ -44,10 +44,6 @@ enum class HwDecision : uint8_t {
 class HardwareFilter {
  public:
   struct Config {
-    /// Stage (ii): exact-match lookup of the cookie id.
-    bool check_id = true;
-    /// Stage (iii): timestamp window check.
-    bool check_timestamp = true;
     /// Whether the hardware parses the text carriers (HTTP header /
     /// TLS extension). A conservative deployment sends all TCP payload
     /// within the sniff window to software instead.
@@ -61,9 +57,8 @@ class HardwareFilter {
   HardwareFilter(const HardwareFilter&) = delete;
   HardwareFilter& operator=(const HardwareFilter&) = delete;
 
-  /// Program / unprogram a descriptor id (mirrors the verifier table).
+  /// Program a descriptor id into the table (mirrors the verifier's).
   void learn_id(cookies::CookieId id);
-  void forget_id(cookies::CookieId id);
   size_t table_size() const { return ids_.size(); }
 
   /// The match-action decision for one packet.

@@ -13,8 +13,7 @@ Middlebox::Middlebox(const util::Clock& clock,
       verifier_(verifier),
       registry_(registry),
       config_(config),
-      flow_table_(config.sniff_window, config.flow_idle_timeout),
-      ack_rng_(config.ack_seed) {
+      flow_table_(config.sniff_window, config.flow_idle_timeout) {
   stats_.register_with(telemetry::Registry::global());
 }
 

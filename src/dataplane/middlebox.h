@@ -104,8 +104,6 @@ class Middlebox {
     /// acknowledgment cookie from the same descriptor and attaches it
     /// to the first reverse-path packet that can carry it.
     bool delivery_guarantees = false;
-    /// Seed for ack-cookie uuid generation.
-    uint64_t ack_seed = 0xacc5eed;
     /// Inspect every packet for cookies, not just the sniff window.
     /// The paper's cheap deployment sniffs "the first 3 incoming
     /// packets of each flow"; application-assisted services ("a video
@@ -232,7 +230,8 @@ class Middlebox {
   Config config_;
   FlowTable flow_table_;
   telemetry::View<MiddleboxStats> stats_;
-  util::Rng ack_rng_;
+  /// Draws ack-cookie uuids; every shard starts from the same seed.
+  util::Rng ack_rng_{0xacc5eed};
   /// Batch scratch (parallel vectors; no per-burst allocation once
   /// warm): queued cookies, their packet/transport info, and verdicts.
   std::vector<cookies::Cookie> pending_cookies_;

@@ -38,11 +38,6 @@ double TokenBucket::tokens(util::Timestamp now) const {
   return copy.tokens_;
 }
 
-void TokenBucket::set_rate(double rate_bps, util::Timestamp now) {
-  refill(now);
-  rate_bps_ = rate_bps;
-}
-
 PriorityQueueSet::PriorityQueueSet(size_t bands,
                                    uint32_t band_capacity_bytes)
     : queues_(bands), band_capacity_bytes_(band_capacity_bytes) {
@@ -91,22 +86,9 @@ std::optional<net::Packet> PriorityQueueSet::dequeue_band(size_t band) {
   return packet;
 }
 
-std::optional<uint32_t> PriorityQueueSet::peek_size() const {
-  for (const auto& queue : queues_) {
-    if (!queue.empty()) return queue.front().size();
-  }
-  return std::nullopt;
-}
-
 bool PriorityQueueSet::empty() const {
   return std::all_of(queues_.begin(), queues_.end(),
                      [](const auto& q) { return q.empty(); });
-}
-
-size_t PriorityQueueSet::queued_packets() const {
-  size_t n = 0;
-  for (const auto& q : queues_) n += q.size();
-  return n;
 }
 
 }  // namespace nnn::dataplane

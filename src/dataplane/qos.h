@@ -72,7 +72,6 @@ class TokenBucket {
 
   double rate_bps() const { return rate_bps_; }
   double burst_bytes() const { return burst_bytes_; }
-  void set_rate(double rate_bps, util::Timestamp now);
 
  private:
   void refill(util::Timestamp now);
@@ -103,9 +102,6 @@ class PriorityQueueSet {
   /// Dequeue from the highest-priority non-empty band.
   std::optional<net::Packet> dequeue();
 
-  /// Peek the size of the packet dequeue() would return next.
-  std::optional<uint32_t> peek_size() const;
-
   /// Per-band access, used by shaped links that must skip a band whose
   /// head does not conform to its shaper yet.
   bool band_empty(size_t band) const { return queues_[band].empty(); }
@@ -116,7 +112,6 @@ class PriorityQueueSet {
 
   bool empty() const;
   size_t bands() const { return queues_.size(); }
-  size_t queued_packets() const;
   /// Materialized from the band's telemetry cells (by value).
   BandStats stats(size_t band) const { return stats_[band].snapshot(); }
 

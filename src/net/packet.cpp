@@ -9,8 +9,8 @@ namespace nnn::net {
 
 std::optional<RawCookie> Packet::cookie_bytes() const {
   if (l3_cookie) {
-    return RawCookie{CookieCarrier::kIpv6Option, util::BytesView(*l3_cookie),
-                     {}};
+    return RawCookie{CookieCarrier::kIpv6Extension,
+                     util::BytesView(*l3_cookie), {}};
   }
   if (l4_cookie) {
     return RawCookie{CookieCarrier::kTcpOption, util::BytesView(*l4_cookie),
@@ -30,7 +30,7 @@ std::optional<RawCookie> Packet::cookie_bytes() const {
     const auto len = r.u16();
     if (len && *len <= r.remaining()) {
       RawCookie raw;
-      raw.carrier = CookieCarrier::kUdpShim;
+      raw.carrier = CookieCarrier::kUdpHeader;
       raw.view = *r.view(*len);
       return raw;
     }

@@ -22,23 +22,23 @@ namespace nnn::net {
 inline constexpr uint8_t kCookieOptionType = 0x1e;
 
 /// Magic prefix of the UDP payload shim carrier (SPUD/QUIC-style).
-/// Wire format, so it lives with the packet model; cookies::transport
-/// aliases it.
+/// Wire format, so it lives with the packet model.
 inline constexpr uint8_t kCookieShimMagic[4] = {'N', 'C', 'K', 'U'};
 
-/// Where a packet carries its cookie blob. Order is the extraction
-/// precedence: fixed-offset binary carriers before payload parses.
-/// The QUIC transport parameter sits with the binary carriers — it is
-/// a direct header-model field like l3/l4, checked before any payload
-/// inspection (a QUIC payload is opaque ciphertext; nothing past the
-/// header is parseable anyway).
+/// The carriers a cookie stack can ride in (§4.2 "where to add the
+/// cookie"). One enum for the whole tree: cookie_bytes() reports where
+/// it found a stack, cookies::attach writes one, and descriptors name
+/// the carriers they accept (cookies::Transport is this type). The
+/// values are wire format — the descriptor sync codec sends them as
+/// bytes — so they never move; a new carrier takes the next value.
+/// They say nothing about search order: cookie_bytes() owns that.
 enum class CookieCarrier : uint8_t {
-  kIpv6Option = 0,      // Packet::l3_cookie
-  kTcpOption,           // Packet::l4_cookie (EDO long option)
-  kQuicTransportParam,  // Packet::quic->tp_cookie (long header)
-  kUdpShim,             // magic-prefixed payload header
-  kTlsExtension,        // network-cookie extension in the ClientHello
-  kHttpHeader,          // base64 X-Network-Cookie header
+  kHttpHeader = 0,          // base64 X-Network-Cookie request header
+  kTlsExtension = 1,        // network-cookie extension in the ClientHello
+  kIpv6Extension = 2,       // hop-by-hop option (Packet::l3_cookie)
+  kUdpHeader = 3,           // magic-prefixed UDP payload shim
+  kTcpOption = 4,           // TCP long option (Packet::l4_cookie, EDO)
+  kQuicTransportParam = 5,  // long-header handshake (quic->tp_cookie)
 };
 
 /// The raw (binary, already de-base64'd for HTTP) cookie-stack bytes
@@ -48,7 +48,7 @@ enum class CookieCarrier : uint8_t {
 /// base64-decodes the header) — either way it is only valid while the
 /// packet is.
 struct RawCookie {
-  CookieCarrier carrier = CookieCarrier::kIpv6Option;
+  CookieCarrier carrier = CookieCarrier::kHttpHeader;
   util::BytesView view;
   util::Bytes storage;  // backs `view` for kTlsExtension/kHttpHeader
 
@@ -149,24 +149,23 @@ struct Packet {
     return FlowKey::from_tuple(tuple);
   }
 
-  /// The ONE place that knows where cookies hide in a packet. Checks
-  /// every carrier, cheapest first, and returns the raw encoded
-  /// cookie-stack bytes. Carrier precedence (normative; the test
-  /// matrix in tests/test_transport.cpp pins it):
-  ///   1. kIpv6Option          — direct field (l3_cookie)
+  /// The ONE reader of cookie carriers: checks every carrier, cheapest
+  /// first, and returns the raw encoded cookie-stack bytes of the
+  /// first one present. Search order (normative; the test
+  /// TransportTest.CookieBytesPrecedenceOrder pins it):
+  ///   1. kIpv6Extension       — direct field (l3_cookie)
   ///   2. kTcpOption           — direct field (l4_cookie, EDO)
   ///   3. kQuicTransportParam  — direct field (quic->tp_cookie,
   ///                             long-header handshake only)
-  ///   4. kUdpShim             — fixed-offset magic-prefixed payload
+  ///   4. kUdpHeader           — fixed-offset magic-prefixed payload
   ///   5. kTlsExtension        — TLS ClientHello parse
   ///   6. kHttpHeader          — HTTP parse + base64 decode
   /// Direct fields before fixed-offset scans before payload parses; a
   /// QUIC packet's payload is opaque ciphertext, so carriers 4-6 are
   /// never consulted for it in practice. Middlebox search, the
-  /// hardware pre-filter, the RX demux cookie-id peek, and
-  /// cookies::extract all route through this accessor; before it
-  /// existed each re-implemented the precedence order (and sharding
-  /// approximated it, wrongly treating any payload as cookie-bearing).
+  /// hardware pre-filter, the RX demux cookie-id peek and
+  /// cookies::extract all route through this accessor; its only
+  /// counterpart is the writer, cookies::attach.
   std::optional<RawCookie> cookie_bytes() const;
 
   std::string summary() const;

@@ -302,9 +302,18 @@ util::Bytes serialize(const Packet& p) {
 
 namespace {
 
-Expected<void> parse_l4(Packet& p, ByteReader& r) {
+/// True when `segment` (a TCP segment or UDP datagram, header
+/// included) sums to zero with its pseudo-header: the check that
+/// build_l4's checksum passes.
+bool l4_checksum_ok(const Packet& p, BytesView segment) {
+  return fold(sum16(segment) + pseudo_sum(p, segment.size())) == 0;
+}
+
+/// Parse the TCP segment or UDP datagram that fills `segment` (the IP
+/// payload past any extension header) and check its checksum.
+Expected<void> parse_l4(Packet& p, BytesView segment) {
+  ByteReader r(segment);
   if (p.is_tcp()) {
-    const size_t l4_start = r.position();
     auto src_port = r.u16();
     auto dst_port = r.u16();
     auto seq = r.u32();
@@ -317,6 +326,9 @@ Expected<void> parse_l4(Packet& p, ByteReader& r) {
     if (!src_port || !dst_port || !seq || !ack_seq || !offset_byte ||
         !flags || !csum) {
       return wire_error(ErrorCode::kTruncated, "tcp header");
+    }
+    if (!l4_checksum_ok(p, segment)) {
+      return wire_error(ErrorCode::kBadChecksum, "tcp");
     }
     const size_t base_header_len =
         static_cast<size_t>(*offset_byte >> 4) * 4;
@@ -376,7 +388,6 @@ Expected<void> parse_l4(Packet& p, ByteReader& r) {
     // is reused instead of reallocated.
     const auto payload = r.view(r.remaining());
     p.payload.assign(payload->begin(), payload->end());
-    (void)l4_start;
     return {};
   }
   auto src_port = r.u16();
@@ -389,6 +400,11 @@ Expected<void> parse_l4(Packet& p, ByteReader& r) {
   if (*len < 8) return wire_error(ErrorCode::kMalformed, "udp length");
   if (static_cast<size_t>(*len - 8) > r.remaining()) {
     return wire_error(ErrorCode::kTruncated, "udp payload");
+  }
+  // A zero field is an IPv4 datagram sent without a checksum.
+  const bool unchecked = *csum == 0 && !p.ipv6;
+  if (!unchecked && !l4_checksum_ok(p, segment.subspan(0, *len))) {
+    return wire_error(ErrorCode::kBadChecksum, "udp");
   }
   p.tuple.src_port = *src_port;
   p.tuple.dst_port = *dst_port;
@@ -458,9 +474,8 @@ Expected<void> parse_packet_into(util::BytesView wire, Packet& out) {
     } else {
       return wire_error(ErrorCode::kUnknownProtocol);
     }
-    // Restrict the reader to the IP total length (drop link padding).
-    ByteReader body(wire.subspan(ihl, *total_len - ihl));
-    auto parsed = parse_l4(p, body);
+    // Restrict the segment to the IP total length (drop link padding).
+    auto parsed = parse_l4(p, wire.subspan(ihl, *total_len - ihl));
     if (parsed) p.wire_size = static_cast<uint32_t>(wire.size());
     return parsed;
   }
@@ -524,7 +539,14 @@ Expected<void> parse_packet_into(util::BytesView wire, Packet& out) {
   } else {
     return wire_error(ErrorCode::kUnknownProtocol);
   }
-  auto parsed = parse_l4(p, r);
+  // The segment ends with the IPv6 payload (bytes past it are link
+  // padding); a hop-by-hop header that overruns the payload is bogus.
+  const size_t payload_end = 40 + *payload_len;
+  if (r.position() > payload_end) {
+    return wire_error(ErrorCode::kMalformed, "ipv6 payload length");
+  }
+  auto parsed =
+      parse_l4(p, wire.subspan(r.position(), payload_end - r.position()));
   if (parsed) p.wire_size = static_cast<uint32_t>(wire.size());
   return parsed;
 }

@@ -31,8 +31,10 @@ namespace nnn::net {
 /// transport matrix in cookies/transport.h enforces this).
 util::Bytes serialize(const Packet& p);
 
-/// Parse wire bytes back into a Packet. Validates lengths and
-/// checksums. The result's wire_size is set to the input size. On
+/// Parse wire bytes back into a Packet. Validates lengths, the IPv4
+/// header checksum and the TCP/UDP checksum over the pseudo-header (a
+/// UDP/IPv4 datagram whose checksum field is 0 carries none). The
+/// result's wire_size is set to the input size. On
 /// failure the Error says which check rejected the bytes (kTruncated,
 /// kBadChecksum, kUnknownProtocol, kMalformed) and the failure is
 /// tallied into nnn_errors_total{domain="wire",...}.

@@ -18,7 +18,8 @@
 // socket may sit silent before proving it speaks the protocol — the
 // classic slowloris defence; the idle deadline reclaims established
 // connections whose peer went away without FIN (including the injected
-// half-open fault). Both ride one lazy wheel timer (see timer_wheel.h).
+// half-open fault). Both ride one lazy event-loop timer (see
+// EventLoop::TimerHandler).
 //
 // Backpressure is a close, not a stall: a peer that outruns
 // write_queue_cap (slow reader) or read_buffer_cap (frame larger than
@@ -156,8 +157,8 @@ class Connection {
   util::Timestamp handshake_deadline_;
   bool peer_eof_ = false;
   bool in_protocol_ = false;  // re-entrancy guard for close-from-on_data
-  /// Outlives `this` in the wheel's timer lambda: the connection is
-  /// destroyed on close but its (lazy) timer entry may fire later.
+  /// Outlives `this` in the loop's timer lambda: the connection is
+  /// destroyed on close but its (lazy) timer may fire later.
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 

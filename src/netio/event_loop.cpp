@@ -27,13 +27,20 @@ uint32_t from_epoll(uint32_t events) {
   return out;
 }
 
+/// Heap order: the earliest deadline at the front.
+struct LaterDeadline {
+  template <typename Timer>
+  bool operator()(const Timer& a, const Timer& b) const {
+    return a.deadline > b.deadline;
+  }
+};
+
 }  // namespace
 
-EventLoop::EventLoop(const util::Clock& clock, TimerWheel::Config timers)
+EventLoop::EventLoop(const util::Clock& clock)
     : clock_(clock),
       epoll_(::epoll_create1(EPOLL_CLOEXEC)),
-      wakeup_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)),
-      wheel_(timers) {
+      wakeup_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {
   epoll_event ev{};
   ev.events = EPOLLIN | EPOLLET;
   ev.data.fd = wakeup_.get();
@@ -63,17 +70,39 @@ void EventLoop::del_fd(int fd) {
   handlers_.erase(fd);
 }
 
-uint64_t EventLoop::add_timer(util::Timestamp deadline,
-                              TimerHandler handler) {
-  const uint64_t id = next_timer_id_++;
-  timers_[id] = std::move(handler);
-  wheel_.insert(id, deadline);
-  return id;
+void EventLoop::add_timer(util::Timestamp deadline, TimerHandler handler) {
+  timers_.push_back(Timer{deadline, std::move(handler)});
+  std::push_heap(timers_.begin(), timers_.end(), LaterDeadline{});
+}
+
+void EventLoop::fire_timers() {
+  const util::Timestamp now = clock_.now();
+  // Take every due timer off the heap before running any: a timer that
+  // a handler adds (or re-arms) goes onto the heap, so it waits for a
+  // later poll instead of running inside this one.
+  while (!timers_.empty() && timers_.front().deadline <= now) {
+    std::pop_heap(timers_.begin(), timers_.end(), LaterDeadline{});
+    due_.push_back(std::move(timers_.back()));
+    timers_.pop_back();
+  }
+  for (Timer& timer : due_) {
+    const util::Timestamp next = timer.handler(now);
+    if (next > now) add_timer(next, std::move(timer.handler));
+  }
+  due_.clear();
 }
 
 int EventLoop::poll(util::Timestamp max_wait) {
   util::Timestamp wait = max_wait;
-  if (wheel_.size() > 0) wait = std::min(wait, wheel_.tick());
+  if (!timers_.empty()) {
+    // Wake by the earliest deadline, rounded up to epoll's whole
+    // milliseconds so the wait does not end just short of it.
+    const util::Timestamp until = timers_.front().deadline - clock_.now();
+    const util::Timestamp ms =
+        (until + util::kMillisecond - 1) / util::kMillisecond;
+    wait = std::min(wait,
+                    std::max<util::Timestamp>(0, ms * util::kMillisecond));
+  }
   {
     std::lock_guard<std::mutex> lock(post_mutex_);
     if (!posted_.empty()) wait = 0;
@@ -100,18 +129,7 @@ int EventLoop::poll(util::Timestamp max_wait) {
     const IoHandler handler = it->second;
     handler(from_epoll(events[i].events));
   }
-  const util::Timestamp now = clock_.now();
-  wheel_.advance(now, [this](uint64_t id, util::Timestamp at) {
-    const auto it = timers_.find(id);
-    if (it == timers_.end()) return util::Timestamp{0};
-    // Invoke a copy and erase by key: the handler may add_timer (the
-    // reconnect/retry timers do), which can rehash timers_ and
-    // invalidate `it`.
-    const TimerHandler handler = it->second;
-    const util::Timestamp next = handler(at);
-    if (next <= at) timers_.erase(id);
-    return next;
-  });
+  fire_timers();
   run_posted();
   return dispatched;
 }

@@ -10,10 +10,10 @@
 // The contract that buys this is the usual one — every handler must
 // drain its fd to EAGAIN before returning.
 //
-// Timers ride the TimerWheel (idle/handshake timeouts, retry timers);
-// cross-thread work arrives through post(), which enqueues a task and
-// kicks an eventfd so a parked epoll_wait wakes immediately. All other
-// methods are loop-thread-only.
+// Timers (idle/handshake timeouts, retry timers) sit on a lazy
+// min-heap; cross-thread work arrives through post(), which enqueues a
+// task and kicks an eventfd so a parked epoll_wait wakes immediately.
+// All other methods are loop-thread-only.
 #pragma once
 
 #include <atomic>
@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "netio/socket.h"
-#include "netio/timer_wheel.h"
 #include "util/clock.h"
 
 namespace nnn::netio {
@@ -39,14 +38,17 @@ class EventLoop {
   static constexpr uint32_t kError = 1u << 2;
 
   using IoHandler = std::function<void(uint32_t events)>;
-  /// Timer callback: return the id's authoritative deadline (see
-  /// TimerWheel::advance).
+  /// Timer callback, run by poll() once the deadline has passed, with
+  /// that poll's `now`. It returns the timer's authoritative deadline:
+  /// a later one re-arms the timer, 0 or one <= now drops it. This is
+  /// the lazy re-arm: an owner that moves its deadline forward (a
+  /// connection's idle timeout, on every request) touches no timer;
+  /// when the stale deadline fires, one heap push re-arms it.
   using TimerHandler = std::function<util::Timestamp(util::Timestamp now)>;
 
   /// `clock` must outlive the loop and be monotonic (SystemClock in
   /// production; tests may drive a ManualClock through poll()).
-  explicit EventLoop(const util::Clock& clock,
-                     TimerWheel::Config timers = {});
+  explicit EventLoop(const util::Clock& clock);
   ~EventLoop();
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
@@ -62,15 +64,17 @@ class EventLoop {
 
   // --- timers (loop thread) ---
 
-  /// File a timer under a fresh id. The handler is invoked from
-  /// poll(); re-arm lazily by returning the new deadline.
-  uint64_t add_timer(util::Timestamp deadline, TimerHandler handler);
+  /// Add a timer. The handler is invoked from poll(); re-arm lazily by
+  /// returning the new deadline. A timer added from inside a timer
+  /// handler runs on a later poll(), even when it is already due.
+  void add_timer(util::Timestamp deadline, TimerHandler handler);
 
   // --- driving ---
 
-  /// One iteration: wait for io (at most `max_wait`, clamped to the
-  /// timer tick while timers are live), dispatch handlers, fire due
-  /// timers, run posted tasks. Returns the number of io events
+  /// One iteration: wait for io (at most `max_wait`, and while timers
+  /// are live no later than the earliest deadline, rounded up to a
+  /// whole millisecond), dispatch handlers, fire the timers due at the
+  /// clock's `now`, run posted tasks. Returns the number of io events
   /// dispatched.
   int poll(util::Timestamp max_wait = 50 * util::kMillisecond);
 
@@ -89,16 +93,23 @@ class EventLoop {
   size_t fd_count() const { return handlers_.size(); }
 
  private:
+  struct Timer {
+    util::Timestamp deadline;
+    TimerHandler handler;
+  };
+
   void drain_wakeup();
   void run_posted();
+  void fire_timers();
 
   const util::Clock& clock_;
   Fd epoll_;
   Fd wakeup_;  // eventfd
-  TimerWheel wheel_;
   std::unordered_map<int, IoHandler> handlers_;
-  std::unordered_map<uint64_t, TimerHandler> timers_;
-  uint64_t next_timer_id_ = 1;
+  /// Min-heap on deadline (std::push_heap/pop_heap).
+  std::vector<Timer> timers_;
+  /// Scratch for one poll's due timers; handlers run out of it.
+  std::vector<Timer> due_;
   std::atomic<bool> stop_{false};
   std::mutex post_mutex_;
   std::vector<std::function<void()>> posted_;

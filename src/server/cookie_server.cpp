@@ -34,10 +34,6 @@ void CookieServer::add_service(ServiceOffer offer) {
   services_[offer.name] = std::move(offer);
 }
 
-bool CookieServer::remove_service(const std::string& name) {
-  return services_.erase(name) > 0;
-}
-
 const ServiceOffer* CookieServer::find_service(const std::string& name) const {
   const auto it = services_.find(name);
   return it == services_.end() ? nullptr : &it->second;

@@ -127,7 +127,6 @@ class CookieServer {
 
   // --- service catalog ---
   void add_service(ServiceOffer offer);
-  bool remove_service(const std::string& name);
   const ServiceOffer* find_service(const std::string& name) const;
   std::vector<ServiceOffer> advertised_services() const;
 

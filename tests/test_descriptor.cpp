@@ -1,6 +1,9 @@
 // Cookie descriptors: attributes, expiry, JSON (control-plane) forms.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+#include <utility>
+
 #include "cookies/delegation.h"
 #include "cookies/descriptor.h"
 
@@ -90,11 +93,18 @@ TEST(Descriptor, FromJsonRejectsMissingId) {
   EXPECT_FALSE(CookieDescriptor::from_json(*v).has_value());
 }
 
+// One carrier enum: the cookie layer's name for the packet model's.
+static_assert(std::is_same_v<Transport, net::CookieCarrier>);
+
 TEST(Descriptor, TransportNamesRoundTrip) {
-  for (const Transport t :
-       {Transport::kHttpHeader, Transport::kTlsExtension,
-        Transport::kIpv6Extension, Transport::kUdpHeader,
-        Transport::kTcpOption}) {
+  // Each carrier's value is the byte the descriptor sync codec writes,
+  // so the values are pinned here as well as the names.
+  const std::pair<Transport, int> carriers[] = {
+      {Transport::kHttpHeader, 0},    {Transport::kTlsExtension, 1},
+      {Transport::kIpv6Extension, 2}, {Transport::kUdpHeader, 3},
+      {Transport::kTcpOption, 4},     {Transport::kQuicTransportParam, 5}};
+  for (const auto& [t, value] : carriers) {
+    EXPECT_EQ(static_cast<int>(t), value) << to_string(t);
     EXPECT_EQ(transport_from_string(to_string(t)), t);
   }
   EXPECT_FALSE(transport_from_string("carrier-pigeon").has_value());

@@ -546,8 +546,7 @@ TEST_F(HwFilterTest, HttpCarrierRespectsTextParsingConfig) {
 
   dataplane::HardwareFilter conservative(
       clock_, cookies::kNetworkCoherencyTime,
-      {.check_id = true, .check_timestamp = true,
-       .parse_text_carriers = false});
+      {.parse_text_carriers = false});
   conservative.learn_id(descriptor_.cookie_id);
   // Without text parsing the hardware can't see this cookie: the
   // packet takes the fast path and software sniffing must catch it.

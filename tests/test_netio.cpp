@@ -1,5 +1,5 @@
-// netio subsystem tests: timer wheel semantics, event-loop plumbing,
-// and real loopback TCP — sync convergence over sockets, HTTP
+// netio subsystem tests: event-loop timers and plumbing, and real
+// loopback TCP — sync convergence over sockets, HTTP
 // keep-alive across split reads, poisoned-stream closes, accept-rate
 // shedding, idle/handshake timeouts, and injected socket faults.
 //
@@ -15,6 +15,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,7 +32,6 @@
 #include "netio/http_endpoint.h"
 #include "netio/sync_endpoint.h"
 #include "netio/sync_transport.h"
-#include "netio/timer_wheel.h"
 #include "netio/transport.h"
 #include "server/cookie_server.h"
 #include "server/json_api.h"
@@ -44,95 +44,6 @@ namespace {
 using util::kMillisecond;
 using util::kSecond;
 using util::Timestamp;
-
-// --- Timer wheel ----------------------------------------------------
-
-TEST(TimerWheel, FiresAtDeadlineAndDropsExpired) {
-  netio::TimerWheel wheel;
-  std::vector<uint64_t> fired;
-  wheel.insert(1, 25 * kMillisecond);
-  wheel.insert(2, 500 * kMillisecond);
-  wheel.advance(30 * kMillisecond, [&](uint64_t id, Timestamp) {
-    fired.push_back(id);
-    return Timestamp{0};
-  });
-  EXPECT_EQ(fired, std::vector<uint64_t>{1});
-  EXPECT_EQ(wheel.size(), 1u);
-  wheel.advance(600 * kMillisecond, [&](uint64_t id, Timestamp) {
-    fired.push_back(id);
-    return Timestamp{0};
-  });
-  EXPECT_EQ(fired, (std::vector<uint64_t>{1, 2}));
-  EXPECT_EQ(wheel.size(), 0u);
-}
-
-TEST(TimerWheel, LazyRearmFiresAtAuthoritativeDeadline) {
-  netio::TimerWheel wheel;
-  wheel.insert(7, 20 * kMillisecond);
-  int fires = 0;
-  // The owner keeps moving the deadline: the callback reports the
-  // authoritative one and the wheel re-files without complaint.
-  Timestamp authoritative = 80 * kMillisecond;
-  const auto cb = [&](uint64_t, Timestamp now) {
-    if (now >= authoritative) {
-      ++fires;
-      return Timestamp{0};
-    }
-    return authoritative;
-  };
-  wheel.advance(25 * kMillisecond, cb);
-  EXPECT_EQ(fires, 0);
-  EXPECT_EQ(wheel.size(), 1u);
-  wheel.advance(50 * kMillisecond, cb);
-  EXPECT_EQ(fires, 0);
-  wheel.advance(90 * kMillisecond, cb);
-  EXPECT_EQ(fires, 1);
-  EXPECT_EQ(wheel.size(), 0u);
-}
-
-TEST(TimerWheel, EntryDueLaterInWalkedTickFiresNextTick) {
-  netio::TimerWheel::Config config;
-  config.tick = 10 * kMillisecond;
-  config.slots = 8;  // 80 ms per revolution
-  netio::TimerWheel wheel(config);
-  wheel.insert(1, 18 * kMillisecond);
-  int fires = 0;
-  const auto cb = [&](uint64_t, Timestamp now) {
-    if (now >= 18 * kMillisecond) {
-      ++fires;
-      return Timestamp{0};
-    }
-    return Timestamp{18 * kMillisecond};
-  };
-  // The walk covers the entry's slot before the entry is due: it must
-  // be re-filed ahead of the cursor, not stranded in the walked slot
-  // until the wheel comes around again (~80 ms later).
-  wheel.advance(12 * kMillisecond, cb);
-  EXPECT_EQ(fires, 0);
-  EXPECT_EQ(wheel.size(), 1u);
-  wheel.advance(22 * kMillisecond, cb);
-  EXPECT_EQ(fires, 1);
-  EXPECT_EQ(wheel.size(), 0u);
-}
-
-TEST(TimerWheel, DeadlineBeyondOneRevolutionStillFires) {
-  netio::TimerWheel::Config config;
-  config.tick = 10 * kMillisecond;
-  config.slots = 8;  // tiny wheel: 80 ms per revolution
-  netio::TimerWheel wheel(config);
-  wheel.insert(1, 1 * kSecond);
-  int fires = 0;
-  for (Timestamp t = 0; t <= 1100 * kMillisecond; t += 40 * kMillisecond) {
-    wheel.advance(t, [&](uint64_t, Timestamp now) {
-      if (now >= 1 * kSecond) {
-        ++fires;
-        return Timestamp{0};
-      }
-      return Timestamp{1 * kSecond};
-    });
-  }
-  EXPECT_EQ(fires, 1);
-}
 
 // --- Event loop -----------------------------------------------------
 
@@ -171,8 +82,9 @@ TEST(EventLoop, TimersFire) {
 }
 
 // Regression: a timer handler that calls add_timer mid-dispatch (the
-// reconnect/retry shape) inserts into the loop's timer map, which may
-// rehash — dispatch must not hold an iterator across the call.
+// reconnect/retry shape) grows the loop's timer heap, which may
+// reallocate — dispatch must not hold a reference into it across the
+// call.
 TEST(EventLoop, TimerHandlerMayAddTimersDuringDispatch) {
   util::ManualClock clock;
   netio::EventLoop loop(clock);
@@ -180,8 +92,8 @@ TEST(EventLoop, TimerHandlerMayAddTimersDuringDispatch) {
   std::atomic<int> children{0};
   loop.add_timer(clock.now() + 10 * kMillisecond, [&](Timestamp now) {
     ++fired;
-    // Burst of insertions to force a rehash while this handler's map
-    // entry is the one being dispatched.
+    // Burst of insertions to force a reallocation while this handler
+    // is the one being dispatched.
     for (int i = 0; i < 64; ++i) {
       loop.add_timer(now + 10 * kMillisecond, [&](Timestamp) {
         ++children;
@@ -196,6 +108,151 @@ TEST(EventLoop, TimerHandlerMayAddTimersDuringDispatch) {
   clock.advance(15 * kMillisecond);
   loop.poll(0);
   EXPECT_EQ(children.load(), 64);
+}
+
+// --- Event-loop timers ----------------------------------------------
+//
+// Driven by a ManualClock and poll(0): each poll fires exactly the
+// timers due at the clock's now, and no poll waits on epoll.
+
+TEST(EventLoop, TimerFiresAtDeadlineAndIsDropped) {
+  util::ManualClock clock;
+  netio::EventLoop loop(clock);
+  std::vector<int> fired;
+  loop.add_timer(25 * kMillisecond, [&](Timestamp) {
+    fired.push_back(1);
+    return Timestamp{0};
+  });
+  loop.add_timer(500 * kMillisecond, [&](Timestamp) {
+    fired.push_back(2);
+    return Timestamp{0};
+  });
+  clock.set(30 * kMillisecond);
+  loop.poll(0);
+  EXPECT_EQ(fired, std::vector<int>{1});
+  clock.set(600 * kMillisecond);
+  loop.poll(0);
+  EXPECT_EQ(fired, (std::vector<int>{1, 2}));
+  // Both were dropped: a poll far past every deadline fires nothing.
+  clock.set(60 * kSecond);
+  loop.poll(0);
+  EXPECT_EQ(fired, (std::vector<int>{1, 2}));
+}
+
+TEST(EventLoop, LazyRearmFiresAtAuthoritativeDeadline) {
+  util::ManualClock clock;
+  netio::EventLoop loop(clock);
+  int calls = 0;
+  int fires = 0;
+  // The owner keeps moving the deadline: the handler reports the
+  // authoritative one and the loop re-arms the timer there.
+  Timestamp authoritative = 80 * kMillisecond;
+  loop.add_timer(20 * kMillisecond, [&](Timestamp now) {
+    ++calls;
+    if (now >= authoritative) {
+      ++fires;
+      return Timestamp{0};
+    }
+    return authoritative;
+  });
+  clock.set(25 * kMillisecond);
+  loop.poll(0);
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(fires, 0);
+  clock.set(50 * kMillisecond);
+  loop.poll(0);
+  EXPECT_EQ(calls, 1);  // re-armed at 80 ms, not due yet
+  EXPECT_EQ(fires, 0);
+  clock.set(90 * kMillisecond);
+  loop.poll(0);
+  EXPECT_EQ(fires, 1);
+  clock.set(60 * kSecond);
+  loop.poll(0);
+  EXPECT_EQ(calls, 2);  // dropped after it fired
+  EXPECT_EQ(fires, 1);
+}
+
+TEST(EventLoop, DeadlineJustPastAPollFiresAtTheNextPoll) {
+  util::ManualClock clock;
+  netio::EventLoop loop(clock);
+  int fires = 0;
+  loop.add_timer(18 * kMillisecond, [&](Timestamp now) {
+    if (now >= 18 * kMillisecond) {
+      ++fires;
+      return Timestamp{0};
+    }
+    return Timestamp{18 * kMillisecond};
+  });
+  // Polls just short of the deadline leave the timer armed, and the
+  // first poll at or after it fires it: nothing strands the timer
+  // until some later revolution.
+  clock.set(12 * kMillisecond);
+  loop.poll(0);
+  EXPECT_EQ(fires, 0);
+  clock.set(18 * kMillisecond - 1);
+  loop.poll(0);
+  EXPECT_EQ(fires, 0);
+  clock.set(18 * kMillisecond);
+  loop.poll(0);
+  EXPECT_EQ(fires, 1);
+  clock.set(60 * kSecond);
+  loop.poll(0);
+  EXPECT_EQ(fires, 1);
+}
+
+TEST(EventLoop, DeadlineSecondsAwayFiresExactlyOnce) {
+  util::ManualClock clock;
+  netio::EventLoop loop(clock);
+  int fires = 0;
+  loop.add_timer(1 * kSecond, [&](Timestamp now) {
+    if (now >= 1 * kSecond) {
+      ++fires;
+      return Timestamp{0};
+    }
+    return Timestamp{1 * kSecond};
+  });
+  for (Timestamp t = 0; t <= 1100 * kMillisecond; t += 40 * kMillisecond) {
+    clock.set(t);
+    loop.poll(0);
+    EXPECT_EQ(fires, t >= 1 * kSecond ? 1 : 0) << "t=" << t;
+  }
+}
+
+// A timer added from inside a timer handler runs on a later poll, even
+// when it is already due. Otherwise a handler that keeps adding a due
+// retry would hold poll() in its timer pass and starve the loop's io.
+TEST(EventLoop, DueTimerAddedDuringDispatchRunsOnALaterPoll) {
+  util::ManualClock clock(100 * kMillisecond);
+  netio::EventLoop loop(clock);
+  int parents = 0;
+  int children = 0;
+  loop.add_timer(clock.now(), [&](Timestamp now) {
+    ++parents;
+    loop.add_timer(now, [&](Timestamp) {
+      ++children;
+      return Timestamp{0};
+    });
+    return Timestamp{0};
+  });
+  loop.poll(0);
+  EXPECT_EQ(parents, 1);
+  EXPECT_EQ(children, 0);
+  loop.poll(0);
+  EXPECT_EQ(children, 1);
+
+  // A retry that re-adds itself due at `now` runs once per poll (the
+  // cap only bounds a loop that would not return).
+  clock.advance(50 * kMillisecond);
+  int retries = 0;
+  std::function<Timestamp(Timestamp)> retry = [&](Timestamp now) {
+    if (++retries < 1000) loop.add_timer(now, retry);
+    return Timestamp{0};
+  };
+  loop.add_timer(clock.now(), retry);
+  loop.poll(0);
+  EXPECT_EQ(retries, 1);
+  loop.poll(0);
+  EXPECT_EQ(retries, 2);
 }
 
 // --- Loopback helpers -----------------------------------------------

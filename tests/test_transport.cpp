@@ -1,14 +1,26 @@
-// Cookie transports: attach/extract across all four carriers.
+// Cookie transports: attach/extract across all six carriers, and the
+// one carrier reader (net::Packet::cookie_bytes) under mutation.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
+#include <tuple>
 
 #include "cookies/generator.h"
 #include "cookies/transport.h"
+#include "cookies/verifier.h"
 #include "net/http.h"
 #include "net/tls.h"
 #include "util/clock.h"
+#include "util/rng.h"
 
 namespace nnn::cookies {
 namespace {
+
+constexpr Transport kCarriers[] = {
+    Transport::kHttpHeader, Transport::kTlsExtension,
+    Transport::kIpv6Extension, Transport::kUdpHeader,
+    Transport::kTcpOption, Transport::kQuicTransportParam};
 
 CookieDescriptor make_descriptor() {
   CookieDescriptor d;
@@ -79,6 +91,25 @@ class TransportTest : public ::testing::Test {
     return p;
   }
 
+  /// A packet `transport` applies to.
+  net::Packet packet_for(Transport transport) {
+    switch (transport) {
+      case Transport::kHttpHeader:
+        return http_packet();
+      case Transport::kTlsExtension:
+        return tls_packet();
+      case Transport::kIpv6Extension:
+        return ipv6_packet();
+      case Transport::kUdpHeader:
+        return udp_packet();
+      case Transport::kTcpOption:
+        return tcp_packet();
+      case Transport::kQuicTransportParam:
+        return quic_packet();
+    }
+    return {};
+  }
+
   util::ManualClock clock_;
   CookieGenerator generator_;
 };
@@ -132,9 +163,15 @@ TEST_F(TransportTest, UdpShimCarriesCookieAndPreservesPayload) {
   ASSERT_TRUE(extracted.has_value());
   EXPECT_EQ(extracted->transport, Transport::kUdpHeader);
   EXPECT_EQ(extracted->stack.front(), c);
-  // Stripping restores the original payload exactly.
-  EXPECT_TRUE(strip(p));
-  EXPECT_EQ(p.payload, (util::Bytes{1, 2, 3}));
+  // The shim is a prefix and the original payload follows it intact:
+  // magic | length u16 | stack | {1, 2, 3}.
+  const util::Bytes stack = encode_stack({c});
+  util::Bytes expected(net::kCookieShimMagic, net::kCookieShimMagic + 4);
+  expected.push_back(static_cast<uint8_t>(stack.size() >> 8));
+  expected.push_back(static_cast<uint8_t>(stack.size()));
+  util::append(expected, util::BytesView(stack));
+  util::append(expected, util::BytesView(util::Bytes{1, 2, 3}));
+  EXPECT_EQ(p.payload, expected);
 }
 
 TEST_F(TransportTest, TcpOptionCarriesCookie) {
@@ -147,8 +184,6 @@ TEST_F(TransportTest, TcpOptionCarriesCookie) {
   EXPECT_EQ(extracted->stack.front(), c);
   // The payload is untouched: the cookie lives in the header.
   EXPECT_EQ(p.payload, (util::Bytes{0xde, 0xad}));
-  EXPECT_TRUE(strip(p));
-  EXPECT_FALSE(extract(p).has_value());
 }
 
 TEST_F(TransportTest, TcpOptionRefusedOnUdp) {
@@ -167,8 +202,6 @@ TEST_F(TransportTest, QuicTransportParamCarriesCookie) {
   // The ciphertext payload is untouched: the cookie is handshake
   // metadata, not payload.
   EXPECT_EQ(p.payload, (util::Bytes{9, 9, 9}));
-  EXPECT_TRUE(strip(p));
-  EXPECT_FALSE(extract(p).has_value());
 }
 
 TEST_F(TransportTest, QuicTransportParamRefusedPastHandshake) {
@@ -229,42 +262,14 @@ TEST_F(TransportTest, ReattachReplacesExistingCookie) {
 TEST_F(TransportTest, StackOfCookiesRoundTripsOnEveryCarrier) {
   const std::vector<Cookie> stack = {generator_.generate(),
                                      generator_.generate()};
-  struct Case {
-    net::Packet packet;
-    Transport transport;
-  };
-  std::vector<Case> cases;
-  cases.push_back({http_packet(), Transport::kHttpHeader});
-  cases.push_back({tls_packet(), Transport::kTlsExtension});
-  cases.push_back({ipv6_packet(), Transport::kIpv6Extension});
-  cases.push_back({udp_packet(), Transport::kUdpHeader});
-  cases.push_back({tcp_packet(), Transport::kTcpOption});
-  for (auto& [packet, transport] : cases) {
-    ASSERT_TRUE(attach(packet, stack, transport));
-    const auto extracted = extract(packet, transport);
-    ASSERT_TRUE(extracted.has_value());
+  for (const Transport transport : kCarriers) {
+    net::Packet packet = packet_for(transport);
+    ASSERT_TRUE(attach(packet, stack, transport)) << to_string(transport);
+    const auto extracted = extract(packet);
+    ASSERT_TRUE(extracted.has_value()) << to_string(transport);
+    EXPECT_EQ(extracted->transport, transport);
     EXPECT_EQ(extracted->stack, stack);
   }
-}
-
-TEST_F(TransportTest, StripRemovesEveryCarrier) {
-  net::Packet http = http_packet();
-  attach(http, generator_.generate(), Transport::kHttpHeader);
-  EXPECT_TRUE(strip(http));
-  EXPECT_FALSE(extract(http).has_value());
-
-  net::Packet tls = tls_packet();
-  attach(tls, generator_.generate(), Transport::kTlsExtension);
-  EXPECT_TRUE(strip(tls));
-  EXPECT_FALSE(extract(tls).has_value());
-
-  net::Packet v6 = ipv6_packet();
-  attach(v6, generator_.generate(), Transport::kIpv6Extension);
-  EXPECT_TRUE(strip(v6));
-  EXPECT_FALSE(extract(v6).has_value());
-
-  net::Packet plain = udp_packet();
-  EXPECT_FALSE(strip(plain));
 }
 
 // --- Packet::cookie_bytes — the unified carrier accessor (PR 8) -----
@@ -275,29 +280,12 @@ TEST_F(TransportTest, StripRemovesEveryCarrier) {
 TEST_F(TransportTest, CookieBytesFindsEveryCarrier) {
   const Cookie c = generator_.generate();
   const util::Bytes encoded = encode_stack({c});
-  struct Case {
-    net::Packet packet;
-    Transport transport;
-    net::CookieCarrier carrier;
-  };
-  std::vector<Case> cases;
-  cases.push_back(
-      {ipv6_packet(), Transport::kIpv6Extension, net::CookieCarrier::kIpv6Option});
-  cases.push_back(
-      {tcp_packet(), Transport::kTcpOption, net::CookieCarrier::kTcpOption});
-  cases.push_back(
-      {udp_packet(), Transport::kUdpHeader, net::CookieCarrier::kUdpShim});
-  cases.push_back(
-      {tls_packet(), Transport::kTlsExtension, net::CookieCarrier::kTlsExtension});
-  cases.push_back(
-      {http_packet(), Transport::kHttpHeader, net::CookieCarrier::kHttpHeader});
-  cases.push_back({quic_packet(), Transport::kQuicTransportParam,
-                   net::CookieCarrier::kQuicTransportParam});
-  for (auto& [packet, transport, carrier] : cases) {
-    ASSERT_TRUE(attach(packet, c, transport));
+  for (const net::CookieCarrier carrier : kCarriers) {
+    net::Packet packet = packet_for(carrier);
+    ASSERT_TRUE(attach(packet, c, carrier));
     const auto raw = packet.cookie_bytes();
     ASSERT_TRUE(raw.has_value())
-        << "carrier " << static_cast<int>(carrier) << " not found";
+        << "carrier " << to_string(carrier) << " not found";
     EXPECT_EQ(raw->carrier, carrier);
     EXPECT_TRUE(util::equal(raw->bytes(), util::BytesView(encoded)))
         << "carrier bytes differ from encode_stack";
@@ -313,11 +301,11 @@ TEST_F(TransportTest, CookieBytesFindsEveryCarrier) {
 TEST_F(TransportTest, CookieBytesPrecedenceOrder) {
   const Cookie c = generator_.generate();
 
-  // l3 beats l4: an IPv6+TCP packet with both answers kIpv6Option.
+  // l3 beats l4: an IPv6+TCP packet with both answers kIpv6Extension.
   net::Packet v6 = ipv6_packet();
   ASSERT_TRUE(attach(v6, c, Transport::kIpv6Extension));
   ASSERT_TRUE(attach(v6, c, Transport::kTcpOption));
-  ASSERT_EQ(v6.cookie_bytes()->carrier, net::CookieCarrier::kIpv6Option);
+  ASSERT_EQ(v6.cookie_bytes()->carrier, net::CookieCarrier::kIpv6Extension);
   v6.l3_cookie.reset();
   ASSERT_EQ(v6.cookie_bytes()->carrier, net::CookieCarrier::kTcpOption);
 
@@ -339,7 +327,7 @@ TEST_F(TransportTest, CookieBytesPrecedenceOrder) {
   ASSERT_EQ(quic.cookie_bytes()->carrier,
             net::CookieCarrier::kQuicTransportParam);
   quic.quic->tp_cookie.clear();
-  ASSERT_EQ(quic.cookie_bytes()->carrier, net::CookieCarrier::kUdpShim);
+  ASSERT_EQ(quic.cookie_bytes()->carrier, net::CookieCarrier::kUdpHeader);
 }
 
 /// The text carriers must copy out (TLS extension body, base64-decoded
@@ -371,6 +359,81 @@ TEST_F(TransportTest, MalformedCookieBlobIgnored) {
   p.payload.assign(text.begin(), text.end());
   EXPECT_FALSE(extract(p).has_value());
 }
+
+// --- Mutating the carrier bytes -------------------------------------
+
+using CarrierCase = std::tuple<Transport, uint64_t>;  // carrier, seed
+
+class CarrierMutation : public TransportTest,
+                        public ::testing::WithParamInterface<CarrierCase> {
+ protected:
+  /// The bytes `transport` owns on `p`: the payload for the carriers
+  /// that ride in it (HTTP, TLS, UDP shim), else the header field that
+  /// holds the stack.
+  static util::Bytes& carrier_bytes(net::Packet& p, Transport transport) {
+    switch (transport) {
+      case Transport::kIpv6Extension:
+        return *p.l3_cookie;
+      case Transport::kTcpOption:
+        return *p.l4_cookie;
+      case Transport::kQuicTransportParam:
+        return p.quic->tp_cookie;
+      default:
+        return p.payload;
+    }
+  }
+};
+
+/// Property: flip 1-4 bytes of a carrier's own bytes, or truncate them,
+/// and the one reader plus the stack decoder either find nothing or
+/// yield cookies that are the originals or fail verification. Nothing
+/// may crash (the suite runs under ASan in CI).
+TEST_P(CarrierMutation, MutatedCarrierNeverYieldsAForgedCookie) {
+  const auto [transport, seed] = GetParam();
+  CookieVerifier verifier(clock_);
+  verifier.add_descriptor(make_descriptor());
+  CookieGenerator generator(make_descriptor(), clock_, seed);
+  const std::vector<Cookie> originals = {generator.generate(),
+                                         generator.generate()};
+  net::Packet base = packet_for(transport);
+  ASSERT_TRUE(attach(base, originals, transport));
+
+  util::Rng rng(seed * 7919 + static_cast<uint64_t>(transport));
+  int decoded = 0;
+  for (int trial = 0; trial < 1000; ++trial) {
+    net::Packet p = base;
+    util::Bytes& bytes = carrier_bytes(p, transport);
+    if (rng.chance(0.25)) {
+      bytes.resize(rng.next_u64(bytes.size()));
+    } else {
+      const int flips = 1 + static_cast<int>(rng.next_u64(4));
+      for (int f = 0; f < flips; ++f) {
+        bytes[rng.next_u64(bytes.size())] ^=
+            static_cast<uint8_t>(1 + rng.next_u64(255));
+      }
+    }
+    const auto extracted = extract(p);
+    if (!extracted) continue;
+    ++decoded;
+    for (const Cookie& cookie : extracted->stack) {
+      if (cookie == originals[0] || cookie == originals[1]) continue;
+      EXPECT_FALSE(verifier.verify(cookie).ok())
+          << "forged cookie accepted at trial " << trial;
+    }
+  }
+  // The mutations must reach the decoder, not just the carrier search.
+  EXPECT_GT(decoded, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Carriers, CarrierMutation,
+    ::testing::Combine(::testing::ValuesIn(kCarriers),
+                       ::testing::Values(uint64_t{1}, uint64_t{2})),
+    [](const ::testing::TestParamInfo<CarrierCase>& info) {
+      std::string name = to_string(std::get<0>(info.param));
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name + "_seed" + std::to_string(std::get<1>(info.param));
+    });
 
 }  // namespace
 }  // namespace nnn::cookies

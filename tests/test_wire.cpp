@@ -121,6 +121,31 @@ TEST(Wire, V4ChecksumCorruptionDetected) {
   EXPECT_FALSE(parse_packet(util::BytesView(wire)).has_value());
 }
 
+/// The TCP and UDP checksums cover the segment over the pseudo-header:
+/// a flipped payload byte is caught on both IP versions, while a
+/// UDP/IPv4 datagram sent without a checksum (field 0) still parses.
+TEST(Wire, TcpUdpChecksumCorruptionDetected) {
+  for (const bool ipv6 : {false, true}) {
+    for (const auto proto : {L4Proto::kTcp, L4Proto::kUdp}) {
+      auto wire = serialize(base_packet(proto, ipv6));
+      wire.back() ^= 0x01;  // last payload byte
+      const auto parsed = parse_packet(util::BytesView(wire));
+      ASSERT_FALSE(parsed.has_value())
+          << "ipv6=" << ipv6 << " proto=" << static_cast<int>(proto);
+      EXPECT_EQ(parsed.error().code, ErrorCode::kBadChecksum)
+          << "ipv6=" << ipv6 << " proto=" << static_cast<int>(proto);
+    }
+  }
+  const Packet udp = base_packet(L4Proto::kUdp, false);
+  auto unchecked = serialize(udp);
+  unchecked[20 + 6] = 0;  // UDP checksum field: none sent
+  unchecked[20 + 7] = 0;
+  unchecked.back() ^= 0x01;
+  const auto parsed = parse_packet(util::BytesView(unchecked));
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->payload.size(), udp.payload.size());
+}
+
 TEST(Wire, TruncationRejected) {
   const Packet p = base_packet(L4Proto::kTcp, false);
   const auto wire = serialize(p);

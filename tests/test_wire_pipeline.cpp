@@ -17,6 +17,69 @@ namespace {
 
 using util::kSecond;
 
+uint16_t be16(const util::Bytes& b, size_t at) {
+  return static_cast<uint16_t>(b[at] << 8 | b[at + 1]);
+}
+
+/// Rewrite the TCP/UDP checksum of a wire image to match its (possibly
+/// mutated) bytes; an image whose headers no longer locate a segment is
+/// left as it is. Checksums are not integrity: whoever can flip bits
+/// on path can fix them too. So the mutation properties below re-seal
+/// each image, and a mutation reaches the parser's later checks and
+/// the cookie decoder instead of dying at the checksum.
+void reseal_l4_checksum(util::Bytes& wire) {
+  constexpr auto kTcp = static_cast<uint8_t>(net::L4Proto::kTcp);
+  constexpr auto kUdp = static_cast<uint8_t>(net::L4Proto::kUdp);
+  if (wire.empty()) return;
+  size_t start = 0;
+  size_t end = 0;
+  size_t addr_at = 0;
+  size_t addr_len = 0;
+  uint8_t proto = 0;
+  if (wire[0] >> 4 == 4 && wire.size() >= 20) {
+    start = static_cast<size_t>(wire[0] & 0x0f) * 4;
+    end = be16(wire, 2);
+    addr_at = 12;
+    addr_len = 4;
+    proto = wire[9];
+  } else if (wire[0] >> 4 == 6 && wire.size() >= 40) {
+    start = 40;
+    end = 40 + static_cast<size_t>(be16(wire, 4));
+    addr_at = 8;
+    addr_len = 16;
+    proto = wire[6];
+    if (proto == 0 && wire.size() >= 42) {  // hop-by-hop header
+      proto = wire[40];
+      start += (static_cast<size_t>(wire[41]) + 1) * 8;
+    }
+  } else {
+    return;
+  }
+  if (start < 20 || end > wire.size() || start > end) return;
+  size_t csum_at = 0;
+  if (proto == kTcp && end - start >= 20) {
+    csum_at = start + 16;
+  } else if (proto == kUdp && end - start >= 8) {
+    const size_t udp_len = be16(wire, start + 4);
+    if (udp_len < 8 || udp_len > end - start) return;
+    end = start + udp_len;
+    csum_at = start + 6;
+  } else {
+    return;
+  }
+  uint32_t pseudo = proto + static_cast<uint32_t>(end - start);
+  for (size_t i = addr_at; i < addr_at + 2 * addr_len; i += 2) {
+    pseudo += be16(wire, i);
+  }
+  wire[csum_at] = 0;
+  wire[csum_at + 1] = 0;
+  uint16_t csum = net::internet_checksum(
+      util::BytesView(wire).subspan(start, end - start), pseudo);
+  if (csum == 0 && proto == kUdp) csum = 0xffff;
+  wire[csum_at] = static_cast<uint8_t>(csum >> 8);
+  wire[csum_at + 1] = static_cast<uint8_t>(csum);
+}
+
 class WirePipelineTest : public ::testing::Test {
  protected:
   WirePipelineTest() : clock_(1000 * kSecond), verifier_(clock_) {
@@ -143,6 +206,7 @@ TEST_P(WireMutationProperty, TamperedBytesNeverForgeService) {
   const auto wire = net::serialize(p);
 
   util::Rng rng(seed * 7919 + 13);
+  int decoded = 0;  // trials whose image still decoded a cookie stack
   for (int trial = 0; trial < 400; ++trial) {
     util::Bytes mutated = wire;
     const int flips = 1 + static_cast<int>(rng.next_u64(4));
@@ -150,10 +214,12 @@ TEST_P(WireMutationProperty, TamperedBytesNeverForgeService) {
       const size_t pos = rng.next_u64(mutated.size());
       mutated[pos] ^= static_cast<uint8_t>(1 + rng.next_u64(255));
     }
+    reseal_l4_checksum(mutated);
     const auto parsed = net::parse_packet(util::BytesView(mutated));
-    if (!parsed) continue;  // checksum/structure caught it
+    if (!parsed) continue;  // IP checksum/structure caught it
     const auto extracted = cookies::extract(*parsed);
     if (!extracted) continue;  // cookie destroyed
+    ++decoded;
     for (const auto& cookie : extracted->stack) {
       if (cookie == original) continue;  // bits flipped elsewhere
       // A *modified* cookie must never verify.
@@ -161,6 +227,7 @@ TEST_P(WireMutationProperty, TamperedBytesNeverForgeService) {
           << "forged cookie accepted at trial " << trial;
     }
   }
+  EXPECT_GT(decoded, 0) << "no mutated image reached the cookie decoder";
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -210,6 +277,7 @@ TEST(WireFuzz, ParserNeverCrashesOnMutatedCorpus) {
       wire[rng.next_u64(wire.size())] ^=
           static_cast<uint8_t>(rng.next_u64(256));
     }
+    reseal_l4_checksum(wire);
     if (const auto parsed = net::parse_packet(util::BytesView(wire))) {
       (void)cookies::extract(*parsed);
     }
