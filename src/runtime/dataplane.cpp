@@ -12,20 +12,26 @@ namespace nnn::runtime {
 
 namespace {
 
-/// Idle backoff: spin briefly (another burst usually lands within a
-/// few hundred cycles at line rate), then yield, then sleep. The sleep
-/// keeps an idle plane near 0% CPU; the yield tier matters when workers
-/// outnumber cores.
-void idle_backoff(unsigned& idle_rounds) {
-  ++idle_rounds;
-  if (idle_rounds < 64) {
-    // spin
-  } else if (idle_rounds < 256) {
-    std::this_thread::yield();
+/// One wait step for a thread polling for work or for quiescence: spin
+/// briefly (another burst usually lands within a few hundred cycles at
+/// line rate), then yield, which matters when workers outnumber cores.
+void spin_then_yield(unsigned& rounds) {
+  if (rounds < 64) {
+    ++rounds;
   } else {
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
+    std::this_thread::yield();
   }
 }
+
+/// How long an idle worker polls its empty ring before it parks on its
+/// doorbell. Open-loop bursts arrive as a Poisson process, so an idle
+/// gap is exponential with mean burst / rate: ~100 us for 32-packet
+/// bursts at 0.3 Mpps. A 1 ms budget outlasts all but ~1e-4 of such
+/// gaps, so a loaded worker almost never pays a futex wake, and it caps
+/// what an idle period costs in polling at 1 ms of CPU. Wall time on
+/// steady_clock, never the plane's Clock: a paused or manual clock
+/// would never run the budget out.
+constexpr std::chrono::milliseconds kIdlePollBudget{1};
 
 Dataplane::Config normalize(Dataplane::Config config) {
   Dataplane::PoolConfig& pool = config.pool;
@@ -72,6 +78,11 @@ struct Dataplane::Worker {
   /// Incremented by the producer *before* the push so a quiescence
   /// check can never observe a pushed-but-uncounted packet.
   alignas(kCacheLineSize) std::atomic<uint64_t> submitted{0};
+  /// 1 while the worker is parked, or about to park; whoever wakes it
+  /// sets it back to 0. On the `submitted` line: the producer already
+  /// writes that line per packet, and the worker writes it only when it
+  /// parks or wakes.
+  std::atomic<uint32_t> doorbell{0};
   std::thread thread;
   /// Deregisters before `counters` is destroyed (declared after it).
   telemetry::Registration registration;
@@ -82,6 +93,39 @@ struct Dataplane::Worker {
         middlebox(clock, verifier, registry, config.middlebox),
         ring(config.ring_capacity),
         cache(arena) {}
+
+  /// Block until ingest() or stop() rings the doorbell. Returns false
+  /// without blocking when a packet or a stop is already on its way.
+  ///
+  /// No lost wake-up: the store of 1 and the two loads after it are
+  /// seq_cst, like the producer's submitted.fetch_add and its doorbell
+  /// load after the push (try_enqueue), so all four sit in one total
+  /// order. If the producer's doorbell load comes first, its fetch_add
+  /// does too, so the load of `submitted` here sees the new count and
+  /// the worker keeps polling; otherwise that load sees the 1 and the
+  /// producer wakes the worker. stop() pairs the same way through
+  /// `stop_`: it stores the flag, then rings.
+  bool park(const std::atomic<bool>& stop) {
+    doorbell.store(1, std::memory_order_seq_cst);
+    const bool quiet =
+        submitted.load(std::memory_order_seq_cst) ==
+            counters.processed.value() &&
+        !stop.load(std::memory_order_seq_cst);
+    if (quiet) {
+      counters.parks.inc();
+      doorbell.wait(1, std::memory_order_seq_cst);
+    }
+    doorbell.store(0, std::memory_order_relaxed);
+    return quiet;
+  }
+
+  /// Wake the worker if it is parked: only the caller that takes the
+  /// doorbell from 1 to 0 pays for the notify.
+  void wake() {
+    if (doorbell.exchange(0, std::memory_order_seq_cst) != 0) {
+      doorbell.notify_one();
+    }
+  }
 };
 
 Dataplane::Dataplane(const util::Clock& clock,
@@ -225,7 +269,7 @@ void Dataplane::start() {
 
 void Dataplane::drain() {
   for (auto& worker : workers_) {
-    unsigned idle = 0;
+    unsigned rounds = 0;
     for (;;) {
       const uint64_t submitted =
           worker->submitted.load(std::memory_order_acquire);
@@ -235,7 +279,7 @@ void Dataplane::drain() {
         // Not started: nothing will ever drain the ring.
         break;
       }
-      idle_backoff(idle);
+      spin_then_yield(rounds);
     }
   }
 }
@@ -245,8 +289,11 @@ void Dataplane::stop() {
   // (arena().outstanding() == 0) holds without caveats.
   cache_.flush();
   if (!running_) return;
-  // seq_cst: pairs with the try_enqueue() re-check (see there).
+  // seq_cst: pairs with the try_enqueue() re-check (see there), and
+  // with a worker's park(), whose load of stop_ either sees this store
+  // or comes before it, so that the wake() below finds it parked.
   stop_.store(true, std::memory_order_seq_cst);
+  for (auto& worker : workers_) worker->wake();
   for (auto& worker : workers_) {
     if (worker->thread.joinable()) worker->thread.join();
   }
@@ -308,7 +355,15 @@ Dataplane::EnqueueResult Dataplane::try_enqueue(size_t worker,
     w.counters.shed.add_shared();
     return EnqueueResult::kShed;
   }
-  if (w.ring.try_push(uint32_t{slot})) return EnqueueResult::kEnqueued;
+  if (w.ring.try_push(uint32_t{slot})) {
+    // Wake the worker if it parked. This seq_cst load comes after the
+    // seq_cst fetch_add above, and Worker::park() stores the doorbell
+    // before it loads `submitted`: either this load sees the worker
+    // parked, or the worker sees the count and keeps polling. One load
+    // per packet, on the line the fetch_add just wrote.
+    if (w.doorbell.load(std::memory_order_seq_cst) != 0) w.wake();
+    return EnqueueResult::kEnqueued;
+  }
   w.submitted.fetch_sub(1, std::memory_order_release);
   if (!shed_on_full) return EnqueueResult::kRingFull;
   w.counters.shed.add_shared();
@@ -321,7 +376,11 @@ void Dataplane::worker_main(size_t index) {
   std::vector<uint32_t> slots(batch_size);
   std::vector<net::Packet*> batch(batch_size);
   std::vector<dataplane::Verdict> verdicts(batch_size);
-  unsigned idle = 0;
+  // 0 while bursts keep coming; once the ring turns empty, the polls
+  // spun so far (spin_then_yield stops counting when it starts to
+  // yield). park_at is when this idle period's poll budget runs out.
+  unsigned idle_polls = 0;
+  std::chrono::steady_clock::time_point park_at;
   for (;;) {
     // Injected pause: a wedged/descheduled process. Don't consume;
     // keep re-checking so the schedule's end resumes us. stop() still
@@ -337,18 +396,27 @@ void Dataplane::worker_main(size_t index) {
     }
     const size_t n = w.ring.pop_batch(slots.data(), batch_size);
     if (n == 0) {
-      // Ring observed empty; exit only after stop so in-flight packets
-      // are always processed (deterministic final counts). Park first
-      // (an idle worker must not pin a retired table) and flush the
-      // release stash (an idle worker must not starve the producer of
-      // slots it is hoarding).
-      w.table_reader.park();
-      w.cache.flush();
+      if (idle_polls == 0) {
+        // The ring just turned empty. Park the epoch reader (an idle
+        // worker must not pin a retired table) and flush the release
+        // stash (an idle worker must not starve the producer of slots
+        // it is hoarding), once: both stay so until the next burst.
+        w.table_reader.park();
+        w.cache.flush();
+        park_at = std::chrono::steady_clock::now() + kIdlePollBudget;
+      }
+      // Exit only once the ring is empty, so in-flight packets are
+      // always processed (deterministic final counts).
       if (stop_.load(std::memory_order_acquire)) break;
-      idle_backoff(idle);
+      // Poll until the budget runs out, then sleep on the doorbell
+      // until ingest() or stop() rings it. A park called off because a
+      // packet is on its way is one more poll.
+      if (std::chrono::steady_clock::now() < park_at || !w.park(stop_)) {
+        spin_then_yield(idle_polls);
+      }
       continue;
     }
-    idle = 0;
+    idle_polls = 0;
     // Run-to-completion burst: verify -> classify -> QoS-mark -> emit
     // in one pass over the arena-resident packets; the only per-packet
     // data this loop moves is the 4-byte slot index popped above.

@@ -63,6 +63,15 @@
 //     (SystemClock is; a ManualClock must not be advanced while
 //     workers run).
 //
+// Idle workers: a worker whose ring turns empty parks its epoch reader
+// and flushes its release stash, so it holds no table and no slots
+// while idle. It then polls the ring for up to 1 ms of wall time and,
+// if nothing comes, blocks on a per-worker doorbell. ingest() rings
+// that doorbell when the push it just made finds the worker blocked,
+// and stop() rings every doorbell after it sets the stop flag; the
+// ordering argument that no wake-up is lost sits at Worker::park() in
+// dataplane.cpp. nnn_pool_parks_total{worker} counts the blocks.
+//
 // Lifecycle: start() spawns the threads; drain() blocks until every
 // ingested packet has been processed (quiescence = per-worker
 // processed == submitted, with acquire/release pairing so the caller

@@ -25,6 +25,10 @@ void WorkerCounters::collect(telemetry::SampleBuilder& builder,
                   "Packets shed at admission or reclaimed at stop "
                   "(fail-open: shed packets are forwarded unverified)",
                   base, shed.value());
+  builder.counter("nnn_pool_parks_total",
+                  "Times the worker blocked on its doorbell after its idle "
+                  "poll budget ran out",
+                  base, parks.value());
   builder.histogram("nnn_pool_batch_nanos",
                     "Wall-clock nanoseconds per worker ring burst", base,
                     batch_nanos);
@@ -37,6 +41,7 @@ WorkerSnapshot& WorkerSnapshot::operator+=(const WorkerSnapshot& other) {
   processed += other.processed;
   verdicts_dropped += other.verdicts_dropped;
   shed += other.shed;
+  parks += other.parks;
   return *this;
 }
 
@@ -53,6 +58,7 @@ WorkerSnapshot snapshot_of(const WorkerCounters& counters) {
   s.busy_micros = counters.busy_micros.value();
   s.verdicts_dropped = counters.verdicts_dropped.value();
   s.shed = counters.shed.value();
+  s.parks = counters.parks.value();
   return s;
 }
 

@@ -6,7 +6,7 @@
 // relaxed atomics, readable from any thread, so the runtime does not
 // re-count them. This block keeps what no shard can see: ring bursts,
 // worker CPU time, the quiescence ledger, verdict records dropped on a
-// full verdict ring, and sheds. One cache-line-aligned block per
+// full verdict ring, sheds, and how often the worker parked idle. One cache-line-aligned block per
 // worker, exported under {worker="i"} as nnn_pool_*.
 //
 // Reading the plane:
@@ -42,6 +42,9 @@ struct alignas(kCacheLineSize) WorkerCounters {
   /// path. The load-shedding ledger: submit attempts == processed +
   /// shed once the plane has stopped.
   telemetry::Counter shed;
+  /// Times the worker blocked on its doorbell after an idle poll budget
+  /// ran out; ingest() or stop() woke it each time.
+  telemetry::Counter parks;
   telemetry::Histogram batch_nanos;   // wall nanos per ring burst
 
   /// Emit this block's cells under `base` labels (worker="i"):
@@ -61,6 +64,7 @@ struct WorkerSnapshot {
   uint64_t processed = 0;
   uint64_t verdicts_dropped = 0;
   uint64_t shed = 0;
+  uint64_t parks = 0;
 
   WorkerSnapshot& operator+=(const WorkerSnapshot& other);
   /// Mean packets per ring burst — how well batching amortizes.

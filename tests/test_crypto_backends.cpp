@@ -195,8 +195,8 @@ TEST(Sha256Dispatch, DefaultBackendMatchesCpu) {
   } else {
     EXPECT_EQ(sha256_backend(), Sha256Backend::kScalar);
   }
-  EXPECT_EQ(to_string(Sha256Backend::kScalar), "scalar");
-  EXPECT_EQ(to_string(Sha256Backend::kShaNi), "sha-ni");
+  EXPECT_STREQ(to_string(Sha256Backend::kScalar), "scalar");
+  EXPECT_STREQ(to_string(Sha256Backend::kShaNi), "sha-ni");
 }
 
 TEST(Sha256Dispatch, BackendsProduceIdenticalDigests) {

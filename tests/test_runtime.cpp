@@ -1,11 +1,14 @@
 // The threaded dataplane runtime (§4.6 executed, not modeled): ring
 // semantics, per-flow ordering, concurrent double-spend under both
-// dispatch policies, backpressure accounting, graceful lifecycle.
+// dispatch policies, backpressure accounting, graceful lifecycle,
+// idle workers parking on their doorbells and waking on ingest.
 // This suite is the primary target of the TSan CI job.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <chrono>
 #include <map>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -616,6 +619,133 @@ TEST(Runtime, DestructorJoinsRunningPool) {
       plane_config(DispatchPolicy::kDescriptorAffinity, 2));
   plane->start();
   plane.reset();  // must join, not crash or leak threads
+}
+
+// --- Idle workers park on a doorbell -------------------------------
+
+/// Polls `done` until it holds or `timeout` passes. Waiting with a
+/// deadline instead of drain() turns a lost wake-up into a failure in
+/// seconds rather than a hang.
+template <typename Done>
+bool eventually(Done done,
+                std::chrono::milliseconds timeout = std::chrono::seconds(10)) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+bool every_worker_parked(const Dataplane& plane) {
+  for (const WorkerSnapshot& w : plane.snapshot().workers) {
+    if (w.parks == 0) return false;
+  }
+  return true;
+}
+
+/// A worker whose ring stays empty past its poll budget blocks on its
+/// doorbell; a packet steered to it must wake it.
+TEST(Runtime, IdleWorkersParkAndIngestWakesThem) {
+  constexpr size_t kWorkers = 3;
+  PlaneFixture fx(plane_config(DispatchPolicy::kFlowHash, kWorkers));
+  fx.plane.start();
+  ASSERT_TRUE(eventually([&] { return every_worker_parked(fx.plane); }))
+      << "a worker never parked";
+
+  uint32_t flow = 0;
+  for (size_t worker = 0; worker < kWorkers; ++worker) {
+    net::Packet packet = flow_packet(flow, flow);
+    while (fx.plane.route(packet) != worker) {
+      ++flow;
+      packet = flow_packet(flow, flow);
+    }
+    ASSERT_TRUE(fx.ingest(std::move(packet)));
+  }
+  const bool woke = eventually([&] {
+    for (const WorkerSnapshot& w : fx.plane.snapshot().workers) {
+      if (w.processed != 1) return false;
+    }
+    return true;
+  });
+  fx.plane.stop();
+  EXPECT_TRUE(woke) << "a parked worker missed its packet";
+  for (const WorkerSnapshot& w : fx.plane.snapshot().workers) {
+    EXPECT_EQ(w.processed, 1u);
+    EXPECT_EQ(w.shed, 0u);
+  }
+}
+
+/// Packets that land while a worker spins, yields, is about to park or
+/// is parked are all processed: rounds of 1-3 packets separated by idle
+/// gaps on both sides of the 1 ms poll budget.
+TEST(Runtime, NoLostWakeUpAcrossThePollBudget) {
+  constexpr size_t kWorkers = 2;
+  constexpr int kRounds = 300;
+  constexpr std::array<std::chrono::microseconds, 5> kGaps = {
+      std::chrono::microseconds(0), std::chrono::microseconds(500),
+      std::chrono::microseconds(1000), std::chrono::microseconds(1500),
+      std::chrono::microseconds(3000)};
+  PlaneFixture fx(plane_config(DispatchPolicy::kFlowHash, kWorkers));
+  fx.plane.start();
+
+  std::mt19937 rng(23);
+  uint64_t attempts = 0;
+  uint64_t accepted = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    const int packets = 1 + static_cast<int>(rng() % 3);
+    for (int i = 0; i < packets; ++i) {
+      const auto flow = static_cast<uint32_t>(rng() % 64);
+      if (fx.ingest(flow_packet(flow, static_cast<uint32_t>(attempts)))) {
+        ++accepted;
+      }
+      ++attempts;
+    }
+    uint64_t processed = 0;
+    const bool caught_up = eventually([&] {
+      processed = fx.plane.snapshot().totals().processed;
+      return processed == accepted;
+    });
+    if (!caught_up) {
+      fx.plane.stop();
+      FAIL() << "round " << round << ": " << accepted << " ingested, "
+             << processed << " processed before stop()";
+    }
+    std::this_thread::sleep_for(kGaps[rng() % kGaps.size()]);
+  }
+  fx.plane.stop();
+
+  const auto totals = fx.plane.snapshot().totals();
+  EXPECT_EQ(accepted, attempts);  // rings never fill at 3 packets a round
+  EXPECT_EQ(totals.processed + totals.shed, attempts);
+  EXPECT_GT(totals.parks, 0u) << "no gap outlasted the poll budget";
+  EXPECT_EQ(fx.plane.arena().outstanding(), 0u);
+}
+
+/// stop() on parked workers wakes them, so it returns with the books
+/// balanced and every slot back in the arena.
+TEST(Runtime, StopWakesParkedWorkers) {
+  PlaneFixture fx(plane_config(DispatchPolicy::kFlowHash, 2));
+  fx.plane.start();
+  constexpr uint32_t kPackets = 64;
+  uint64_t accepted = 0;
+  for (uint32_t i = 0; i < kPackets; ++i) {
+    if (fx.ingest(flow_packet(i, i))) ++accepted;
+  }
+  // Past the last packet and then past the 1 ms poll budget, so that
+  // both workers are parked, not polling, when stop() runs.
+  const bool drained = eventually(
+      [&] { return fx.plane.snapshot().totals().processed == accepted; });
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  const bool parked =
+      drained && eventually([&] { return every_worker_parked(fx.plane); });
+  fx.plane.stop();
+  EXPECT_TRUE(parked) << "workers never parked";
+  EXPECT_FALSE(fx.plane.running());
+  const auto totals = fx.plane.snapshot().totals();
+  EXPECT_EQ(totals.processed + totals.shed, kPackets);
+  EXPECT_EQ(totals.processed, accepted);
+  EXPECT_EQ(fx.plane.arena().outstanding(), 0u) << "slots leaked";
 }
 
 // --- Concurrent telemetry export (TSan target) ---------------------
