@@ -31,7 +31,8 @@
 namespace nnn::cookies {
 
 /// Seconds-resolution timestamp carried inside cookies. The NCT check
-/// operates at this resolution (NCT is 5 seconds).
+/// compares the whole second it names with the verifier's clock at
+/// full resolution (NCT is 5 seconds).
 using CookieTime = uint64_t;
 
 CookieTime to_cookie_time(util::Timestamp t);

@@ -111,6 +111,9 @@ class HotTier {
     return entry.epoch == epoch ? &entry : nullptr;
   }
 
+  /// Prefetch the index group lookup(id) probes first.
+  void prefetch(CookieId id) const { index_.prefetch(hash_id(id)); }
+
   /// Slow path: admit or revalidate `record` (must not be revoked)
   /// against `store`, stamping `epoch`.
   const Entry* admit(const DescriptorStore::Record& record,

@@ -1,11 +1,14 @@
 #include "cookies/replay_cache.h"
 
+#include <algorithm>
+
 namespace nnn::cookies {
 
 ReplayCache::ReplayCache(util::Timestamp horizon, size_t capacity)
     : horizon_(horizon), capacity_(capacity == 0 ? 1 : capacity) {}
 
-bool ReplayCache::insert(const crypto::Uuid& uuid, util::Timestamp now) {
+bool ReplayCache::insert(const crypto::Uuid& uuid, util::Timestamp now,
+                         util::Timestamp dated) {
   // Purge first so an expired copy of `uuid` cannot shadow the
   // duplicate check, and so expiry (not the capacity clamp) reclaims
   // slots when the cache is full of dead entries. The watermark gate
@@ -25,7 +28,11 @@ bool ReplayCache::insert(const crypto::Uuid& uuid, util::Timestamp now) {
     ++capacity_evictions_;
   }
   if (!wheel_.ready()) {
-    wheel_.init(state::ExpiryWheel::tick_for(horizon_), kWheelSlots, now);
+    // Expiries reach two horizons ahead and a watermark-gated cursor
+    // lags up to two behind; a two-horizon tick keeps both inside one
+    // revolution.
+    wheel_.init(state::ExpiryWheel::tick_for(2 * horizon_), kWheelSlots,
+                now);
   } else if (index_.empty()) {
     // A drained wheel's cursor only moves on purge walks, and those
     // stop once nothing is left; re-seat it so this entry lands within
@@ -33,8 +40,8 @@ bool ReplayCache::insert(const crypto::Uuid& uuid, util::Timestamp now) {
     wheel_.reseat(now);
   }
   const uint32_t handle = alloc_entry();
-  pool_[handle] =
-      Entry{uuid, now + horizon_, state::ExpiryWheel::kNil};
+  const util::Timestamp from = std::clamp(dated, now, now + horizon_);
+  pool_[handle] = Entry{uuid, from + horizon_, state::ExpiryWheel::kNil};
   index_.find_or_insert(
       hash, [](const uint32_t&) { return false; },
       [this](const uint32_t& h) { return hash_of(pool_[h].uuid); },
@@ -88,6 +95,19 @@ uint32_t ReplayCache::alloc_entry() {
 
 void ReplayCache::evict_oldest() {
   const uint32_t handle = wheel_.pop_front(wheel_next());
+  // Look ahead along the wheel's front chain: at the clamp every
+  // insert evicts, and an eviction waits on the victim's index group
+  // and then its pool entry. Ask now for the next victim's group (its
+  // entry came in at the previous eviction) and the pool entry of the
+  // victim after it.
+  const uint32_t next = wheel_.front();
+  if (next != state::ExpiryWheel::kNil) {
+    const Entry& entry = pool_[next];
+    index_.prefetch(hash_of(entry.uuid));
+    if (entry.next != state::ExpiryWheel::kNil) {
+      state::prefetch_line(&pool_[entry.next]);
+    }
+  }
   erase_handle(handle);
 }
 

@@ -49,8 +49,9 @@ class ReplayCache {
   /// legitimate (rate x NCT) working set.
   static constexpr size_t kDefaultCapacity = 1 << 20;
 
-  /// Timer-wheel shape: state::ExpiryWheel's shared one (256 slots,
-  /// tick = horizon/64 rounded up).
+  /// Timer-wheel shape: state::ExpiryWheel's shared one (256 slots),
+  /// with the tick it gives a two-horizon expiry (a uuid dated ahead is
+  /// remembered up to two horizons; see insert()).
   static constexpr size_t kWheelSlots = state::ExpiryWheel::kSlots;
 
   /// `horizon` is how long a uuid is remembered — the NCT window.
@@ -59,9 +60,25 @@ class ReplayCache {
   explicit ReplayCache(util::Timestamp horizon,
                        size_t capacity = kDefaultCapacity);
 
-  /// Record `uuid` as seen at `now`. Returns false if it was already
-  /// present (i.e., this is a replay), true if newly inserted.
-  bool insert(const crypto::Uuid& uuid, util::Timestamp now);
+  /// Record `uuid` as seen at `now`, remembered until one horizon past
+  /// the later of `now` and `dated`, the instant its cookie is dated. A
+  /// cookie dated ahead of now stays fresh until a horizon past its
+  /// date, so its uuid must be remembered that long; `dated` more than
+  /// one horizon ahead (which the freshness check rejects) counts as
+  /// one horizon ahead. Returns false if it was already present (i.e.,
+  /// this is a replay), true if newly inserted.
+  bool insert(const crypto::Uuid& uuid, util::Timestamp now,
+              util::Timestamp dated);
+  bool insert(const crypto::Uuid& uuid, util::Timestamp now) {
+    return insert(uuid, now, now);
+  }
+
+  /// Prefetch the index group insert(uuid) and contains(uuid) probe
+  /// first. A hint: a burst asks for every uuid's group before any
+  /// probe waits on one.
+  void prefetch(const crypto::Uuid& uuid) const {
+    index_.prefetch(hash_of(uuid));
+  }
 
   /// Whether `uuid` is currently remembered.
   bool contains(const crypto::Uuid& uuid) const;

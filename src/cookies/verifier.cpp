@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdlib>
+#include <limits>
 
 #include "crypto/constant_time.h"
 
@@ -179,17 +180,23 @@ VerifyResult CookieVerifier::verify_resolved(const Resolved& match,
     status_.inc(VerifyStatus::kBadSignature);
     return VerifyResult{VerifyStatus::kBadSignature, std::nullopt};
   }
-  // (iii) |cookie.timestamp - now| <= NCT, at cookie (seconds)
-  // resolution, matching Listing 3's abs(cookie.timestamp - now) > NCT.
-  const int64_t now_sec = static_cast<int64_t>(to_cookie_time(now));
-  const int64_t delta =
-      std::abs(now_sec - static_cast<int64_t>(cookie.timestamp));
-  if (delta > nct_ / util::kSecond) {
+  // (iii) Listing 3's abs(cookie.timestamp - now) > NCT, with the
+  // cookie's whole second against `now` at full resolution: whole
+  // seconds on both sides would let a cookie pass until (ts + NCT + 1) s,
+  // after the replay cache forgets it. A date past what a Timestamp can
+  // hold is stale at any `now`.
+  constexpr CookieTime kLatest =
+      std::numeric_limits<util::Timestamp>::max() / 2 / util::kSecond;
+  const util::Timestamp dated =
+      static_cast<util::Timestamp>(std::min(cookie.timestamp, kLatest)) *
+      util::kSecond;
+  if (std::abs(now - dated) > nct_) {
     status_.inc(VerifyStatus::kStaleTimestamp);
     return VerifyResult{VerifyStatus::kStaleTimestamp, std::nullopt};
   }
-  // (iv) use-once.
-  if (!replays_.insert(cookie.uuid, now)) {
+  // (iv) use-once, remembered until the cookie goes stale: NCT past
+  // the later of now and its date.
+  if (!replays_.insert(cookie.uuid, now, dated)) {
     status_.inc(VerifyStatus::kReplayed);
     return VerifyResult{VerifyStatus::kReplayed, std::nullopt};
   }
@@ -237,6 +244,17 @@ void CookieVerifier::verify_batch(std::span<const Cookie> cookies,
                    [&cookies](uint32_t a, uint32_t b) {
                      return cookies[a].cookie_id < cookies[b].cookie_id;
                    });
+
+  // Stage the burst's cache misses so they overlap instead of queueing
+  // (each is a hint; nothing below depends on them): every cookie's
+  // replay-index group and every id's hot-tier group.
+  for (size_t k = 0; k < n; ++k) {
+    const Cookie& cookie = cookies[batch_order_[k]];
+    replays_.prefetch(cookie.uuid);
+    if (k == 0 || cookie.cookie_id != cookies[batch_order_[k - 1]].cookie_id) {
+      hot_.prefetch(cookie.cookie_id);
+    }
+  }
 
   Resolved match;
   bool have_match = false;

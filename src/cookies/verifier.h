@@ -189,12 +189,15 @@ class CookieVerifier {
   /// (results.size() >= cookies.size()). Reads the clock once and
   /// visits cookies grouped by descriptor (stable within a group), so
   /// the table lookup and key-schedule entry stay hot across a burst.
-  /// Verdicts and stats match running verify() sequentially over the
-  /// batch, up to the single clock read (a burst spans microseconds;
-  /// the NCT check has 1 s resolution and a 5 s budget). One exception,
-  /// adversarial only: a uuid re-signed under several descriptors in
-  /// one burst is still accepted once, but the copy accepted is the
-  /// one under the lowest descriptor id.
+  /// Before any lookup it prefetches the index groups the burst's
+  /// lookups start from (replay cache and hot tier), so their misses
+  /// overlap. Verdicts
+  /// and stats match running verify() sequentially over the batch, up
+  /// to the single clock read (a burst spans microseconds against the
+  /// NCT check's 5 s budget). One exception, adversarial only: a uuid
+  /// re-signed under several descriptors in one burst is still
+  /// accepted once, but the copy accepted is the one under the lowest
+  /// descriptor id.
   void verify_batch(std::span<const Cookie> cookies,
                     std::span<VerifyResult> results);
 

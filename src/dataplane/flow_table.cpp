@@ -25,21 +25,28 @@ FlowTable::FlowTable(uint32_t sniff_window, util::Timestamp idle_timeout)
       });
 }
 
-net::FlowKey::DirectionFree FlowTable::connection(
-    const net::FlowKey& key) const {
-  if (!key.is_cid()) return key.direction_free();
-  const uint64_t canon = aliases_.resolve(key.cid());
-  return {canon == key.cid() ? key : net::FlowKey::from_cid(canon), false};
+FlowTable::Connection FlowTable::connection(const net::FlowKey& key) const {
+  Connection conn;
+  if (key.is_cid()) {
+    const uint64_t canon = aliases_.resolve(key.cid());
+    conn.key = canon == key.cid() ? key : net::FlowKey::from_cid(canon);
+  } else {
+    const net::FlowKey::DirectionFree free = key.direction_free();
+    conn.key = free.key;
+    conn.reverse = free.reverse;
+  }
+  conn.hash = hash_key(conn.key);
+  return conn;
 }
 
-const FlowTable::Slot* FlowTable::find(const net::FlowKey& key) const {
-  const uint32_t* slot = index_.find(hash_key(key), index_matcher(key));
+const FlowTable::Slot* FlowTable::find(const Connection& conn) const {
+  const uint32_t* slot = index_.find(conn.hash, index_matcher(conn.key));
   return slot == nullptr ? nullptr : &pool_[*slot];
 }
 
-uint32_t FlowTable::obtain(const net::FlowKey& key, util::Timestamp now) {
+uint32_t FlowTable::obtain(const Connection& conn, util::Timestamp now) {
   const auto [slot_entry, inserted] = index_.find_or_insert(
-      hash_key(key), index_matcher(key), index_hasher(), [&] {
+      conn.hash, index_matcher(conn.key), index_hasher(), [&] {
         uint32_t slot;
         if (!free_.empty()) {
           slot = free_.back();
@@ -50,7 +57,8 @@ uint32_t FlowTable::obtain(const net::FlowKey& key, util::Timestamp now) {
         }
         Slot& s = pool_[slot];
         s = Slot{};
-        s.key = key;
+        s.key = conn.key;
+        s.hash = conn.hash;
         return slot;
       });
   const uint32_t slot = *slot_entry;
@@ -69,10 +77,14 @@ uint32_t FlowTable::obtain(const net::FlowKey& key, util::Timestamp now) {
 
 FlowTable::Ref FlowTable::bind(const net::FlowKey& key, util::Timestamp now) {
   if (now >= watermark_) expire_idle(now);
-  const auto [conn, reverse] = connection(key);
+  return bind(connection(key), now);
+}
+
+FlowTable::Ref FlowTable::bind(const Connection& conn, util::Timestamp now) {
+  if (now >= watermark_) expire_idle(now);
   Slot& slot = pool_[obtain(conn, now)];
   slot.last_seen = now;
-  FlowEntry& entry = slot.halves[reverse];
+  FlowEntry& entry = slot.halves[conn.reverse];
   ++entry.packets_seen;
   if (entry.state == FlowState::kSniffing &&
       entry.packets_seen > sniff_window_) {
@@ -88,7 +100,7 @@ FlowTable::Ref FlowTable::bind(const net::FlowKey& key, util::Timestamp now) {
     entry.service = kNoService;
     entry.mapping_expires = 0;
   }
-  return Ref(slot, reverse);
+  return Ref(slot, conn.reverse);
 }
 
 void FlowTable::map_flow(Ref flow, ServiceId service, util::Timestamp now,
@@ -108,15 +120,15 @@ void FlowTable::map_flow(Ref flow, ServiceId service, util::Timestamp now,
 }
 
 Expected<const FlowEntry*> FlowTable::lookup(const net::FlowKey& key) const {
-  const auto [conn, reverse] = connection(key);
+  const Connection conn = connection(key);
   const Slot* slot = find(conn);
   if (slot == nullptr) return unexpected(kUnknownFlowError);
-  return &slot->halves[reverse];
+  return &slot->halves[conn.reverse];
 }
 
 Expected<util::Timestamp> FlowTable::last_seen(
     const net::FlowKey& key) const {
-  const Slot* slot = find(connection(key).key);
+  const Slot* slot = find(connection(key));
   if (slot == nullptr) return unexpected(kUnknownFlowError);
   return slot->last_seen;
 }
@@ -172,8 +184,7 @@ size_t FlowTable::expire_idle(util::Timestamp now) {
       },
       [this](uint32_t slot) {
         Slot& s = pool_[slot];
-        index_.erase(hash_key(s.key),
-                     [slot](const uint32_t& h) { return h == slot; });
+        index_.erase(s.hash, [slot](const uint32_t& h) { return h == slot; });
         if (s.key.is_cid()) {
           // The flow dies with aliases outstanding: drop the whole alias
           // set so no CID keeps resolving to a flow that no longer

@@ -68,7 +68,10 @@
 //
 // bind() is the touch-or-create entry point and cannot fail: the table
 // has no admission cap, idle expiry is what bounds it. It returns a
-// Ref: the slot and the half for the packet's direction. lookup(),
+// Ref: the slot and the half for the packet's direction. A caller that
+// keys a burst up front takes each packet's connection() once (the
+// direction-free key and its hash), prefetch()es its index group, and
+// binds the Connection; a slot keeps the hash for its erase. lookup(),
 // last_seen() and add_alias() speak Expected<...> in util/error.h's
 // taxonomy (domain kFlow): lookup() and last_seen() report an absent
 // connection (kUnknownId), add_alias() an unlinkable rotation
@@ -176,18 +179,38 @@ class FlowTable {
     bool reverse_;
   };
 
+  /// The connection a packet's key names, keyed and hashed once: the
+  /// direction-free key (a CID canonicalized through the alias table),
+  /// the packet's direction, and the key's index hash.
+  struct Connection {
+    net::FlowKey key;
+    bool reverse = false;
+    uint64_t hash = 0;
+  };
+
   explicit FlowTable(uint32_t sniff_window = kDefaultSniffWindow,
                      util::Timestamp idle_timeout = kDefaultIdleTimeout);
   /// Pinned: the stats view registers a collector holding `this`.
   FlowTable(const FlowTable&) = delete;
   FlowTable& operator=(const FlowTable&) = delete;
 
-  /// Touch-or-create the connection `key` names and count the packet
-  /// on the half for its direction: advance kSniffing -> kBestEffort
-  /// when that direction's window is exhausted, lapse its expired
-  /// mapping. The touch moves the connection's last_seen to `now`. CID
-  /// keys are canonicalized through the alias table first. Advances
-  /// the expiry wheel first once `now` reaches its watermark.
+  /// The connection `key` names (see Connection).
+  Connection connection(const net::FlowKey& key) const;
+
+  /// Prefetch the index group bind(conn) probes first. A hint: a burst
+  /// asks for every packet's group before any bind waits on one.
+  void prefetch(const Connection& conn) const { index_.prefetch(conn.hash); }
+
+  /// Touch-or-create connection `conn` and count the packet on the
+  /// half for its direction: advance kSniffing -> kBestEffort when
+  /// that direction's window is exhausted, lapse its expired mapping.
+  /// The touch moves the connection's last_seen to `now`. Advances the
+  /// expiry wheel first once `now` reaches its watermark. An expiry
+  /// can evict a CID connection's alias set, after which an alias
+  /// names a connection of its own: key a CID after the expiry
+  /// (bind(key, now) does), or canonically, as the middlebox does.
+  Ref bind(const Connection& conn, util::Timestamp now);
+  /// Expire, then bind(connection(key), now).
   Ref bind(const net::FlowKey& key, util::Timestamp now);
 
   /// Bind `flow`'s direction — and, when `include_reverse`, the other
@@ -260,6 +283,8 @@ class FlowTable {
   struct Slot {
     /// Direction-free (net::FlowKey::direction_free).
     net::FlowKey key;
+    /// hash_key(key), kept for the index's erase and rehash.
+    uint64_t hash = 0;
     /// Indexed by the packet's DirectionFree::reverse.
     FlowEntry halves[2];
     util::Timestamp last_seen = 0;
@@ -282,18 +307,13 @@ class FlowTable {
     };
   }
   auto index_hasher() const {
-    return [this](const uint32_t& slot) {
-      return hash_key(pool_[slot].key);
-    };
+    return [this](const uint32_t& slot) { return pool_[slot].hash; };
   }
-  /// The connection `key` names: the direction-free form, with a CID
-  /// canonicalized through the alias table.
-  net::FlowKey::DirectionFree connection(const net::FlowKey& key) const;
-  /// The live slot keyed on direction-free `key`, or null.
-  const Slot* find(const net::FlowKey& key) const;
-  /// Find-or-create the slot of direction-free `key`. A create files
-  /// the connection on the wheel and counts it.
-  uint32_t obtain(const net::FlowKey& key, util::Timestamp now);
+  /// The live slot of `conn`, or null.
+  const Slot* find(const Connection& conn) const;
+  /// Find-or-create the slot of `conn`. A create files the connection
+  /// on the wheel and counts it.
+  uint32_t obtain(const Connection& conn, util::Timestamp now);
   auto wheel_next() {
     return [this](uint32_t slot) -> uint32_t& {
       return pool_[slot].wheel_next;

@@ -45,8 +45,9 @@ HwDecision HardwareFilter::classify(const net::Packet& packet) {
   if (!ids_.contains(cookie.cookie_id)) {
     return record(HwDecision::kRejectUnknownId);
   }
-  // Stage (iii): timestamp window (seconds resolution, like the
-  // software check — no MAC, so this is advisory only).
+  // Stage (iii): timestamp window in whole seconds, a looser pre-check
+  // than the verifier's (which compares `now` at full resolution, so
+  // it rejects up to a second sooner); no MAC, so advisory only.
   const int64_t now_sec =
       static_cast<int64_t>(cookies::to_cookie_time(clock_.now()));
   const int64_t delta =

@@ -106,17 +106,16 @@ void Middlebox::apply_stack(net::Packet& packet, FlowTable::Ref flow,
   }
 }
 
-bool Middlebox::key_has_pending(const net::FlowKey& key) const {
-  const uint64_t hash = std::hash<net::FlowKey>{}(key);
+bool Middlebox::key_has_pending(const FlowTable::Connection& conn) const {
   for (const PendingVerify& p : pending_info_) {
     // The pending cookie may map p.key's connection in one direction or
     // (reverse_flow attribute, on by default) both; either way this
     // packet must not observe flow state from before that mapping
-    // lands. Keys are canonical (flow_key_for), so two CIDs of one
-    // connection compare equal, and the hash is direction-free, so
-    // both directions of a tuple flow meet here. Equal keys hash equal,
-    // so the hash filter keeps the check exact.
-    if (p.hash == hash && p.key == key.direction_free().key) return true;
+    // lands. Keys are canonical (flow_key_for) and direction-free, so
+    // two CIDs of one connection and both directions of a tuple flow
+    // meet here. Equal keys hash equal, so the hash filter keeps the
+    // check exact.
+    if (p.hash == conn.hash && p.key == conn.key) return true;
   }
   return false;
 }
@@ -130,19 +129,34 @@ void Middlebox::process_batch(std::span<net::Packet* const> packets,
   pending_cookies_.clear();
   pending_info_.clear();
 
+  // Stage the burst's cache misses so they overlap instead of
+  // queueing: key each tuple packet's connection once and ask for its
+  // flow-index group before any packet probes the table. A CID packet
+  // is keyed in order below, because keying it can link an alias that
+  // an earlier packet's flow makes linkable.
+  connections_.resize(packets.size());
+  for (size_t i = 0; i < packets.size(); ++i) {
+    const net::Packet& packet = *packets[i];
+    if (packet.is_quic()) continue;
+    connections_[i] = flow_table_.connection(packet.flow_key());
+    flow_table_.prefetch(connections_[i]);
+  }
+
   for (size_t i = 0; i < packets.size(); ++i) {
     net::Packet& packet = *packets[i];
     // flow_key_for learns CID aliases as it keys; linking names never
     // changes a pending entry pointer.
-    const net::FlowKey key = flow_key_for(packet);
+    const FlowTable::Connection conn =
+        packet.is_quic() ? flow_table_.connection(flow_key_for(packet))
+                         : connections_[i];
     // A queued cookie may remap this packet's flow; settle it before
     // this packet observes the flow state.
-    if (!pending_info_.empty() && key_has_pending(key)) {
+    if (!pending_info_.empty() && key_has_pending(conn)) {
       flush_pending(packets, verdicts, now);
     }
     stats_.cell<&MiddleboxStats::packets>().inc();
     stats_.cell<&MiddleboxStats::bytes>().inc(packet.size());
-    const FlowTable::Ref flow = flow_table_.bind(key, now);
+    const FlowTable::Ref flow = flow_table_.bind(conn, now);
     const FlowEntry& entry = *flow;
     if (packet.is_quic() && packet.quic->long_header) {
       // Register the server's handshake CID against the entry that now
@@ -170,10 +184,9 @@ void Middlebox::process_batch(std::span<net::Packet* const> packets,
           // every wheel advance in this burst runs at `now`: holding
           // the Ref until the flush is safe.)
           pending_cookies_.push_back(extracted->stack.front());
-          pending_info_.push_back(PendingVerify{
-              static_cast<uint32_t>(i), extracted->transport,
-              key.direction_free().key, std::hash<net::FlowKey>{}(key),
-              flow});
+          pending_info_.push_back(PendingVerify{static_cast<uint32_t>(i),
+                                                extracted->transport,
+                                                conn.key, conn.hash, flow});
           continue;  // verdict written by flush_pending
         }
         // A composed stack tries its entries in order with early exit,

@@ -172,8 +172,7 @@ class Middlebox {
     /// The connection the cookie will map: flow_key_for's canonical key
     /// in direction-free form.
     net::FlowKey key;
-    /// std::hash of `key` (direction-free, so either direction's key
-    /// hashes alike), taken once when the cookie is queued:
+    /// The connection's hash (FlowTable::Connection::hash):
     /// key_has_pending compares whole keys only on a hash match.
     uint64_t hash;
     /// The flow touched in pass 1. Stable until the flush: the slot
@@ -211,10 +210,10 @@ class Middlebox {
                    const cookies::ExtractedCookie& extracted,
                    util::Timestamp now, Verdict& verdict);
 
-  /// True when `key`'s connection belongs to a packet with a cookie
-  /// still pending in the current batch. Hashes `key` once and
-  /// compares it against each pending cookie's stored hash.
-  bool key_has_pending(const net::FlowKey& key) const;
+  /// True when `conn` belongs to a packet with a cookie still pending
+  /// in the current batch. Compares its hash with each pending
+  /// cookie's, and keys only on a hash match.
+  bool key_has_pending(const FlowTable::Connection& conn) const;
 
   /// Verify all pending cookies and apply their outcomes in order.
   void flush_pending(std::span<net::Packet* const> packets,
@@ -237,6 +236,8 @@ class Middlebox {
   std::vector<cookies::Cookie> pending_cookies_;
   std::vector<PendingVerify> pending_info_;
   std::vector<cookies::VerifyResult> pending_results_;
+  /// Each tuple packet's connection, keyed in the burst's first stage.
+  std::vector<FlowTable::Connection> connections_;
 };
 
 }  // namespace nnn::dataplane

@@ -19,11 +19,16 @@
 // expiry <= now, provided each entry's expiry is the one it was
 // scheduled at. Fully elapsed slots fire wholesale; the current
 // (partially elapsed) slot is walked. Each slot tracks whether its
-// chain was appended in non-decreasing expiry order — true whenever
-// the caller's clock is monotone, since expiry = now + horizon — and
-// a sorted walk stops at the first not-yet-due entry, so steady-state
-// purge work is O(entries fired), not O(entries in the slot). Skewed
-// clocks only cost the fallback full-slot walk, never correctness.
+// chain was appended in non-decreasing expiry order, and a sorted walk
+// stops at the first not-yet-due entry, so purge work is
+// O(entries fired), not O(entries in the slot). Appends need not come
+// in expiry order: ReplayCache files a cookie dated ahead of `now`
+// further out than the uuids filed after it, and FlowTable re-files a
+// touched flow behind newer ones. The first advance that finds its
+// current slot unsorted walks it all, fires what is due, and sorts the
+// survivors, so later advances within that tick pop only their due
+// prefix again: an out-of-order append costs one walk and sort of its
+// slot, not a walk per advance.
 //
 // Dues that grow: an owner may push an entry's expiry later after
 // scheduling it (FlowTable files a flow once, at creation, and a
@@ -37,7 +42,9 @@
 // fires once the tick has elapsed. For such owners the guarantee is:
 // no entry fires before its current expiry, and every entry has fired
 // after an advance to any time at or after its expiry plus one tick.
-// ReplayCache's entries never change, so it keeps the exact contract.
+// ReplayCache never changes an entry's expiry once filed (a cookie
+// dated ahead is filed at its final expiry), so it keeps the exact
+// contract.
 //
 // Sizing: callers pick the tick so the wheel period (slot_count *
 // tick) comfortably exceeds twice the expiry horizon; then a slot
@@ -115,7 +122,9 @@ class ExpiryWheel {
   /// Slots currently holding at least one entry.
   size_t occupied_slots() const { return occupied_; }
   util::Timestamp tick() const { return tick_; }
-  size_t memory_bytes() const { return slots_.size() * sizeof(Slot); }
+  size_t memory_bytes() const {
+    return slots_.size() * sizeof(Slot) + kept_.capacity() * sizeof(Kept);
+  }
 
   template <class NextRef>
   void schedule(uint32_t handle, util::Timestamp expires, NextRef&& next) {
@@ -193,9 +202,9 @@ class ExpiryWheel {
       }
     }
     // The partially elapsed current tick: pop the due prefix when the
-    // chain is sorted (the monotone-clock common case), else walk it
-    // all. Either way we learn the minimum of what remains (exact
-    // unless a due grew within this tick).
+    // chain is sorted, else walk it all once and leave it sorted.
+    // Either way we learn the minimum of what remains (exact unless a
+    // due grew within this tick).
     util::Timestamp kept_min = kNever;
     Slot& slot = slots_[static_cast<uint64_t>(cursor_) & mask_];
     if (slot.sorted) {
@@ -224,6 +233,10 @@ class ExpiryWheel {
         kept_min = expiry_of(slot.head);
       }
     } else {
+      // Fire what is due, re-file what lies beyond this tick, and
+      // re-link the rest of the chain in expiry order, so the next
+      // advance within this tick takes the sorted branch.
+      kept_.clear();
       uint32_t h = detach(slot);
       while (h != kNil) {
         const uint32_t nxt = next(h);
@@ -232,15 +245,19 @@ class ExpiryWheel {
           on_due(h);
           --size_;
           ++result.fired;
+        } else if (beyond_current_tick(expires)) {
+          append(slot_at(floor_div(expires, tick_)), h, expires, next);
         } else {
-          if (expires < kept_min) kept_min = expires;
-          append(beyond_current_tick(expires)
-                     ? slot_at(floor_div(expires, tick_))
-                     : slot,
-                 h, expires, next);
+          kept_.push_back(Kept{expires, h});
         }
         h = nxt;
       }
+      std::sort(kept_.begin(), kept_.end(),
+                [](const Kept& a, const Kept& b) {
+                  return a.expires < b.expires;
+                });
+      for (const Kept& k : kept_) append(slot, k.handle, k.expires, next);
+      if (!kept_.empty()) kept_min = kept_.front().expires;
     }
     if (size_ == 0) {
       result.next_due_bound = kNever;
@@ -257,22 +274,25 @@ class ExpiryWheel {
   /// oldest-first.
   template <class NextRef>
   uint32_t pop_front(NextRef&& next) {
-    if (size_ == 0) return kNil;
-    for (size_t k = 0; k < slots_.size(); ++k) {
-      Slot& slot = slots_[(static_cast<uint64_t>(cursor_) + k) & mask_];
-      if (slot.head == kNil) continue;
-      const uint32_t h = slot.head;
-      slot.head = next(h);
-      if (slot.head == kNil) {
-        slot.tail = kNil;
-        slot.sorted = true;
-        --occupied_;
-      }
-      --size_;
-      return h;
+    Slot* slot = const_cast<Slot*>(front_slot());
+    if (slot == nullptr) return kNil;
+    const uint32_t h = slot->head;
+    slot->head = next(h);
+    if (slot->head == kNil) {
+      slot->tail = kNil;
+      slot->sorted = true;
+      --occupied_;
     }
-    assert(false && "ExpiryWheel size/slot bookkeeping out of sync");
-    return kNil;
+    --size_;
+    return h;
+  }
+
+  /// The handle pop_front() would return, left in place (kNil when
+  /// empty). Its chain successor, through the caller's next field, is
+  /// the one after it unless that slot ends there.
+  uint32_t front() const {
+    const Slot* slot = front_slot();
+    return slot == nullptr ? kNil : slot->head;
   }
 
  private:
@@ -283,6 +303,11 @@ class ExpiryWheel {
     /// whole chain is in non-decreasing expiry order.
     util::Timestamp last = 0;
     bool sorted = true;
+  };
+  /// A survivor of an unsorted walk, kept to re-link in expiry order.
+  struct Kept {
+    util::Timestamp expires;
+    uint32_t handle;
   };
 
   static constexpr int64_t floor_div(int64_t a, int64_t b) {
@@ -323,6 +348,17 @@ class ExpiryWheel {
     slot.last = expires;
   }
 
+  /// The first non-empty slot from the cursor; null when empty.
+  const Slot* front_slot() const {
+    if (size_ == 0) return nullptr;
+    for (size_t k = 0; k < slots_.size(); ++k) {
+      const Slot& slot = slots_[(static_cast<uint64_t>(cursor_) + k) & mask_];
+      if (slot.head != kNil) return &slot;
+    }
+    assert(false && "ExpiryWheel size/slot bookkeeping out of sync");
+    return nullptr;
+  }
+
   uint32_t detach(Slot& slot) {
     const uint32_t head = slot.head;
     if (head != kNil) --occupied_;
@@ -344,6 +380,7 @@ class ExpiryWheel {
   }
 
   std::vector<Slot> slots_;
+  std::vector<Kept> kept_;  // scratch for the unsorted walk
   uint64_t mask_ = 0;
   util::Timestamp tick_ = 1;
   int64_t cursor_ = 0;

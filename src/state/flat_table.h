@@ -15,9 +15,13 @@
 // only touches element memory on a control-byte hit. Groups are
 // aligned 16-slot blocks, so no mirrored control tail is needed.
 // Probing is triangular over groups (visits every group; slot count
-// is a power of two). Max load factor is 7/8; rehash never migrates
-// tombstones, so a table that churns in place stays clean without a
-// stop-the-world purge.
+// is a power of two). Max load factor is 7/8, tombstones included.
+// When tombstones are what fills a table, it rehashes at the same size
+// only while live elements hold at most 25/32 of the slots (abseil's
+// rule), and doubles otherwise: a table churning near 7/8 live load
+// would rehash every few thousand operations, moving every element
+// each time. Rehash never migrates tombstones, so a table that churns
+// in place stays clean without a stop-the-world purge.
 //
 // The element type is opaque to the table: callers pass the hash and
 // a `match(const T&)` predicate per call (and an `elem_hash(const T&)`
@@ -49,6 +53,19 @@
 #endif
 
 namespace nnn::state {
+
+/// Ask the cache for the line holding `p`, without waiting for it.
+/// An asm statement rather than __builtin_prefetch: g++ deletes a loop
+/// whose body is only __builtin_prefetch calls (the loop is finite and
+/// has no side effects), which silently turns a prefetch pass into
+/// nothing. `p` must point into a live object; nothing is read.
+inline void prefetch_line(const void* p) {
+#if defined(__x86_64__) || defined(__i386__)
+  asm volatile("prefetcht0 %0" ::"m"(*static_cast<const char*>(p)));
+#else
+  __builtin_prefetch(p);
+#endif
+}
 
 /// splitmix64 finalizer. User-supplied hashes (std::hash<uint64_t> is
 /// the identity on libstdc++; sequential cookie ids are the common
@@ -146,6 +163,15 @@ class FlatTable {
   const T* find(uint64_t hash, Match&& match, uint32_t* probes = nullptr) const {
     return const_cast<FlatTable*>(this)->find(hash, std::forward<Match>(match),
                                               probes);
+  }
+
+  /// Prefetch the control group and the element group a lookup of
+  /// `hash` probes first. A hint: reads nothing, changes nothing.
+  void prefetch(uint64_t hash) const {
+    if (slot_count_ == 0) return;
+    const size_t group = (hash >> 7) & group_mask_;
+    prefetch_line(ctrl_ + group * kGroupWidth);
+    prefetch_line(slots_ + group * kGroupWidth);
   }
 
   /// Find or default-insert. `make()` constructs the element only when
@@ -395,8 +421,11 @@ class FlatTable {
   void rehash_for(size_t n, ElemHash&& elem_hash) {
     size_t target = kMinSlots;
     while (n * 8 > target * 7) target *= 2;
-    // Same-size rehash when tombstones (not live load) forced growth:
-    // migration drops them all.
+    // A same-size target means tombstones, not live load, forced this
+    // rehash. Migration drops them all, but at a high live load it
+    // frees little room and the next rehash comes soon: keep the size
+    // only while live elements fill at most 25/32 of it.
+    if (target == slot_count_ && size_ * 32 > slot_count_ * 25) target *= 2;
     uint8_t* old_ctrl = ctrl_;
     T* old_slots = slots_;
     const size_t old_count = slot_count_;

@@ -773,6 +773,131 @@ TEST_F(MiddleboxTest, ProcessBatchReadsEachDescriptorBeforeEviction) {
   EXPECT_GE(tight.hot_tier().evictions(), 3u);
 }
 
+TEST_F(MiddleboxTest, RandomBurstsMatchPacketByPacketTwin) {
+  // Seeded random bursts of 1-32 packets through process_batch against
+  // the same packets one at a time through process() on a twin shard.
+  // Both verifiers hold a small replay clamp (past 24 uuids every
+  // fresh one evicts) and a small hot tier (ids go cold and come back),
+  // and the clock now and then steps past NCT or the flow idle timeout.
+  // A burst's staged prefetches are hints, so everything must match:
+  // verdicts, flow state, and the verifiers' and middleboxes' counts.
+  constexpr size_t kIds = 24;
+  constexpr size_t kFlows = 40;
+  constexpr util::Timestamp kIdle = 20 * kSecond;
+  Middlebox::Config config;
+  config.flow_idle_timeout = kIdle;
+  cookies::CookieVerifier staged(clock_);
+  cookies::CookieVerifier single(clock_);
+  std::vector<cookies::CookieGenerator> gens;
+  for (size_t i = 0; i < 4; ++i) {
+    registry_.bind("service-" + std::to_string(i), PriorityAction{i});
+  }
+  for (size_t i = 0; i < kIds; ++i) {
+    cookies::CookieDescriptor descriptor;
+    descriptor.cookie_id = 100 + i;
+    descriptor.key.assign(32, static_cast<uint8_t>(0x20 + i));
+    descriptor.service_data = "service-" + std::to_string(i % 4);
+    staged.add_descriptor(descriptor);
+    single.add_descriptor(descriptor);
+    gens.emplace_back(descriptor, clock_, 1000 + i);
+  }
+  for (cookies::CookieVerifier* verifier : {&staged, &single}) {
+    verifier->configure_external_replay(24);
+    verifier->set_hot_budget(6);
+  }
+  Middlebox box(clock_, staged, registry_, config);
+  Middlebox twin(clock_, single, registry_, config);
+
+  const auto tuple_of = [](size_t flow, bool reverse) {
+    net::FiveTuple t;
+    t.src_ip = net::IpAddress::v4(10, 0, 0, static_cast<uint8_t>(flow));
+    t.dst_ip = net::IpAddress::v4(151, 101, 0, 10);
+    t.src_port = static_cast<uint16_t>(7000 + flow);
+    t.dst_port = 443;
+    t.proto = net::L4Proto::kUdp;
+    return reverse ? t.reversed() : t;
+  };
+  util::Rng rng(0xB0257);
+  std::vector<cookies::Cookie> sent;  // the latest cookies on the wire
+  for (int round = 0; round < 400; ++round) {
+    SCOPED_TRACE(round);
+    const uint64_t step = rng.next_u64(16);
+    if (step == 0) {
+      clock_.advance(cookies::kNetworkCoherencyTime + kSecond);
+    } else if (step == 1) {
+      clock_.advance(kIdle + kSecond);
+    } else {
+      clock_.advance(static_cast<util::Timestamp>(rng.next_u64(50)) *
+                     util::kMillisecond);
+    }
+    std::vector<net::Packet> burst(1 + rng.next_u64(32));
+    for (net::Packet& packet : burst) {
+      packet.tuple = tuple_of(rng.next_u64(kFlows), rng.chance(0.2));
+      packet.wire_size = 200;
+      const uint64_t kind = rng.next_u64(8);
+      if (kind < 2) continue;  // no cookie
+      // A few ids stay hot; the rest cycle through the small tier.
+      const size_t id = rng.chance(0.5) ? rng.next_u64(3) : rng.next_u64(kIds);
+      cookies::Cookie cookie = gens[id].generate();
+      if (kind == 5 && !sent.empty()) {
+        cookie = sent[rng.next_u64(sent.size())];  // replay, maybe in-burst
+      } else if (kind == 6) {
+        cookie.signature[rng.next_u64(cookie.signature.size())] ^= 0x01;
+      } else if (kind == 7) {
+        cookie.cookie_id = 9000 + rng.next_u64(4);  // unknown id
+      }
+      cookies::attach(packet, cookie, cookies::Transport::kUdpHeader);
+      sent.push_back(cookie);
+      if (sent.size() > 48) sent.erase(sent.begin());
+    }
+
+    std::vector<net::Packet> copy = burst;
+    std::vector<Verdict> expected;
+    for (net::Packet& packet : copy) expected.push_back(twin.process(packet));
+    std::vector<Verdict> batched(burst.size());
+    std::vector<net::Packet*> pointers;
+    for (net::Packet& packet : burst) pointers.push_back(&packet);
+    box.process_batch(pointers, batched);
+
+    for (size_t i = 0; i < burst.size(); ++i) {
+      ASSERT_EQ(batched[i].verify_status, expected[i].verify_status)
+          << "packet " << i;
+      ASSERT_EQ(batched[i].action, expected[i].action) << "packet " << i;
+      ASSERT_EQ(batched[i].service, expected[i].service) << "packet " << i;
+      ASSERT_EQ(batched[i].mapped_now, expected[i].mapped_now)
+          << "packet " << i;
+    }
+    for (size_t flow = 0; flow < kFlows; ++flow) {
+      for (const bool reverse : {false, true}) {
+        const net::FlowKey key = net::FlowKey::from_tuple(tuple_of(flow, reverse));
+        const auto got = box.flows().lookup(key);
+        const auto want = twin.flows().lookup(key);
+        ASSERT_EQ(got.has_value(), want.has_value()) << key.to_string();
+        if (!want.has_value()) continue;
+        EXPECT_EQ(got.value()->state, want.value()->state) << key.to_string();
+        EXPECT_EQ(got.value()->service, want.value()->service)
+            << key.to_string();
+        EXPECT_EQ(got.value()->packets_seen, want.value()->packets_seen)
+            << key.to_string();
+      }
+    }
+    ASSERT_EQ(staged.stats(), single.stats());
+    ASSERT_EQ(box.stats(), twin.stats());
+    ASSERT_EQ(box.flows().stats(), twin.flows().stats());
+  }
+  // The mix reached every outcome it is meant to exercise.
+  for (const auto status :
+       {cookies::VerifyStatus::kOk, cookies::VerifyStatus::kReplayed,
+        cookies::VerifyStatus::kBadSignature,
+        cookies::VerifyStatus::kUnknownId,
+        cookies::VerifyStatus::kStaleTimestamp}) {
+    EXPECT_GT(staged.stats().count(status), 0u) << to_string(status);
+  }
+  EXPECT_GT(staged.external_replay().capacity_evictions(), 0u);
+  EXPECT_GT(staged.hot_tier().evictions(), 0u);
+  EXPECT_GT(box.flows().stats().flows_expired, 0u);
+}
+
 TEST_F(MiddleboxTest, ProcessBatchRemarksDscp) {
   // DSCP remark mode through the batch path: the cookie packet and the
   // mapped follow-up both get remarked, exactly as process() would.

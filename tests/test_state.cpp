@@ -118,6 +118,38 @@ TEST(FlatTable, ChurnDoesNotAccumulateTombstonesOrMemory) {
                              1));
 }
 
+TEST(FlatTable, ChurnAtHighLiveLoadGrowsInsteadOfRehashingInPlace) {
+  // Sliding-window churn at ~86% live load. Every erase can leave a
+  // tombstone, and a same-size rehash clears only the room between 86%
+  // and the 7/8 maximum, so at that size the table moves every element
+  // every few hundred operations. Growing once instead keeps element
+  // moves (counted through elem_hash) under one per operation.
+  state::FlatTable<uint64_t> table;
+  uint64_t moves = 0;
+  const auto hash = [](uint64_t key) { return state::mix_hash(key); };
+  const auto insert = [&](uint64_t key) {
+    table.find_or_insert(
+        hash(key), [key](const uint64_t& k) { return k == key; },
+        [&](const uint64_t& k) {
+          ++moves;
+          return hash(k);
+        },
+        [key] { return key; });
+  };
+  constexpr uint64_t kLive = 14'090;  // 86% of 16,384 slots
+  for (uint64_t k = 0; k < kLive; ++k) insert(k);
+  ASSERT_EQ(table.slot_count(), 16'384u);
+  moves = 0;
+  constexpr uint64_t kOps = 100'000;
+  for (uint64_t i = 0; i < kOps; ++i) {
+    insert(kLive + i);
+    ASSERT_TRUE(
+        table.erase(hash(i), [i](const uint64_t& k) { return k == i; }));
+  }
+  EXPECT_EQ(table.size(), kLive);
+  EXPECT_LT(moves, kOps);
+}
+
 // --- ExpiryWheel ----------------------------------------------------
 
 struct WheelHarness {
@@ -127,6 +159,7 @@ struct WheelHarness {
   };
   std::vector<Entry> entries;
   std::vector<uint32_t> fired;
+  size_t expiry_reads = 0;  // expiry_of calls, i.e. entries visited
   state::ExpiryWheel wheel;
 
   explicit WheelHarness(util::Timestamp tick, size_t slots,
@@ -144,7 +177,11 @@ struct WheelHarness {
   }
   state::ExpiryWheel::AdvanceResult advance(util::Timestamp now) {
     return wheel.advance(
-        now, next_ref(), [this](uint32_t h) { return entries[h].expires; },
+        now, next_ref(),
+        [this](uint32_t h) {
+          ++expiry_reads;
+          return entries[h].expires;
+        },
         [this](uint32_t h) { fired.push_back(h); });
   }
   /// Earliest expiry among the entries not fired yet.
@@ -197,6 +234,44 @@ TEST(ExpiryWheel, SkewedAppendOrderStaysExact) {
   EXPECT_EQ(w.fired, (std::vector<uint32_t>{early, mid}));
   // The survivor's exact expiry is the bound (current-slot precision).
   EXPECT_EQ(result.next_due_bound, w.entries[late].expires);
+}
+
+TEST(ExpiryWheel, AheadDatedAppendsCostOneWalkPerSlot) {
+  // ReplayCache's shape: an entry every 10 us, filed a horizon ahead,
+  // and every 50th dated up to one more horizon ahead (a cookie stamped
+  // ahead of the verifier's clock), which leaves nearly every slot
+  // appended out of order. Advances are gated on the returned bound,
+  // as ReplayCache's watermark gates them. Walking an unsorted current
+  // slot on every advance visits ~30 entries per insert here; sorting
+  // it once keeps the visits near 3 per insert.
+  constexpr util::Timestamp kTick = 1000;
+  constexpr util::Timestamp kHorizon = 32 * kTick;
+  constexpr int kInserts = 20000;
+  WheelHarness w(kTick, 256);
+  util::Timestamp watermark = state::ExpiryWheel::kNever;
+  util::Timestamp now = 0;
+  for (int i = 0; i < kInserts; ++i) {
+    now = i * 10;
+    if (now >= watermark) {
+      const size_t before = w.fired.size();
+      watermark = w.advance(now).next_due_bound;
+      for (size_t k = before; k < w.fired.size(); ++k) {
+        ASSERT_LE(w.entries[w.fired[k]].expires, now);
+      }
+    }
+    const util::Timestamp ahead =
+        i % 50 == 0 ? (i / 50 % 16 + 1) * kHorizon / 16 : 0;
+    w.schedule(now + kHorizon + ahead);
+    watermark = std::min(watermark, w.entries.back().expires);
+  }
+  // The bound kept the gate sound: everything due by now has fired.
+  if (now >= watermark) w.advance(now);
+  const auto due = std::count_if(
+      w.entries.begin(), w.entries.end(),
+      [&](const WheelHarness::Entry& e) { return e.expires <= now; });
+  EXPECT_EQ(w.fired.size(), static_cast<size_t>(due));
+  EXPECT_GT(due, kInserts / 2);
+  EXPECT_LT(w.expiry_reads, 4u * kInserts);
 }
 
 TEST(ExpiryWheel, LongIdleGapDrainsEverySlotOnce) {

@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -32,6 +33,16 @@ class VerifierTest : public ::testing::Test {
     auto descriptor = make_descriptor(id);
     verifier_.add_descriptor(descriptor);
     return CookieGenerator(descriptor, clock_, id);
+  }
+
+  /// One cookie through verify(), or through verify_batch() as a
+  /// burst of one.
+  VerifyStatus check(const Cookie& cookie, bool batched) {
+    if (!batched) return verifier_.verify(cookie).status;
+    VerifyResult result;
+    verifier_.verify_batch(std::span<const Cookie>(&cookie, 1),
+                           std::span<VerifyResult>(&result, 1));
+    return result.status;
   }
 
   util::ManualClock clock_;
@@ -98,6 +109,44 @@ TEST_F(VerifierTest, FutureTimestampRejected) {
   c.timestamp += 100;  // forged future time
   c.signature = c.compute_tag(util::BytesView(make_descriptor(7).key));
   EXPECT_EQ(verifier_.verify(c).status, VerifyStatus::kStaleTimestamp);
+}
+
+// Accept-at-most-once (§4.2) at the freshness window's edges: a cookie
+// passes the timestamp check until NCT past the second it is dated, so
+// the replay cache must remember its uuid at least that long.
+TEST_F(VerifierTest, CookieVerifiedMidSecondIsAcceptedOnce) {
+  for (const bool batched : {false, true}) {
+    SCOPED_TRACE(batched ? "verify_batch" : "verify");
+    auto gen = install(batched ? 41 : 40);
+    clock_.set((batched ? 2'000'000 : 1'000'000) * util::kSecond +
+               300 * util::kMillisecond);
+    const Cookie c = gen.generate();  // dated 0.3 s before now
+    EXPECT_EQ(check(c, batched), VerifyStatus::kOk);
+    // NCT + 0.2 s later the cache has forgotten the uuid, and the
+    // cookie is 5.5 s past its date: stale, not fresh again.
+    clock_.advance(kNetworkCoherencyTime + 200 * util::kMillisecond);
+    EXPECT_EQ(check(c, batched), VerifyStatus::kStaleTimestamp);
+  }
+}
+
+TEST_F(VerifierTest, CookieDatedAheadIsAcceptedOnce) {
+  for (const bool batched : {false, true}) {
+    SCOPED_TRACE(batched ? "verify_batch" : "verify");
+    const CookieId id = batched ? 43 : 42;
+    auto gen = install(id);
+    clock_.set((batched ? 2'000'000 : 1'000'000) * util::kSecond);
+    Cookie c = gen.generate();
+    c.timestamp += kNetworkCoherencyTime / util::kSecond;  // NCT ahead
+    c.signature = c.compute_tag(util::BytesView(make_descriptor(id).key));
+    EXPECT_EQ(check(c, batched), VerifyStatus::kOk);
+    // 6 s on the cookie is 1 s past its date, still fresh: the uuid
+    // must still be remembered.
+    clock_.advance(6 * util::kSecond);
+    EXPECT_EQ(check(c, batched), VerifyStatus::kReplayed);
+    // Once NCT past its date the cookie is stale.
+    clock_.advance(kNetworkCoherencyTime);
+    EXPECT_EQ(check(c, batched), VerifyStatus::kStaleTimestamp);
+  }
 }
 
 TEST_F(VerifierTest, RevocationTombstones) {
