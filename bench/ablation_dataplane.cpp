@@ -78,19 +78,23 @@ void BM_Task_MapOnly(benchmark::State& state) {
 BENCHMARK(BM_Task_MapOnly);
 
 /// Task (i): sniffing packets that carry no cookie.
+/// `payload` bytes of TCP payload that is neither a TLS record nor an
+/// HTTP request, so the carrier search reads it and finds nothing.
 void BM_Task_SearchNoCookie(benchmark::State& state) {
   Plane plane;
   uint32_t flow_id = 100;
+  nnn::net::Packet p = plain_packet(flow_id);
+  p.payload.assign(static_cast<size_t>(state.range(0)), 0x5a);
   for (auto _ : state) {
     // A fresh flow each time keeps the packet inside the sniff window;
     // advancing the clock lets the flow table expire old entries so
     // the benchmark measures steady state, not unbounded growth.
     plane.clock.advance(10 * nnn::util::kMillisecond);
-    nnn::net::Packet p = plain_packet(flow_id++);
+    p.tuple = plain_packet(flow_id++).tuple;
     benchmark::DoNotOptimize(plane.middlebox.process(p));
   }
 }
-BENCHMARK(BM_Task_SearchNoCookie);
+BENCHMARK(BM_Task_SearchNoCookie)->ArgName("payload")->Arg(0)->Arg(512);
 
 /// Task (ii): search + full verification, per descriptor-table scale.
 void BM_Task_SearchAndVerify(benchmark::State& state) {

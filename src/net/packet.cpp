@@ -1,5 +1,7 @@
 #include "net/packet.h"
 
+#include <string_view>
+
 #include "net/http.h"
 #include "net/tls.h"
 #include "util/base64.h"
@@ -46,7 +48,9 @@ std::optional<RawCookie> Packet::cookie_bytes() const {
     }
   }
   if (!payload.empty()) {
-    const std::string text(payload.begin(), payload.end());
+    // Viewed in place: the parsed Request owns what it keeps.
+    const std::string_view text(
+        reinterpret_cast<const char*>(payload.data()), payload.size());
     if (const auto request = http::Request::parse(text)) {
       if (const auto header = request->header(http::kCookieHeader)) {
         if (auto decoded = util::base64_decode(*header)) {
