@@ -203,6 +203,6 @@ int main(int argc, char** argv) {
                                     records)) {
     return 1;
   }
-  // Leak gate: every arena slot must be back on the freelist.
+  // Leak gate: every arena slot must be back home after stop().
   return leak ? 1 : 0;
 }

@@ -116,7 +116,9 @@ inline bool write_bench_json(const std::string& path,
     o["config"] = json::Value(r.config);
     o["ns_per_op"] = r.ns_per_op;
     o["ops_per_sec"] = r.ops_per_sec;
-    results.push_back(json::Value(std::move(o)));
+    // In place: moving a temporary Value in trips g++ 12's
+    // -Wmaybe-uninitialized on its std::variant.
+    results.emplace_back(std::move(o));
   }
   json::Object root;
   root["benchmark"] = benchmark;

@@ -156,10 +156,4 @@ std::string encode_stack_text(const std::vector<Cookie>& cookies) {
   return util::base64_encode(BytesView(encode_stack(cookies)));
 }
 
-std::optional<std::vector<Cookie>> decode_stack_text(std::string_view text) {
-  const auto bytes = util::base64_decode(text);
-  if (!bytes) return std::nullopt;
-  return decode_stack(BytesView(*bytes));
-}
-
 }  // namespace nnn::cookies

@@ -83,8 +83,8 @@ std::optional<std::vector<Cookie>> decode_stack(util::BytesView wire);
 /// that peeks must still go through decode_stack + verify before any
 /// service mapping.
 std::optional<CookieId> peek_cookie_id(util::BytesView wire);
+/// The stack as base64 text: the HTTP carrier's header value.
 std::string encode_stack_text(const std::vector<Cookie>& cookies);
-std::optional<std::vector<Cookie>> decode_stack_text(std::string_view text);
 
 /// Size in bytes of one encoded cookie.
 inline constexpr size_t kCookieWireSize = 4 + 8 + 16 + 8 + 16 + 1;

@@ -68,14 +68,6 @@ void ClientHello::set_cookie(util::BytesView cookie) {
       Extension{kExtNetworkCookie, Bytes(cookie.begin(), cookie.end())});
 }
 
-bool ClientHello::clear_cookie() {
-  const size_t before = extensions.size();
-  std::erase_if(extensions, [](const Extension& e) {
-    return e.type == kExtNetworkCookie;
-  });
-  return extensions.size() != before;
-}
-
 util::Bytes ClientHello::serialize_record() const {
   // Body of the ClientHello handshake message.
   Bytes body;

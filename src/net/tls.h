@@ -44,8 +44,6 @@ struct ClientHello {
   /// Network-cookie extension convenience accessors.
   std::optional<util::Bytes> cookie() const;
   void set_cookie(util::BytesView cookie);
-  /// Remove the cookie extension; true if one was present.
-  bool clear_cookie();
 
   /// Serialize as a full TLS record (ContentType handshake) containing
   /// the ClientHello handshake message.

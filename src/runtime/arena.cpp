@@ -4,81 +4,49 @@
 
 namespace nnn::runtime {
 
-PacketArena::PacketArena(size_t slots)
-    : slots_(std::max<size_t>(slots, 2)), next_(slots_.size()) {
-  // Seed the freelist with every slot, linked 0 -> 1 -> ... -> n-1.
-  const uint32_t n = static_cast<uint32_t>(slots_.size());
-  for (uint32_t i = 0; i + 1 < n; ++i) {
-    next_[i].store(i + 1, std::memory_order_relaxed);
+PacketArena::PacketArena(size_t slots, size_t return_rings)
+    : slots_(std::max<size_t>(slots, 2)) {
+  const size_t n = slots_.size();
+  for (size_t r = 0; r < std::max<size_t>(return_rings, 1); ++r) {
+    returns_.push_back(std::make_unique<SpscRing<uint32_t>>(n));
   }
-  next_[n - 1].store(PacketHandle::kNil, std::memory_order_relaxed);
-  head_.store(0, std::memory_order_release);  // tag 0, index 0
+  // Slot 0 on top: the first allocations walk the slab in order.
+  spare_.reserve(n);
+  for (size_t i = n; i-- > 0;) spare_.push_back(static_cast<uint32_t>(i));
 }
 
-PacketHandle PacketArena::try_alloc() {
-  uint32_t slot = PacketHandle::kNil;
-  size_t popped = pop_many(&slot, 1);
-  if (popped == 0 && reclaim_) {
-    reclaim_();
-    popped = pop_many(&slot, 1);
-  }
-  if (popped == 0) {
-    alloc_failures_.fetch_add(1, std::memory_order_relaxed);
+PacketHandle PacketArena::alloc() {
+  if (stashed_ == 0 && (stashed_ = refill()) == 0) {
+    ++alloc_failures_;
     return PacketHandle{};
+  }
+  const uint32_t slot = stash_[--stashed_];
+  if (stashed_ >= kPrefetchAhead) {
+    prefetch_for_write(stash_[stashed_ - kPrefetchAhead]);
   }
   return PacketHandle(this, slot);
 }
 
-size_t PacketArena::pop_many(uint32_t* out, size_t max) {
-  size_t n = 0;
-  uint64_t head = head_.load(std::memory_order_acquire);
-  while (n < max) {
-    const uint32_t index = static_cast<uint32_t>(head);
-    if (index == PacketHandle::kNil) break;
-    // Safe to read even if another thread pops `index` first: slots
-    // are never freed, and the CAS below fails in that case.
-    const uint32_t next = next_[index].load(std::memory_order_relaxed);
-    const uint64_t tag = (head >> 32) + 1;
-    const uint64_t replacement = (tag << 32) | next;
-    if (head_.compare_exchange_weak(head, replacement,
-                                    std::memory_order_acquire,
-                                    std::memory_order_acquire)) {
-      out[n++] = index;
-      head = replacement;
-    }
-    // On failure `head` was reloaded by the CAS.
+size_t PacketArena::refill() {
+  for (size_t tried = 0; tried < returns_.size(); ++tried) {
+    SpscRing<uint32_t>& ring = *returns_[next_return_];
+    next_return_ = (next_return_ + 1) % returns_.size();
+    if (const size_t n = ring.pop_batch(stash_.data(), kChunk)) return n;
   }
-  if (n > 0) allocs_.fetch_add(n, std::memory_order_release);
+  // Top of the stack last into the stash, so it is handed out first:
+  // the slot dropped last is the warmest.
+  const size_t n = std::min(kChunk, spare_.size());
+  std::copy(spare_.end() - static_cast<ptrdiff_t>(n), spare_.end(),
+            stash_.begin());
+  spare_.resize(spare_.size() - n);
+  spare_takes_ += n;
   return n;
 }
 
-void PacketArena::release_raw(uint32_t slot) {
-  push_chain(slot, slot, 1);
-}
-
-void PacketArena::release_batch(const uint32_t* slots, size_t n) {
-  if (n == 0) return;
-  for (size_t i = 0; i + 1 < n; ++i) {
-    next_[slots[i]].store(slots[i + 1], std::memory_order_relaxed);
-  }
-  push_chain(slots[0], slots[n - 1], n);
-}
-
-void PacketArena::push_chain(uint32_t first, uint32_t last,
-                             uint64_t count) {
-  uint64_t head = head_.load(std::memory_order_relaxed);
-  for (;;) {
-    next_[last].store(static_cast<uint32_t>(head),
-                      std::memory_order_relaxed);
-    const uint64_t tag = (head >> 32) + 1;
-    const uint64_t replacement = (tag << 32) | first;
-    if (head_.compare_exchange_weak(head, replacement,
-                                    std::memory_order_release,
-                                    std::memory_order_relaxed)) {
-      break;
-    }
-  }
-  releases_.fetch_add(count, std::memory_order_release);
+uint64_t PacketArena::outstanding() const {
+  size_t home = stashed_ + spare_.size();
+  for (const auto& ring : returns_) home += ring->size();
+  return capacity() - home;
 }
 
 void PacketArena::prefetch_for_write(uint32_t slot) const {
@@ -101,26 +69,6 @@ void PacketArena::prefetch_for_write(uint32_t slot) const {
        offset < sizeof(net::Packet); offset += kLine) {
     own(first + offset);
   }
-}
-
-PacketHandle PacketArena::Cache::alloc() {
-  if (count_ == 0) {
-    count_ = arena_->pop_many(stash_.data(), kChunk);
-    if (count_ == 0) {
-      arena_->alloc_failures_.fetch_add(1, std::memory_order_relaxed);
-      return PacketHandle{};
-    }
-  }
-  const uint32_t slot = stash_[--count_];
-  if (count_ >= kPrefetchAhead) {
-    arena_->prefetch_for_write(stash_[count_ - kPrefetchAhead]);
-  }
-  return PacketHandle(arena_, slot);
-}
-
-void PacketArena::Cache::flush() {
-  arena_->release_batch(stash_.data(), count_);
-  count_ = 0;
 }
 
 }  // namespace nnn::runtime

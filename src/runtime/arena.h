@@ -10,54 +10,59 @@
 // Slabs are recycled with their heap capacity intact, so a warm arena
 // allocates nothing on the steady-state path.
 //
-// Concurrency design:
-//   - the freelist is a lock-free Treiber stack of slot indices with a
-//     32-bit ABA tag packed beside the index in one 64-bit head;
-//   - the successful pop is an acquire CAS and the push a release CAS,
-//     which carries the happens-before edge for the slot's *contents*:
-//     whatever the releasing thread wrote into the Packet is visible
-//     to the slot's next owner;
-//   - Cache gives the producer a private stash of slots, refilled a
-//     chunk at a time: from a ring of slots that came back from their
-//     last owner without passing through the freelist (the Dataplane's
-//     per-worker return rings), else from the freelist; a flush splices
-//     the whole stash back in a single CAS;
-//   - slots on such a ring are not free, but they are no one's either:
-//     try_alloc() on an empty freelist calls the owner's reclaim hook
-//     (set_reclaim), which moves a chunk of them onto the freelist,
-//     and pops again;
-//   - Cache::alloc() prefetches for write the slot it will hand out
-//     kPrefetchAhead allocations later, so the stores that build the
-//     next packets find their lines already owned instead of waiting
-//     to take them from the core that last read them;
-//   - alloc/release counters are relaxed atomics: `outstanding()` is
-//     exact whenever the arena is quiescent (the leak gate reads it
-//     after Dataplane::stop()), approximate while threads run.
+// A slot travels one loop, as a DPDK mbuf goes from its pool to one
+// core and back: the producer allocates it and builds a packet in it,
+// a ring carries its index to a worker, and the worker sends it home
+// on its own SPSC return ring when it emits the packet. A slot is home
+// in one of three places:
+//   - the stash, the up to kChunk slots alloc() hands out next;
+//   - a return ring. There is one per worker, each able to hold every
+//     slot, so a push never fails. An empty stash takes a chunk from
+//     the next ring that holds any, round robin; the ring's
+//     release/acquire pair carries the slot's contents from the
+//     worker that last wrote them;
+//   - the spare stack, which holds never-used slots and the slots of
+//     dropped handles. An empty stash takes from it only when every
+//     return ring is empty.
+// SpscRing is the only structure a slot crosses threads through: the
+// arena holds no lock and makes no CAS.
 //
-// Exhaustion is fail-open by construction: try_alloc returns an empty
+// alloc() also prefetches for write the slot it will hand out
+// kPrefetchAhead allocations later, so the stores that build the next
+// packets find their lines already owned instead of waiting to take
+// them from the core that last read them.
+//
+// Threading: alloc(), every PacketHandle (moving, building in,
+// dropping) and the counters belong to ONE producer thread, which owns
+// the stash and the spare stack and pops the return rings. Return ring
+// r is pushed by one thread at a time through send_home(r, ...): its
+// worker, or Dataplane::stop() once it has joined that worker. The
+// producer role may pass to another thread across a synchronizing
+// step, such as a thread join.
+//
+// Exhaustion is fail-open by construction: alloc() returns an empty
 // handle and the caller sheds (forwards the packet unverified); no
 // path ever blocks waiting for a slot.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <utility>
+#include <memory>
 #include <vector>
 
 #include "net/packet.h"
+#include "runtime/spsc_ring.h"
 
 namespace nnn::runtime {
 
 class PacketArena;
 
-/// Move-only smart reference to one arena slot. Destruction returns
-/// the slot to the arena's global freelist; detach()/adopt() move the
-/// raw index through a ring without touching refcounts (there are
-/// none — a slot has exactly one owner at a time).
+/// Move-only smart reference to one arena slot. Destruction drops the
+/// slot onto the arena's spare stack; detach() gives up the raw index
+/// to push through a ring. Producer thread only (see arena.h). No
+/// refcounts: a slot has exactly one owner at a time.
 class PacketHandle {
  public:
   static constexpr uint32_t kNil = UINT32_MAX;
@@ -97,7 +102,7 @@ class PacketHandle {
     return s;
   }
 
-  /// Release the slot now (no-op on an empty handle).
+  /// Drop the slot now (no-op on an empty handle).
   void reset();
 
  private:
@@ -111,125 +116,83 @@ class PacketHandle {
 
 class PacketArena {
  public:
-  /// Cache stash size. A freelist refill pops one slot per CAS; a
-  /// flush splices the whole chain back in one CAS.
+  /// Slots an empty stash takes at once, from one return ring or from
+  /// the spare stack.
   static constexpr size_t kChunk = 32;
+  /// How many allocations ahead alloc() prefetches the slot it will
+  /// hand out: its lines arrive while the packets before it are built.
+  static constexpr size_t kPrefetchAhead = 3;
 
-  /// Exactly `slots` slots (minimum 2), all default-constructed up
-  /// front.
-  explicit PacketArena(size_t slots);
+  /// Exactly `slots` slots (minimum 2), all default-constructed on the
+  /// spare stack, and `return_rings` return rings (minimum 1).
+  PacketArena(size_t slots, size_t return_rings);
   PacketArena(const PacketArena&) = delete;
   PacketArena& operator=(const PacketArena&) = delete;
 
-  /// Pop a free slot; empty handle when exhausted (caller sheds —
-  /// never blocks). The returned packet holds whatever state its last
-  /// occupant left; callers overwrite every field they care about
-  /// (reset_for_reuse() clears the cookie/flag fields while keeping
-  /// payload capacity). An empty freelist first calls the reclaim
-  /// hook, if one is set, and pops again.
-  PacketHandle try_alloc();
+  /// The next stashed slot. An empty stash first takes a chunk from the
+  /// next return ring that holds any, else from the spare stack; when
+  /// all are empty the handle is empty (the caller sheds, never
+  /// blocks) and alloc_failures() counts it. The packet holds whatever
+  /// its last occupant left; callers overwrite every field they care
+  /// about (reset_for_reuse() clears the cookie/flag fields while
+  /// keeping payload capacity). Producer thread only.
+  PacketHandle alloc();
 
-  /// Return a slot to the freelist. Usually via ~PacketHandle.
-  void release_raw(uint32_t slot);
-  /// Return `n` slots to the freelist in one CAS.
-  void release_batch(const uint32_t* slots, size_t n);
-
-  /// What try_alloc() calls when it finds the freelist empty: a hook
-  /// that may put slots its owner holds back on the freelist (the
-  /// Dataplane's emitted slots on their way home). Called from any
-  /// thread that calls try_alloc(). Set it before other threads use
-  /// the arena.
-  void set_reclaim(std::function<void()> reclaim) {
-    reclaim_ = std::move(reclaim);
+  /// Send `slot` home on return ring `ring`; the ring's release store
+  /// publishes what the caller wrote into the slot. Only the ring's
+  /// one pusher at a time may call it (see arena.h).
+  void send_home(size_t ring, uint32_t slot) {
+    const bool pushed = returns_[ring]->try_push(uint32_t{slot});
+    assert(pushed && "a return ring holds every slot");
+    (void)pushed;
   }
-
-  /// Re-own a raw index previously detach()ed into a ring.
-  PacketHandle adopt(uint32_t slot) { return PacketHandle(this, slot); }
 
   net::Packet& at(uint32_t slot) { return slots_[slot]; }
   const net::Packet& at(uint32_t slot) const { return slots_[slot]; }
 
   size_t capacity() const { return slots_.size(); }
 
-  /// allocs - releases. Exact at quiescence; the post-stop leak gate
-  /// asserts it returns to zero.
-  uint64_t outstanding() const {
-    return allocs_.load(std::memory_order_acquire) -
-           releases_.load(std::memory_order_acquire);
-  }
-  uint64_t total_allocs() const {
-    return allocs_.load(std::memory_order_relaxed);
-  }
-  /// Allocations (try_alloc, Cache::alloc) that found the freelist
-  /// empty (exhaustion sheds).
-  uint64_t alloc_failures() const {
-    return alloc_failures_.load(std::memory_order_relaxed);
-  }
-
-  /// The producer's private slot stash, at most kChunk slots. One
-  /// thread owns a Cache; flush() (and the destructor) return what it
-  /// holds to the freelist.
-  class Cache {
-   public:
-    /// How many allocations ahead alloc() prefetches the slot it will
-    /// hand out: its lines arrive while the packets before it are
-    /// built.
-    static constexpr size_t kPrefetchAhead = 3;
-
-    explicit Cache(PacketArena& arena) : arena_(&arena) {}
-    Cache(const Cache&) = delete;
-    Cache& operator=(const Cache&) = delete;
-    ~Cache() { flush(); }
-
-    /// The next stashed slot. An empty stash first pops up to kChunk
-    /// slots from the freelist; when that is empty too, the handle is
-    /// empty and alloc_failures() counts it.
-    PacketHandle alloc();
-    bool empty() const { return count_ == 0; }
-    /// Refill an empty stash with the up to kChunk slots that
-    /// `pop(uint32_t* out, size_t max)` writes to `out` and counts in
-    /// its return value. They must be slots the arena already counts
-    /// as allocated, such as emitted slots coming back through a ring
-    /// (whose acquire carries their contents, as the freelist pop
-    /// would).
-    template <typename Pop>
-    void refill(Pop&& pop) {
-      assert(empty() && "a refill would drop the stashed slots");
-      count_ = pop(stash_.data(), kChunk);
-    }
-    /// Return every stashed slot to the freelist in one CAS.
-    void flush();
-
-   private:
-    PacketArena* arena_;
-    std::array<uint32_t, kChunk> stash_{};
-    size_t count_ = 0;
-  };
+  /// Slots not at home: capacity minus the stash, the spare stack and
+  /// the return rings. Producer thread. 0 after Dataplane::drain() or
+  /// stop() when the caller holds no handle; the post-stop leak gate
+  /// asserts it.
+  uint64_t outstanding() const;
+  /// Slots the stash took from the spare stack: first uses and dropped
+  /// handles' slots. Every other allocation reuses a slot that a worker
+  /// sent home.
+  uint64_t spare_takes() const { return spare_takes_; }
+  /// Allocations that found the stash, every return ring and the spare
+  /// stack empty (exhaustion sheds).
+  uint64_t alloc_failures() const { return alloc_failures_; }
 
  private:
   friend class PacketHandle;
 
+  /// A dropped handle's slot goes onto the spare stack, which holds
+  /// every slot without growing.
+  void drop(uint32_t slot) {
+    assert(spare_.size() < capacity() && "a slot dropped twice");
+    spare_.push_back(slot);
+  }
+  /// Fill the empty stash from the next non-empty return ring, else
+  /// from the spare stack; returns how many slots it holds now.
+  size_t refill();
   /// Prefetch for write every cache line the slot's Packet covers (4
   /// or 5 lines of 224 B), so that the next stores into it find their
   /// lines owned. A hint: it reads and writes nothing.
   void prefetch_for_write(uint32_t slot) const;
-  /// Pop up to `max` slots into `out`; returns the count.
-  size_t pop_many(uint32_t* out, size_t max);
-  /// Push a pre-linked chain [first..last] (linked through next_).
-  void push_chain(uint32_t first, uint32_t last, uint64_t count);
 
+  // What the workers read: the slab and the return rings.
   std::vector<net::Packet> slots_;
-  std::function<void()> reclaim_;
-  /// Freelist links, parallel to slots_. Only written while the slot
-  /// is free (owned by the pusher pre-CAS), relaxed atomics to keep
-  /// TSan precise about the publication edge living on head_.
-  std::vector<std::atomic<uint32_t>> next_;
-  /// tag(32) | index(32). Tag increments on every successful pop to
-  /// defeat ABA.
-  alignas(64) std::atomic<uint64_t> head_;
-  alignas(64) std::atomic<uint64_t> allocs_{0};
-  std::atomic<uint64_t> releases_{0};
-  std::atomic<uint64_t> alloc_failures_{0};
+  std::vector<std::unique_ptr<SpscRing<uint32_t>>> returns_;
+  // The producer's state, on lines of its own.
+  alignas(kCacheLineSize) std::array<uint32_t, kChunk> stash_{};
+  size_t stashed_ = 0;
+  /// The return ring the next refill tries first.
+  size_t next_return_ = 0;
+  std::vector<uint32_t> spare_;
+  uint64_t spare_takes_ = 0;
+  uint64_t alloc_failures_ = 0;
 };
 
 /// Clear per-ingest fields (cookies, flags, sizes) while keeping the
@@ -257,7 +220,7 @@ inline net::Packet* PacketHandle::operator->() const {
 }
 inline void PacketHandle::reset() {
   if (slot_ != kNil) {
-    arena_->release_raw(slot_);
+    arena_->drop(slot_);
     arena_ = nullptr;
     slot_ = kNil;
   }

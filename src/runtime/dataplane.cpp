@@ -1,9 +1,6 @@
 #include "runtime/dataplane.h"
 
-#include <array>
-#include <cassert>
 #include <chrono>
-#include <mutex>
 #include <span>
 #include <string>
 #include <utility>
@@ -43,11 +40,10 @@ Dataplane::Config normalize(Dataplane::Config config) {
   if (pool.arena_slots == 0) {
     // The most slots the producer can be kept from at once. Per
     // worker: a full ring and the burst it popped (an emitted slot is
-    // in its return ring, which the producer refills from). The
-    // producer adds its alloc stash and a burst of handles it holds
-    // before ingesting them. Exhaustion under this sizing means the
-    // producer is outrunning the rings anyway, and shedding is the
-    // right answer.
+    // home on its return ring). The producer adds its stash and a
+    // burst of handles it holds before ingesting them. Exhaustion
+    // under this sizing means the producer is outrunning the rings
+    // anyway, and shedding is the right answer.
     pool.arena_slots =
         pool.workers *
             (ring_capacity_for(pool.ring_capacity) + pool.batch_size) +
@@ -59,18 +55,14 @@ Dataplane::Config normalize(Dataplane::Config config) {
 }  // namespace
 
 /// One shard: verifier + middlebox owned exclusively by one thread,
-/// plus the SPSC ring feeding it. Declaration order matters — the
-/// verifier must outlive the middlebox.
+/// plus the SPSC ring feeding it (its return ring is the arena's).
+/// Declaration order matters — the verifier must outlive the
+/// middlebox.
 struct Dataplane::Worker {
   cookies::CookieVerifier verifier;
   dataplane::Middlebox middlebox;
   /// Arena slot indices; the packets themselves never move.
   SpscRing<uint32_t> ring;
-  /// Emitted slots on their way home: this worker pushes each slot as
-  /// it emits the packet, and the producer refills its stash from
-  /// here. Sized to the whole arena, so a push never fails. Slots in
-  /// it still count as allocated; stop() returns them to the freelist.
-  SpscRing<uint32_t> returns;
   WorkerCounters counters;
   /// Epoch reader into the plane's current publisher. Used only by
   /// this worker's thread.
@@ -92,11 +84,10 @@ struct Dataplane::Worker {
   telemetry::Registration registration;
 
   Worker(const util::Clock& clock, dataplane::ServiceRegistry& registry,
-         PacketArena& arena, const PoolConfig& config)
+         const PoolConfig& config)
       : verifier(clock),
         middlebox(clock, verifier, registry, config.middlebox),
-        ring(config.ring_capacity),
-        returns(arena.capacity()) {}
+        ring(config.ring_capacity) {}
 
   /// Block until ingest() or stop() rings the doorbell. Returns false
   /// without blocking when a packet or a stop is already on its way.
@@ -136,15 +127,11 @@ Dataplane::Dataplane(const util::Clock& clock,
                      dataplane::ServiceRegistry& registry, Config config)
     : clock_(clock),
       config_(normalize(std::move(config))),
-      arena_(config_.pool.arena_slots),
-      cache_(arena_) {
-  // A slot from arena().try_alloc() comes home on a return ring like
-  // any other, so an empty freelist takes a chunk of returned slots.
-  arena_.set_reclaim([this] { reclaim_returns(); });
+      arena_(config_.pool.arena_slots, config_.pool.workers) {
   workers_.reserve(config_.pool.workers);
   for (size_t i = 0; i < config_.pool.workers; ++i) {
     workers_.push_back(
-        std::make_unique<Worker>(clock_, registry, arena_, config_.pool));
+        std::make_unique<Worker>(clock_, registry, config_.pool));
     // Each worker's block exports under worker="i"; identical families
     // across workers merge into per-worker series of nnn_pool_*.
     Worker& w = *workers_.back();
@@ -166,33 +153,8 @@ Dataplane::Dataplane(const util::Clock& clock,
 
 Dataplane::~Dataplane() { stop(); }
 
-size_t Dataplane::pop_returns(uint32_t* out, size_t max) {
-  for (size_t tried = 0; tried < workers_.size(); ++tried) {
-    SpscRing<uint32_t>& returns = workers_[next_return_]->returns;
-    next_return_ = (next_return_ + 1) % workers_.size();
-    if (const size_t n = returns.pop_batch(out, max)) return n;
-  }
-  return 0;
-}
-
-void Dataplane::reclaim_returns() {
-  std::array<uint32_t, PacketArena::kChunk> slots{};
-  const std::lock_guard lock(returns_mutex_);
-  arena_.release_batch(slots.data(), pop_returns(slots.data(), slots.size()));
-}
-
 PacketHandle Dataplane::make_packet() {
-  // An empty stash refills from the next worker's return ring that
-  // holds any; only when none does, alloc() pops the freelist (see the
-  // file comment of dataplane.h for why). The lock is uncontended
-  // unless a try_alloc() on another thread is moving a chunk.
-  if (cache_.empty()) {
-    const std::lock_guard lock(returns_mutex_);
-    cache_.refill([this](uint32_t* out, size_t max) {
-      return pop_returns(out, max);
-    });
-  }
-  PacketHandle handle = cache_.alloc();
+  PacketHandle handle = arena_.alloc();
   if (handle) reset_for_reuse(*handle);
   return handle;
 }
@@ -227,12 +189,12 @@ bool Dataplane::submit(PacketHandle&& handle, bool blocking) {
   for (;;) {
     switch (try_enqueue(worker, handle.slot(), /*shed_on_full=*/!blocking)) {
       case EnqueueResult::kEnqueued:
-        // The ring owns the slot now; the worker hands it back on its
+        // The ring owns the slot now; the worker sends it home on its
         // return ring at emit.
         handle.detach();
         return true;
       case EnqueueResult::kShed:
-        return false;  // ~handle returns the slot to the freelist
+        return false;  // ~handle drops the slot onto the spare stack
       case EnqueueResult::kRingFull:
         // Closed loop: wait for the worker instead of shedding. Yield
         // so the worker actually runs when cores are scarce.
@@ -318,51 +280,38 @@ void Dataplane::drain() {
 }
 
 void Dataplane::stop() {
-  // Return the producer stash first so the post-stop leak gate
-  // (arena().outstanding() == 0) holds without caveats.
-  cache_.flush();
   if (!running_) return;
   // seq_cst: pairs with the try_enqueue() re-check (see there), and
   // with a worker's park(), whose load of stop_ either sees this store
   // or comes before it, so that the wake() below finds it parked.
   stop_.store(true, std::memory_order_seq_cst);
   for (auto& worker : workers_) worker->wake();
-  for (auto& worker : workers_) {
-    if (worker->thread.joinable()) worker->thread.join();
-  }
-  // Emitted slots still on their way home go back to the freelist,
-  // a wedged worker's too. The lock keeps a try_alloc() racing this
-  // stop() out of the rings until they are empty.
-  {
-    const std::lock_guard lock(returns_mutex_);
-    for (auto& worker : workers_) {
-      uint32_t slot = PacketHandle::kNil;
-      while (worker->returns.try_pop(slot)) arena_.release_raw(slot);
-    }
-  }
-  // Reclaim leftovers into the shed ledger, releasing their arena
-  // slots. Workers normally exit with empty rings, but a fault-paused
-  // worker exits wedged, and an ingest that passed the stop_ gate
-  // before the store above may land its push after the join. Pop until
-  // processed + reclaimed covers submitted; the residual gap
-  // (count-first enqueue between its fetch_add and the push/rollback)
-  // resolves in bounded time. After this loop every slot that entered
-  // a ring is back on the freelist.
-  for (auto& worker : workers_) {
+  // Join each worker, then send its input ring's leftovers home on its
+  // return ring, counted as shed: the joined worker was that ring's
+  // only pusher, and the producer may pop it meanwhile. Workers
+  // normally exit with empty rings, but a fault-paused worker exits
+  // wedged, and an ingest that passed the stop_ gate before the store
+  // above may land its push after the join. Pop until processed +
+  // reclaimed covers submitted; the residual gap (count-first enqueue
+  // between its fetch_add and the push/rollback) resolves in bounded
+  // time.
+  for (size_t index = 0; index < workers_.size(); ++index) {
+    Worker& worker = *workers_[index];
+    if (worker.thread.joinable()) worker.thread.join();
     uint32_t slot = PacketHandle::kNil;
     uint64_t reclaimed = 0;
     for (;;) {
-      while (worker->ring.try_pop(slot)) {
-        arena_.release_raw(slot);
+      while (worker.ring.try_pop(slot)) {
+        arena_.send_home(index, slot);
         ++reclaimed;
       }
       const uint64_t submitted =
-          worker->submitted.load(std::memory_order_seq_cst);
-      const uint64_t processed = worker->counters.processed.value_acquire();
+          worker.submitted.load(std::memory_order_seq_cst);
+      const uint64_t processed = worker.counters.processed.value_acquire();
       if (processed + reclaimed >= submitted) break;
       std::this_thread::yield();
     }
-    if (reclaimed > 0) worker->counters.shed.add_shared(reclaimed);
+    if (reclaimed > 0) worker.counters.shed.add_shared(reclaimed);
   }
   running_ = false;
 }
@@ -427,7 +376,7 @@ void Dataplane::worker_main(size_t index) {
   for (;;) {
     // Injected pause: a wedged/descheduled process. Don't consume;
     // keep re-checking so the schedule's end resumes us. stop() still
-    // wins — it reclaims whatever we leave in the ring — else a pause
+    // wins — it sends home whatever we leave in the ring — else a pause
     // outliving the test would wedge shutdown too.
     if (injector_ != nullptr &&
         injector_->paused(static_cast<uint32_t>(index), clock_.now())) {
@@ -489,11 +438,9 @@ void Dataplane::worker_main(size_t index) {
         }
       }
       // Emit: the packet leaves the cookie layer here, and its slot
-      // goes home through the return ring, whose release store
+      // goes home on this worker's return ring, whose release store
       // publishes what this burst wrote into it.
-      const bool returned = w.returns.try_push(uint32_t{slots[i]});
-      assert(returned && "a return ring holds every arena slot");
-      (void)returned;
+      arena_.send_home(index, slots[i]);
     }
     auto& c = w.counters;
     c.batches.inc();

@@ -26,19 +26,15 @@
 // Each burst is run to completion: pop handles -> pin epoch table ->
 // batch verify/classify -> mark -> emit, no intermediate queues.
 //
-// Slots travel in a loop. At emit a worker pushes each slot onto its
-// own SPSC return ring, and make_packet() refills the producer's stash
-// from those rings, a chunk at a time, round robin; only when every
-// return ring is empty does it pop the arena's freelist. A freelist
-// pop reads a link the releasing core just wrote, one dependent
-// cross-core miss per slot; a return ring hands over 16 slot indices
-// per line. The producer also prefetches for write the slot it hands
-// out three allocations later (PacketArena::Cache), so building a
-// packet does not wait to take the lines a worker last read. The
-// freelist still serves first use, arena().try_alloc() from any
-// thread, shed handles and stop(). A slot from try_alloc() comes home
-// on a return ring like any other, so a try_alloc() that finds the
-// freelist empty first moves a chunk of returned slots onto it.
+// Slots travel in a loop (arena.h): make_packet() takes one from the
+// producer's stash, a ring carries its index to a worker, and at emit
+// the worker sends it home on its own SPSC return ring, from which the
+// stash refills a chunk at a time, round robin. A dropped handle's
+// slot goes onto the arena's spare stack, which the stash takes from
+// only when every return ring is empty. A return ring hands over 16
+// slot indices per cache line, and the producer prefetches for write
+// the slot it hands out three allocations later, so building a packet
+// does not wait to take the lines a worker last read.
 //
 // ingest() demuxes by cookie identity: a cookie-bearing packet is
 // pinned to worker steer_shard(cookie_id) — the cheap no-HMAC peek +
@@ -56,18 +52,21 @@
 // arena exhausted -> make_packet() returns an empty handle and
 // ingest() of it counts a shed; worker ring full, injected queue
 // pressure or plane stopping -> shed; in every case the slot is back
-// on the freelist when ingest() returns false and the wire path never
-// blocks. make_packet() comes back empty only when its stash, every
-// return ring and the freelist are all empty. The shed ledger
-// (attempts == processed + shed) covers every handle passed in.
+// on the spare stack when ingest() returns false and the wire path
+// never blocks. make_packet() comes back empty only when every slot is
+// out: none in the stash, the return rings or the spare stack. The
+// shed ledger (attempts == processed + shed) covers every handle
+// passed in.
 //
 // Threading contract:
-//   - make_packet()/ingest()/ingest_blocking() — ONE producer thread
-//     (the ingest thread). stop() may race ingest() from another
-//     thread, but not make_packet(): it returns the producer's stash;
-//   - arena().try_alloc() / PacketHandle release — any thread (the
-//     freelist is lock-free MPMC); but building a packet in a slot and
-//     ingesting it must happen on the producer thread;
+//   - make_packet()/ingest()/ingest_blocking(), every PacketHandle
+//     (building in it, dropping it) and arena().outstanding() — ONE
+//     producer thread (the ingest thread), which owns the arena's
+//     stash and spare stack without a lock;
+//   - stop() may race make_packet() and ingest() from another thread:
+//     it touches no producer state. After joining a worker it sends
+//     that worker's input-ring leftovers home on the worker's return
+//     ring, whose only pusher was the joined worker;
 //   - control plane (add_descriptor / revoke / bind_table_publisher /
 //     set_fault_injector / middlebox / verifier accessors) — only
 //     while the plane is quiescent: before start(), or after
@@ -80,34 +79,29 @@
 //
 // Idle workers: a worker whose ring turns empty parks its epoch reader,
 // so it holds no table while idle; it holds no slots either, since
-// each went home as it was emitted, and there is no stash to flush.
-// It then polls the ring for up to 1 ms of wall time and,
-// if nothing comes, blocks on a per-worker doorbell. ingest() rings
-// that doorbell when the push it just made finds the worker blocked,
-// and stop() rings every doorbell after it sets the stop flag; the
-// ordering argument that no wake-up is lost sits at Worker::park() in
-// dataplane.cpp. nnn_pool_parks_total{worker} counts the blocks.
+// each went home as it was emitted. It then polls the ring for up to
+// 1 ms of wall time and, if nothing comes, blocks on a per-worker
+// doorbell. ingest() rings that doorbell when the push it just made
+// finds the worker blocked, and stop() rings every doorbell after it
+// sets the stop flag; the ordering argument that no wake-up is lost
+// sits at Worker::park() in dataplane.cpp. nnn_pool_parks_total{worker}
+// counts the blocks.
 //
 // Lifecycle: start() spawns the threads; drain() blocks until every
 // ingested packet has been processed (quiescence = per-worker
 // processed == submitted, with acquire/release pairing so the caller
-// may then read non-atomic state); stop() returns the producer stash,
-// lets workers finish what is already in their rings, then joins them,
-// returns what the return rings hold to the freelist and reclaims
-// anything a fault-paused worker left behind into the shed ledger —
-// so the books balance deterministically (attempts == processed +
-// shed) whether or not drain() was called first, and every arena slot
-// that entered a ring is back on the freelist when stop() returns
-// (arena().outstanding() == 0 if the producer holds no handles).
-// Between drain() and stop(), outstanding() counts the slots waiting
-// in the producer's stash and in the return rings. The destructor
-// stops and joins.
+// may then read non-atomic state); stop() lets workers finish what is
+// already in their rings, joins them, and sends anything a fault-paused
+// worker left behind home, counted as shed — so the books balance
+// deterministically (attempts == processed + shed) whether or not
+// drain() was called first. After drain() or stop() every slot the
+// producer does not hold is home (arena().outstanding() == 0 if it
+// holds no handles). The destructor stops and joins.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -182,15 +176,14 @@ class Dataplane {
   /// (payload capacity is reused across occupants; cookie/flag fields
   /// are cleared). Empty handle when the arena is exhausted — pass it
   /// to ingest() anyway if you want the shed counted, or drop it.
-  /// Producer thread only (slots come from the producer's stash, which
-  /// refills from the workers' return rings before the freelist).
+  /// Producer thread only (PacketArena::alloc()).
   PacketHandle make_packet();
 
   /// Steer by cookie identity and enqueue. Returns false when the
   /// packet was shed — ring full, injected queue pressure, or the
   /// plane is stopping — and counts it in the worker's shed ledger;
-  /// a shed slot is back on the freelist (on success, the worker hands
-  /// the slot back at emit). Shedding is the overload valve with
+  /// a shed slot is back on the spare stack (on success, the worker
+  /// sends the slot home at emit). Shedding is the overload valve with
   /// the paper's fail-open semantics: the caller forwards the packet
   /// unverified (best-effort band), it never drops it, and it never
   /// blocks the wire path. Producer thread only.
@@ -217,9 +210,9 @@ class Dataplane {
   /// stopped ingesting; concurrent ingest makes "drained" a moving
   /// target.
   void drain();
-  /// Return the producer stash, drain what is already in the rings,
-  /// join the threads, then return the return rings' slots to the
-  /// freelist. Idempotent.
+  /// Let the workers drain what is already in their rings, join them,
+  /// and send what a wedged worker left home. Idempotent; may race
+  /// make_packet() and ingest() (see the threading contract).
   void stop();
   bool running() const { return running_; }
 
@@ -263,8 +256,8 @@ class Dataplane {
   const cookies::CookieVerifier& verifier(size_t worker) const;
   dataplane::DispatchPolicy policy() const { return config_.policy; }
   size_t worker_count() const { return workers_.size(); }
-  /// The slab pool the rings index into. Producers build packets in
-  /// slots allocated here; workers hand the slots back at emit.
+  /// The slab pool the rings index into. The producer builds packets
+  /// in slots allocated here; workers send the slots home at emit.
   PacketArena& arena() { return arena_; }
   const PacketArena& arena() const { return arena_; }
 
@@ -281,14 +274,6 @@ class Dataplane {
   /// handle as shed, steer, then enqueue — shedding on a full ring, or
   /// (`blocking`) waiting for space.
   bool submit(PacketHandle&& handle, bool blocking);
-
-  /// Pop up to `max` emitted slots from the next worker's return ring
-  /// that holds any (round robin); returns the count. Caller holds
-  /// returns_mutex_.
-  size_t pop_returns(uint32_t* out, size_t max);
-  /// The arena's reclaim hook: move a chunk of emitted slots from the
-  /// return rings onto the freelist. Any thread.
-  void reclaim_returns();
 
   /// The store the next edit goes to: staged_, first refilled from
   /// the published table if a publish emptied it.
@@ -310,8 +295,9 @@ class Dataplane {
 
   void worker_main(size_t index);
 
-  // Members the workers read come first; the state only the ingest
-  // thread writes, per packet, comes last, away from them.
+  // Members the workers read come first (the arena keeps its producer
+  // state on lines of its own); the state only the ingest thread
+  // writes, per packet, comes last, away from them.
   const util::Clock& clock_;
   Config config_;
   PacketArena arena_;
@@ -328,21 +314,13 @@ class Dataplane {
   std::unique_ptr<MpscRing<VerdictRecord>> verdicts_;
   std::atomic<bool> stop_{false};
   bool running_ = false;
-  /// Producer-side alloc stash (single producer thread).
-  PacketArena::Cache cache_;
-  /// The worker whose return ring pop_returns() tries first.
-  size_t next_return_ = 0;
-  /// Held by whoever pops the return rings: make_packet()'s refill,
-  /// reclaim_returns() (on a try_alloc() thread) and stop()'s sweep.
-  /// The first two hold it for at most a chunk.
-  std::mutex returns_mutex_;
   /// staged_ holds edits the workers cannot see yet (and, with them,
   /// the rest of the published table).
   bool edits_pending_ = false;
   /// CID -> steering-key state for the encrypted transport, learned on
   /// the ingest path (handshakes bind the cookie id, rotation markers
-  /// alias fresh CIDs). Producer thread only, like the stash: the one
-  /// ingest thread is the only mutator.
+  /// alias fresh CIDs). Producer thread only, like the arena's stash:
+  /// the one ingest thread is the only mutator.
   quic::CidAliasTable aliases_;
   /// Exports aliases_ as nnn_quic_*; declared after it, so it
   /// deregisters first.

@@ -121,6 +121,9 @@ std::string to_prometheus(const Snapshot& snapshot) {
 }
 
 json::Value to_json(const Snapshot& snapshot) {
+  // emplace_back builds each json::Value in place from its Object; a
+  // push_back moves a temporary Value, whose std::variant g++ 12 at
+  // -O2/-O3 warns may be used uninitialized.
   json::Array families;
   families.reserve(snapshot.families.size());
   for (const Family& family : snapshot.families) {
@@ -147,7 +150,7 @@ json::Value to_json(const Snapshot& snapshot) {
             json::Object bucket;
             bucket["le"] = upper;
             bucket["count"] = count;
-            buckets.push_back(std::move(bucket));
+            buckets.emplace_back(std::move(bucket));
           }
           entry["count"] = sample.histogram.count;
           entry["sum"] = sample.histogram.sum;
@@ -155,14 +158,14 @@ json::Value to_json(const Snapshot& snapshot) {
           break;
         }
       }
-      samples.push_back(std::move(entry));
+      samples.emplace_back(std::move(entry));
     }
     json::Object fam;
     fam["name"] = family.name;
     fam["type"] = to_string(family.type);
     fam["help"] = family.help;
     fam["samples"] = std::move(samples);
-    families.push_back(std::move(fam));
+    families.emplace_back(std::move(fam));
   }
   json::Object root;
   root["families"] = std::move(families);

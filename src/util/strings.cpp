@@ -54,8 +54,10 @@ bool ends_with(std::string_view s, std::string_view suffix) {
 
 bool domain_matches(std::string_view host, std::string_view domain) {
   if (iequals(host, domain)) return true;
+  // A subdomain: host ends in '.' + domain, in any case.
   if (host.size() <= domain.size()) return false;
-  return ends_with(to_lower(host), "." + to_lower(domain));
+  const size_t dot = host.size() - domain.size() - 1;
+  return host[dot] == '.' && iequals(host.substr(dot + 1), domain);
 }
 
 std::string join(const std::vector<std::string>& parts,

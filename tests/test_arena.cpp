@@ -1,18 +1,15 @@
 // PacketArena + the shared steering hash (PR 8 zero-copy dataplane):
-// freelist soundness, handle ownership, per-thread caches, fail-open
-// exhaustion, and the fixed vectors that pin util::mix64 /
-// util::steer_shard across platforms. The concurrent tests are TSan
-// targets — they validate that the Treiber-stack publication edge
-// (release push CAS -> acquire pop CAS) carries slot contents between
-// threads.
+// the slot loop's accounting, handle ownership, fail-open exhaustion,
+// and the fixed vectors that pin util::mix64 / util::steer_shard
+// across platforms. The two-thread test is a TSan target: it checks
+// that the rings carry slot contents to a worker and back home.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <atomic>
 #include <thread>
 #include <vector>
 
 #include "runtime/arena.h"
+#include "runtime/spsc_ring.h"
 #include "util/hash.h"
 
 namespace nnn::runtime {
@@ -68,78 +65,50 @@ TEST(SteeringHash, SequentialIdsBalanceAcrossShards) {
 TEST(PacketArena, CapacityIsExactlyTheSlotsAsked) {
   // No rounding up: Dataplane asks for the bound on outstanding slots,
   // and every slot beyond it would be a 224-byte Packet never used.
-  EXPECT_EQ(PacketArena(5).capacity(), 5u);
-  EXPECT_EQ(PacketArena(64).capacity(), 64u);
-  EXPECT_EQ(PacketArena(33022).capacity(), 33022u);
-  EXPECT_EQ(PacketArena(1).capacity(), 2u);
-  EXPECT_EQ(PacketArena(0).capacity(), 2u);
+  EXPECT_EQ(PacketArena(5, 1).capacity(), 5u);
+  EXPECT_EQ(PacketArena(64, 1).capacity(), 64u);
+  EXPECT_EQ(PacketArena(33022, 1).capacity(), 33022u);
+  EXPECT_EQ(PacketArena(1, 1).capacity(), 2u);
+  EXPECT_EQ(PacketArena(0, 1).capacity(), 2u);
   // Every slot is allocatable, and not one more.
-  PacketArena arena(5);
+  PacketArena arena(5, 1);
   std::vector<PacketHandle> held;
   for (int i = 0; i < 5; ++i) {
-    held.push_back(arena.try_alloc());
+    held.push_back(arena.alloc());
     ASSERT_TRUE(held.back()) << i;
   }
-  EXPECT_FALSE(arena.try_alloc());
+  EXPECT_FALSE(arena.alloc());
   EXPECT_EQ(arena.alloc_failures(), 1u);
 }
 
 TEST(PacketArena, AllocExhaustReleaseRecycle) {
-  PacketArena arena(4);
+  PacketArena arena(4, 1);
   std::vector<PacketHandle> held;
   for (int i = 0; i < 4; ++i) {
-    PacketHandle h = arena.try_alloc();
+    PacketHandle h = arena.alloc();
     ASSERT_TRUE(h);
     h->seq = static_cast<uint32_t>(100 + i);
     held.push_back(std::move(h));
   }
   EXPECT_EQ(arena.outstanding(), 4u);
   // Exhausted: fail-open, empty handle, counted — never a block.
-  PacketHandle overflow = arena.try_alloc();
+  PacketHandle overflow = arena.alloc();
   EXPECT_FALSE(overflow);
   EXPECT_EQ(arena.alloc_failures(), 1u);
   // Release one; the next alloc succeeds and sees the recycled slot.
   const uint32_t released_slot = held.back().slot();
-  held.pop_back();  // ~PacketHandle releases
-  PacketHandle again = arena.try_alloc();
+  held.pop_back();  // ~PacketHandle drops it onto the spare stack
+  PacketHandle again = arena.alloc();
   ASSERT_TRUE(again);
-  EXPECT_EQ(again.slot(), released_slot);  // LIFO freelist: warm slot first
+  EXPECT_EQ(again.slot(), released_slot);  // LIFO spare stack: warm first
   held.clear();
   again.reset();
   EXPECT_EQ(arena.outstanding(), 0u);
 }
 
-/// try_alloc() on an empty freelist calls the reclaim hook, then pops
-/// what the hook put back; a freelist that holds a slot never calls it.
-TEST(PacketArena, EmptyFreelistAsksTheReclaimHook) {
-  PacketArena arena(2);
-  std::vector<uint32_t> parked = {arena.try_alloc().detach(),
-                                  arena.try_alloc().detach()};
-  int calls = 0;
-  arena.set_reclaim([&] {
-    ++calls;
-    if (!parked.empty()) {
-      arena.release_raw(parked.back());
-      parked.pop_back();
-    }
-  });
-  PacketHandle a = arena.try_alloc();
-  EXPECT_TRUE(a);
-  EXPECT_EQ(calls, 1);
-  PacketHandle b = arena.try_alloc();
-  EXPECT_TRUE(b);
-  EXPECT_EQ(calls, 2);
-  EXPECT_FALSE(arena.try_alloc());  // the hook had nothing left
-  EXPECT_EQ(calls, 3);
-  EXPECT_EQ(arena.alloc_failures(), 1u);
-  a.reset();
-  EXPECT_TRUE(arena.try_alloc());
-  EXPECT_EQ(calls, 3);
-}
-
 TEST(PacketArena, HandleMoveTransfersOwnership) {
-  PacketArena arena(2);
-  PacketHandle a = arena.try_alloc();
+  PacketArena arena(2, 1);
+  PacketHandle a = arena.alloc();
   ASSERT_TRUE(a);
   const uint32_t slot = a.slot();
   PacketHandle b = std::move(a);
@@ -157,23 +126,38 @@ TEST(PacketArena, HandleMoveTransfersOwnership) {
   EXPECT_EQ(arena.outstanding(), 0u);
 }
 
-TEST(PacketArena, DetachAdoptRoundTripThroughRawIndex) {
-  PacketArena arena(2);
-  PacketHandle h = arena.try_alloc();
+/// A detached slot is out until it is sent home on a return ring; an
+/// empty stash then takes it from the ring, contents intact, before it
+/// touches the spare stack.
+TEST(PacketArena, DetachedSlotComesHomeOnItsReturnRing) {
+  PacketArena arena(40, 2);
+  PacketHandle h = arena.alloc();  // the stash takes a chunk of 32
   ASSERT_TRUE(h);
+  ASSERT_EQ(arena.spare_takes(), PacketArena::kChunk);
   h->seq = 77;
   const uint32_t raw = h.detach();  // e.g. pushed through a ring
   EXPECT_FALSE(h);
-  EXPECT_EQ(arena.outstanding(), 1u);  // detach is not a release
-  PacketHandle adopted = arena.adopt(raw);
-  EXPECT_EQ(adopted->seq, 77u);
-  adopted.reset();
+  EXPECT_EQ(arena.outstanding(), 1u);  // detach is not a drop
+  arena.send_home(1, raw);
+  EXPECT_EQ(arena.outstanding(), 0u);  // a returned slot is home
+  std::vector<PacketHandle> held;
+  for (size_t i = 1; i < PacketArena::kChunk; ++i) {
+    held.push_back(arena.alloc());  // the rest of the stash
+  }
+  PacketHandle back = arena.alloc();
+  ASSERT_TRUE(back);
+  EXPECT_EQ(back.slot(), raw);
+  EXPECT_EQ(back->seq, 77u);
+  EXPECT_EQ(arena.spare_takes(), PacketArena::kChunk)
+      << "the stash took from the spare stack with a slot on a ring";
+  held.clear();
+  back.reset();
   EXPECT_EQ(arena.outstanding(), 0u);
 }
 
 TEST(PacketArena, ResetForReuseKeepsPayloadCapacity) {
-  PacketArena arena(2);
-  PacketHandle h = arena.try_alloc();
+  PacketArena arena(2, 1);
+  PacketHandle h = arena.alloc();
   ASSERT_TRUE(h);
   h->payload.assign(1024, 0xab);
   h->l4_cookie = util::Bytes{1, 2, 3};
@@ -188,137 +172,55 @@ TEST(PacketArena, ResetForReuseKeepsPayloadCapacity) {
   EXPECT_FALSE(h->syn);
 }
 
-// --- Per-thread cache ----------------------------------------------
+// --- The loop across two threads (TSan target) ----------------------
 
-TEST(PacketArena, CacheAllocAndFlushBalanceTheBooks) {
-  PacketArena arena(128);
-  {
-    PacketArena::Cache cache(arena);
-    std::vector<PacketHandle> held;
-    for (int i = 0; i < 100; ++i) {
-      PacketHandle h = cache.alloc();
-      ASSERT_TRUE(h);
-      held.push_back(std::move(h));
-    }
-    // Cache refills pop in kChunk batches, so outstanding counts the
-    // stash too — between 100 held and 100 + kChunk popped.
-    EXPECT_GE(arena.outstanding(), 100u);
-    held.clear();  // the handles go back to the freelist
-    cache.flush();
-    EXPECT_EQ(arena.outstanding(), 0u);
-  }  // destructor flush on an empty stash: no-op
-  EXPECT_EQ(arena.outstanding(), 0u);
-}
-
-/// A refill hands the stash slots the arena already counts as
-/// allocated (emitted slots on a return ring): no freelist pop, and
-/// alloc() hands them out last in, first out before it pops again.
-TEST(PacketArena, CacheRefillHandsOutAllocatedSlotsWithoutAPop) {
-  PacketArena arena(64);
-  std::vector<uint32_t> returned;
-  for (int i = 0; i < 3; ++i) returned.push_back(arena.try_alloc().detach());
-  ASSERT_EQ(arena.total_allocs(), 3u);
-
-  PacketArena::Cache cache(arena);
-  EXPECT_TRUE(cache.empty());
-  cache.refill([&](uint32_t* out, size_t max) {
-    EXPECT_EQ(max, PacketArena::kChunk);
-    std::copy(returned.begin(), returned.end(), out);
-    return returned.size();
-  });
-  EXPECT_FALSE(cache.empty());
-  std::vector<PacketHandle> held;
-  for (size_t i = 0; i < returned.size(); ++i) {
-    held.push_back(cache.alloc());
-    EXPECT_EQ(held.back().slot(), returned[returned.size() - 1 - i]);
-  }
-  EXPECT_TRUE(cache.empty());
-  EXPECT_EQ(arena.total_allocs(), 3u) << "a refill is not a pop";
-  held.push_back(cache.alloc());  // empty stash: pops the freelist
-  EXPECT_TRUE(held.back());
-  EXPECT_EQ(arena.total_allocs(), 3u + PacketArena::kChunk);
-  held.clear();
-  cache.flush();
-  EXPECT_EQ(arena.outstanding(), 0u);
-}
-
-TEST(PacketArena, CacheExhaustionFailsOpenLikeDirectAlloc) {
-  PacketArena arena(4);
-  PacketArena::Cache cache(arena);
-  std::vector<PacketHandle> held;
-  for (int i = 0; i < 4; ++i) {
-    PacketHandle h = cache.alloc();
-    ASSERT_TRUE(h);
-    held.push_back(std::move(h));
-  }
-  EXPECT_FALSE(cache.alloc());
-  EXPECT_GE(arena.alloc_failures(), 1u);
-  held.clear();
-  cache.flush();
-  EXPECT_EQ(arena.outstanding(), 0u);
-}
-
-// --- Concurrency (TSan targets) ------------------------------------
-
-/// Many threads alloc, stamp, verify, release through the shared
-/// freelist. The stamp check proves exclusive ownership (no slot is
-/// ever handed to two threads at once), and the final outstanding()
-/// proves nothing leaked. TSan checks the CAS publication protocol.
-TEST(PacketArena, ConcurrentAllocReleaseExclusiveOwnership) {
-  PacketArena arena(64);
-  constexpr int kThreads = 4;
-  constexpr int kRounds = 20'000;
-  std::atomic<uint64_t> collisions{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      std::vector<PacketHandle> held;
-      uint64_t salt = static_cast<uint64_t>(t) * 1000003;
-      for (int i = 0; i < kRounds; ++i) {
-        PacketHandle h = arena.try_alloc();
-        if (h) {
-          // Stamp with a thread-unique value; if another thread owned
-          // this slot concurrently, the read-back would tear.
-          const uint32_t stamp =
-              static_cast<uint32_t>(salt + static_cast<uint64_t>(i));
-          h->seq = stamp;
-          h->wire_size = stamp ^ 0xffffffffu;
-          if (h->seq != stamp || h->wire_size != (stamp ^ 0xffffffffu)) {
-            collisions.fetch_add(1, std::memory_order_relaxed);
-          }
-          held.push_back(std::move(h));
-        }
-        if (held.size() > 8 || (!h && !held.empty())) {
-          held.erase(held.begin());  // release oldest
-        }
+/// The producer allocates each slot, stamps it and hands its index to
+/// a worker thread through a ring; the worker checks the stamp, marks
+/// the slot and sends it home on its return ring, and the producer
+/// checks the mark when the slot comes back. A slot owned by both
+/// threads at once would tear a stamp or a mark (and TSan would see
+/// the race); a slot that never came home would run the arena dry.
+TEST(PacketArena, StampedSlotsCrossToAWorkerAndComeHome) {
+  constexpr uint32_t kPackets = 200'000;
+  constexpr uint32_t kMask = 0x5a5a5a5a;
+  PacketArena arena(64, 1);
+  SpscRing<uint32_t> ring(16);
+  uint64_t worker_torn = 0;
+  std::thread worker([&] {
+    uint32_t slot = PacketHandle::kNil;
+    for (uint32_t seen = 0; seen < kPackets;) {
+      if (!ring.try_pop(slot)) {
+        std::this_thread::yield();
+        continue;
       }
-    });
+      net::Packet& p = arena.at(slot);
+      if (p.wire_size != (p.seq ^ kMask)) ++worker_torn;
+      p.wire_size = p.seq;  // the worker's mark
+      arena.send_home(0, slot);
+      ++seen;
+    }
+  });
+  uint64_t producer_torn = 0;
+  for (uint32_t i = 0; i < kPackets;) {
+    PacketHandle h = arena.alloc();
+    if (!h) {
+      std::this_thread::yield();
+      continue;
+    }
+    // A never-used slot reads 0 and 0; a returned one, the mark.
+    if (h->wire_size != h->seq) ++producer_torn;
+    h->seq = i;
+    h->wire_size = i ^ kMask;
+    const uint32_t slot = h.detach();
+    while (!ring.try_push(uint32_t{slot})) std::this_thread::yield();
+    ++i;
   }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(collisions.load(), 0u);
+  worker.join();
+  EXPECT_EQ(worker_torn, 0u);
+  EXPECT_EQ(producer_torn, 0u);
   EXPECT_EQ(arena.outstanding(), 0u);
-  EXPECT_GT(arena.total_allocs(), 0u);
-}
-
-/// Same, through per-thread caches: each refill pops a chain that
-/// other threads' releases pushed, and each flush splices one back.
-TEST(PacketArena, ConcurrentCachesRecycleWithoutLeaks) {
-  PacketArena arena(64);
-  constexpr int kThreads = 4;
-  constexpr int kRounds = 20'000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      PacketArena::Cache cache(arena);
-      for (int i = 0; i < kRounds; ++i) {
-        PacketHandle h = cache.alloc();
-        if (!h) continue;  // transient exhaustion: fail-open, move on
-        h->seq = static_cast<uint32_t>(i);
-      }  // the handle goes back to the freelist
-    });  // Cache destructor flushes the stash
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(arena.outstanding(), 0u);
+  EXPECT_LE(arena.spare_takes(), arena.capacity())
+      << "a slot the worker sent home went through the spare stack";
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 
 #include "cookies/cookie.h"
 #include "cookies/generator.h"
+#include "cookies/transport.h"
+#include "net/http.h"
 #include "util/clock.h"
 #include "util/rng.h"
 
@@ -130,11 +132,27 @@ TEST(CookieStack, SingleCookieStackEqualsPlainEncoding) {
   EXPECT_EQ(encode_stack({c}), c.encode());
 }
 
+/// encode_stack_text() is the HTTP carrier's header value: read it
+/// back the way the middlebox does, through the one carrier reader and
+/// decode_stack().
 TEST(CookieStack, TextRoundTrip) {
   util::ManualClock clock(0);
   CookieGenerator gen(make_descriptor(14), clock, 13);
   const std::vector<Cookie> stack = {gen.generate(), gen.generate()};
-  const auto decoded = decode_stack_text(encode_stack_text(stack));
+  net::Packet packet;
+  const std::string request =
+      net::http::Request("GET", "/page", "cnn.com").serialize();
+  packet.payload.assign(request.begin(), request.end());
+  ASSERT_TRUE(attach(packet, stack, Transport::kHttpHeader));
+  const auto parsed = net::http::Request::parse(
+      std::string(packet.payload.begin(), packet.payload.end()));
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->header(net::http::kCookieHeader),
+            encode_stack_text(stack));
+  const auto raw = packet.cookie_bytes();
+  ASSERT_TRUE(raw.has_value());
+  EXPECT_EQ(raw->carrier, Transport::kHttpHeader);
+  const auto decoded = decode_stack(raw->bytes());
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(*decoded, stack);
 }

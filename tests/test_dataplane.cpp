@@ -1062,7 +1062,9 @@ TEST(ServiceRegistry, IdsAreDenseAndOutliveRebindAndUnbind) {
 TEST(ServiceRegistry, RefusesANewNameOnceEveryIdIsTaken) {
   ServiceRegistry registry;
   for (uint32_t i = 1; i <= 65'535; ++i) {
-    const auto id = registry.bind("s" + std::to_string(i), PriorityAction{0});
+    std::string name = "s";
+    name += std::to_string(i);
+    const auto id = registry.bind(name, PriorityAction{0});
     ASSERT_TRUE(id.has_value()) << i;
     ASSERT_EQ(id.value(), i);
   }

@@ -508,10 +508,10 @@ TEST(Runtime, ShedLedgerReconcilesWhenStopRacesQueuePressure) {
     for (uint64_t i = 0; i < kAttempts; ++i) {
       // One attempt per packet through the arena path: an exhausted
       // arena rides the empty handle into ingest(), which counts the
-      // shed. The slot comes straight from the arena (any thread), not
-      // the producer stash, because stop() below returns that stash
-      // from the main thread. 64 flows hash onto both workers.
-      runtime::PacketHandle handle = fx.plane.arena().try_alloc();
+      // shed. This thread is the producer; stop() below runs on the
+      // main thread while it allocates and ingests. 64 flows hash onto
+      // both workers.
+      runtime::PacketHandle handle = fx.plane.make_packet();
       if (handle) {
         *handle = flow_packet(static_cast<uint32_t>(i % 64),
                               static_cast<uint32_t>(i));
@@ -531,7 +531,7 @@ TEST(Runtime, ShedLedgerReconcilesWhenStopRacesQueuePressure) {
   // pause needs to have begun. So wait for both, bounded, instead of
   // guessing with a fixed sleep. Wait also until the arena has turned
   // over twice: an ingested slot comes home on a return ring, and
-  // try_alloc() must find it there.
+  // make_packet() must find it there.
   const uint64_t turned_over = 2 * fx.plane.arena().capacity();
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
@@ -548,7 +548,10 @@ TEST(Runtime, ShedLedgerReconcilesWhenStopRacesQueuePressure) {
   const auto totals = fx.plane.snapshot().totals();
   EXPECT_EQ(accepted.load() + rejected.load(), kAttempts);
   EXPECT_GT(accepted.load(), turned_over)
-      << "the arena ran dry: try_alloc() slots did not come home";
+      << "the arena ran dry: ingested slots did not come home";
+  // stop() sent the wedged worker's leftovers home, and the producer
+  // dropped every slot it was refused.
+  EXPECT_EQ(fx.plane.arena().outstanding(), 0u) << "slots leaked";
   // The ledger: every attempt is processed or shed, exactly once.
   EXPECT_EQ(totals.processed + totals.shed, kAttempts);
   // Shed = refused at admission + reclaimed from rings at stop().
@@ -921,10 +924,9 @@ TEST(Runtime, ArenaExhaustionShedsAndBalancesLedger) {
   EXPECT_EQ(plane.arena().outstanding(), 0u) << "slots leaked";
 }
 
-/// TSan target: handles released by foreign threads race
-/// Dataplane::stop()'s reclaim sweep and its return-ring sweep.
-/// Single ownership means the races are freelist CASes only; the books
-/// must still balance once everyone is done.
+/// TSan target: stop() on the main thread races a producer thread
+/// that allocates, drops and ingests. stop() touches no producer
+/// state, so the books must balance once the producer is done.
 TEST(Runtime, HandleReleaseRacingStopKeepsArenaBalanced) {
   util::SystemClock clock;
   dataplane::ServiceRegistry registry;
@@ -935,41 +937,43 @@ TEST(Runtime, HandleReleaseRacingStopKeepsArenaBalanced) {
   Dataplane plane(clock, registry, config);
   plane.start();
 
-  std::atomic<bool> done{false};
-  std::vector<std::thread> holders;
-  for (int t = 0; t < 3; ++t) {
-    // Holders use arena().try_alloc() directly (MPMC-safe), NOT
-    // make_packet() — that one is producer-thread-only by contract.
-    holders.emplace_back([&plane, &done] {
-      while (!done.load(std::memory_order_relaxed)) {
-        PacketHandle h = plane.arena().try_alloc();
-        if (h) h->seq = 1;  // touch the slot; released at scope end
-        std::this_thread::yield();
-      }
-    });
-  }
-
+  constexpr uint32_t kRounds = 20'000;
+  std::atomic<uint32_t> rounds{0};
   uint64_t attempts = 0;
-  for (uint32_t i = 0; i < 4000; ++i) {
-    PacketHandle h = plane.make_packet();
-    if (h) *h = flow_packet(i % 64, i);
-    plane.ingest(std::move(h));  // sheds (empty handle/ring full) are fine
-    ++attempts;
+  std::thread producer([&] {
+    std::vector<PacketHandle> held;
+    for (uint32_t i = 0; i < kRounds; ++i) {
+      PacketHandle h = plane.make_packet();
+      if (h) *h = flow_packet(i % 64, i);
+      if (i % 3 == 0) {
+        held.push_back(std::move(h));  // held a while, then dropped
+        if (held.size() > 8) held.erase(held.begin());
+      } else {
+        plane.ingest(std::move(h));  // sheds (empty handle/ring full) are fine
+        ++attempts;
+      }
+      rounds.store(i + 1, std::memory_order_relaxed);
+    }
+  });
+  // Stop once the producer is well under way, so the two overlap.
+  while (rounds.load(std::memory_order_relaxed) < kRounds / 4) {
+    std::this_thread::yield();
   }
-  plane.stop();  // races the holders' release_raw calls
-  done.store(true, std::memory_order_relaxed);
-  for (auto& t : holders) t.join();
+  plane.stop();
+  producer.join();
 
   const auto totals = plane.snapshot().totals();
   EXPECT_EQ(totals.processed + totals.shed, attempts);
+  EXPECT_GT(totals.processed, 0u);
   EXPECT_EQ(plane.arena().outstanding(), 0u) << "slots leaked";
 }
 
 // --- Emitted slots come home on return rings ------------------------
 
 /// Once the loop holds enough slots, every make_packet() refills from
-/// a worker's return ring: the freelist serves only first use, so the
-/// arena pops at most each slot once however many packets pass.
+/// a worker's return ring: the spare stack serves only first use, at
+/// most each slot once however many packets pass. A slot on a return
+/// ring is home, so a drained plane has none out.
 TEST(Runtime, EmittedSlotsComeBackWithoutTheFreelist) {
   constexpr uint32_t kPackets = 20'000;
   for (const size_t workers : {1, 2, 4}) {
@@ -982,8 +986,10 @@ TEST(Runtime, EmittedSlotsComeBackWithoutTheFreelist) {
       fx.ingest_blocking(flow_packet(i % 256, i));
     }
     fx.plane.drain();
-    EXPECT_LE(fx.plane.arena().total_allocs(), fx.plane.arena().capacity())
-        << "emitted slots went through the freelist";
+    EXPECT_LE(fx.plane.arena().spare_takes(), fx.plane.arena().capacity())
+        << "emitted slots went through the spare stack";
+    EXPECT_EQ(fx.plane.arena().outstanding(), 0u)
+        << "returned slots should count as home";
     fx.plane.stop();
     const auto totals = fx.plane.snapshot().totals();
     EXPECT_EQ(totals.processed, kPackets);
@@ -1032,10 +1038,12 @@ TEST(Runtime, SkewedReturnRingsKeepTheProducerFed) {
   EXPECT_EQ(fx.plane.arena().outstanding(), 0u) << "slots leaked";
 }
 
-/// stop() without drain() returns the slots waiting in the return
-/// rings. One packet at a time through one worker: the first
-/// make_packet() pops a chunk from the freelist, and once that chunk
-/// is spent and processed every slot waits in the return ring.
+/// Emitted slots wait on the return ring and count as home before and
+/// after a stop() without drain(); stop() moves none of them, and the
+/// producer empties the ring before it takes from the spare stack
+/// again. One packet at a time through one worker: the first
+/// make_packet() takes a chunk from the spare stack, and once that
+/// chunk is spent and processed every slot of it waits in the ring.
 TEST(Runtime, StopWithoutDrainEmptiesTheReturnRings) {
   PlaneFixture fx(plane_config(DispatchPolicy::kFlowHash, 1));
   fx.plane.start();
@@ -1044,41 +1052,114 @@ TEST(Runtime, StopWithoutDrainEmptiesTheReturnRings) {
     ASSERT_TRUE(eventually(
         [&] { return fx.plane.snapshot().totals().processed == i + 1; }));
   }
-  EXPECT_EQ(fx.plane.arena().total_allocs(), PacketArena::kChunk);
-  EXPECT_EQ(fx.plane.arena().outstanding(), PacketArena::kChunk)
-      << "the emitted slots should wait in the return ring";
+  EXPECT_EQ(fx.plane.arena().spare_takes(), PacketArena::kChunk);
+  EXPECT_EQ(fx.plane.arena().outstanding(), 0u)
+      << "the emitted slots wait in the return ring, at home";
   fx.plane.stop();
   EXPECT_EQ(fx.plane.snapshot().totals().processed, PacketArena::kChunk);
   EXPECT_EQ(fx.plane.arena().outstanding(), 0u) << "slots leaked";
+  std::vector<PacketHandle> held;
+  for (uint32_t i = 0; i < PacketArena::kChunk; ++i) {
+    held.push_back(fx.plane.make_packet());
+    ASSERT_TRUE(held.back());
+  }
+  EXPECT_EQ(fx.plane.arena().spare_takes(), PacketArena::kChunk)
+      << "the stash took from the spare stack with slots on the ring";
+  EXPECT_EQ(fx.plane.arena().outstanding(), PacketArena::kChunk);
+  held.clear();
+  EXPECT_EQ(fx.plane.arena().outstanding(), 0u);
 }
 
-/// A producer that builds in arena().try_alloc() slots instead of
-/// make_packet()'s gets them back before stop(): an empty freelist
-/// takes a chunk of emitted slots from the return rings. Twenty times
-/// the arena passes through a plane that holds at most all of it.
-TEST(Runtime, TryAllocTakesEmittedSlotsFromTheReturnRings) {
-  Dataplane::Config config = plane_config(DispatchPolicy::kFlowHash, 2);
-  config.pool.ring_capacity = 64;
-  PlaneFixture fx(config);
-  fx.plane.start();
-  const uint64_t packets = 20 * fx.plane.arena().capacity();
-  for (uint32_t i = 0; i < packets; ++i) {
-    PacketHandle h;
-    // Empty while the workers hold every slot; never until stop().
-    ASSERT_TRUE(eventually([&] {
-      h = fx.plane.arena().try_alloc();
-      return static_cast<bool>(h);
-    }, std::chrono::seconds(5)))
-        << "no slot came home after " << i << " packets";
-    *h = flow_packet(i % 256, i);
-    fx.plane.ingest_blocking(std::move(h));
+/// Model test of the slot loop: random sequences of make_packet, drop,
+/// ingest (with and without a slot), ingest_blocking, drain, stop and
+/// restart, over 1, 2 and 4 workers. The reference is the number of
+/// handles the test holds. The oracle: outstanding() never reads fewer
+/// slots out than that, and reads exactly that whenever no worker can
+/// hold a slot (after drain() or stop()); make_packet() on a stopped
+/// plane fails exactly when the test holds every slot; and processed +
+/// shed == attempts at every quiescent point.
+TEST(Runtime, RandomLoopOpsKeepArenaAndLedgerBalanced) {
+  for (const size_t workers : {size_t{1}, size_t{2}, size_t{4}}) {
+    SCOPED_TRACE(testing::Message() << workers << " workers");
+    Dataplane::Config config = plane_config(DispatchPolicy::kFlowHash, workers);
+    config.pool.ring_capacity = 8;  // small: ring-full sheds happen
+    config.pool.arena_slots = 48;   // small: exhaustion happens
+    PlaneFixture fx(config);
+    const PacketArena& arena = fx.plane.arena();
+    std::mt19937 rng(static_cast<uint32_t>(1000 + workers));
+    // Make, drop, ingest and ingest_blocking act on bursts of 1-8
+    // handles and balance each other, so the held count wanders over
+    // the whole arena; the rest act once.
+    enum Op { kMake, kDrop, kIngest, kIngestEmpty, kIngestBlocking,
+              kDrain, kStop, kStart };
+    std::discrete_distribution<int> pick({40, 8, 20, 2, 12, 6, 2, 2});
+    std::vector<PacketHandle> held;
+    uint64_t attempts = 0;
+    uint32_t seq = 0;
+    const auto take_one = [&] {
+      const size_t i = rng() % held.size();
+      PacketHandle h = std::move(held[i]);
+      held[i] = std::move(held.back());
+      held.pop_back();
+      return h;
+    };
+    const auto check_quiescent = [&](const char* after) {
+      const auto totals = fx.plane.snapshot().totals();
+      EXPECT_EQ(arena.outstanding(), held.size()) << "after " << after;
+      EXPECT_EQ(totals.processed + totals.shed, attempts) << "after " << after;
+    };
+    fx.plane.start();
+    for (int step = 0; step < 4000 && !HasFailure(); ++step) {
+      const bool running = fx.plane.running();
+      const int op = pick(rng);
+      const uint32_t burst = 1 + static_cast<uint32_t>(rng() % 8);
+      for (uint32_t k = 0; k < burst; ++k) {
+        if (op == kMake) {
+          PacketHandle h = fx.plane.make_packet();
+          if (!running) {
+            EXPECT_EQ(static_cast<bool>(h), held.size() < arena.capacity())
+                << "a stopped plane has every slot the test does not hold";
+          }
+          if (h) {
+            *h = flow_packet(seq % 32, seq);
+            ++seq;
+            held.push_back(std::move(h));
+          }
+        } else if (held.empty()) {
+          break;
+        } else if (op == kDrop) {
+          take_one();
+        } else if (op == kIngest) {
+          fx.plane.ingest(take_one());
+          ++attempts;
+        } else if (op == kIngestBlocking) {
+          // A stopped plane sheds it; a running one waits for space.
+          fx.plane.ingest_blocking(take_one());
+          ++attempts;
+        }
+      }
+      if (op == kIngestEmpty) {
+        EXPECT_FALSE(fx.plane.ingest(PacketHandle{}));
+        ++attempts;
+      } else if (op == kDrain) {
+        fx.plane.drain();
+        if (running) check_quiescent("drain");
+      } else if (op == kStop) {
+        fx.plane.stop();
+        check_quiescent("stop");
+      } else if (op == kStart) {
+        fx.plane.start();
+      }
+      EXPECT_GE(arena.outstanding(), held.size());
+      EXPECT_LE(arena.outstanding(), arena.capacity());
+    }
+    fx.plane.stop();
+    check_quiescent("the last stop");
+    held.clear();
+    EXPECT_EQ(arena.outstanding(), 0u) << "slots leaked";
+    EXPECT_GT(arena.alloc_failures(), 0u) << "the arena never ran dry";
+    EXPECT_GT(fx.plane.snapshot().totals().shed, 0u);
   }
-  fx.plane.drain();
-  fx.plane.stop();
-  const auto totals = fx.plane.snapshot().totals();
-  EXPECT_EQ(totals.processed, packets);
-  EXPECT_EQ(totals.shed, 0u);
-  EXPECT_EQ(fx.plane.arena().outstanding(), 0u) << "slots leaked";
 }
 
 }  // namespace

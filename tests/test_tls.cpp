@@ -44,14 +44,6 @@ TEST(ClientHello, SetCookieReplacesExisting) {
   EXPECT_EQ(hello.extensions.size(), 1u);
 }
 
-TEST(ClientHello, ClearCookieRemovesExtension) {
-  ClientHello hello;
-  EXPECT_FALSE(hello.clear_cookie());
-  hello.set_cookie(util::BytesView(util::Bytes{1}));
-  EXPECT_TRUE(hello.clear_cookie());
-  EXPECT_FALSE(hello.cookie().has_value());
-}
-
 TEST(ClientHello, NoExtensionsParses) {
   ClientHello hello;
   hello.extensions.clear();
